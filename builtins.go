@@ -33,14 +33,12 @@ func init() {
 	MustRegisterNoise(NoiseInfo{
 		Name:        string(NoiseMallows),
 		Description: "Mallows model M(central, θ) — the paper's mechanism (repeated-insertion sampling, amortized tables)",
-		Truncated:   true,
 	}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
 		return adaptNoise(core.MallowsNoise{Theta: theta}, central)
 	})
 	MustRegisterNoise(NoiseInfo{
 		Name:        string(NoiseGMallows),
 		Description: "generalized Mallows (Fligner–Verducci) with per-position dispersion θ·0.97^j: the head stays close to the central, the tail mixes more",
-		Truncated:   true,
 	}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
 		thetas := make([]float64, len(central))
 		for j := range thetas {
@@ -51,7 +49,6 @@ func init() {
 	MustRegisterNoise(NoiseInfo{
 		Name:        string(NoisePlackettLuce),
 		Description: "Plackett–Luce with weights e^{−θ·rank} (Gumbel-max sampling); θ = 0 is uniform, large θ concentrates on the central",
-		Truncated:   true,
 	}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
 		return adaptNoise(core.PlackettLuceNoise{Strength: theta}, central)
 	})

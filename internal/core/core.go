@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"repro/internal/fairness"
-	"repro/internal/mallows"
 	"repro/internal/perm"
 	"repro/internal/quality"
 	"repro/internal/rankdist"
@@ -99,49 +98,11 @@ type Config struct {
 	Criterion Criterion
 }
 
-func (cfg Config) validate() error {
-	if cfg.Theta < 0 {
-		return fmt.Errorf("core: θ = %v, want ≥ 0", cfg.Theta)
-	}
-	if cfg.Samples < 1 {
-		return fmt.Errorf("core: samples = %d, want ≥ 1", cfg.Samples)
-	}
-	return nil
-}
-
 // PostProcess runs Algorithm 1 around the given central ranking: draw
 // cfg.Samples rankings from M(central, θ) and return the one maximizing
 // cfg.Criterion (the first sample if the criterion is nil).
 func PostProcess(central perm.Perm, cfg Config, rng *rand.Rand) (perm.Perm, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	model, err := mallows.New(central, cfg.Theta)
-	if err != nil {
-		return nil, err
-	}
-	best := model.Sample(rng)
-	if cfg.Criterion == nil {
-		for i := 1; i < cfg.Samples; i++ {
-			model.Sample(rng) // consume the configured number of draws
-		}
-		return best, nil
-	}
-	bestScore, err := cfg.Criterion.Score(best)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < cfg.Samples; i++ {
-		s := model.Sample(rng)
-		v, err := cfg.Criterion.Score(s)
-		if err != nil {
-			return nil, err
-		}
-		if v > bestScore {
-			best, bestScore = s, v
-		}
-	}
-	return best, nil
+	return PostProcessWith(central, MallowsNoise{Theta: cfg.Theta}, cfg.Samples, cfg.Criterion, rng)
 }
 
 // Rank is the end-to-end fair-ranking entry point: it constructs the

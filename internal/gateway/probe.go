@@ -76,10 +76,10 @@ type Backend struct {
 
 	// mu guards the consecutive-outcome counters driving transitions
 	// and the reported load snapshot.
-	mu         sync.Mutex
-	consecOK   int
-	consecFail int
-	reported   service.ReadyzQueue
+	mu           sync.Mutex
+	consecOK     int
+	consecFail   int
+	reported     service.ReadyzQueue
 	reportedJobs int
 }
 

@@ -406,9 +406,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(""), []byte(""))
 	f.Add([]byte(""), mk(create, running, item))
 	f.Add([]byte(""), mk(create, running, item, done))
-	f.Add(mk(snap), mk(create, running, item))          // un-truncated WAL behind a snapshot
-	f.Add(mk(snap), []byte("{torn"))                    // torn tail
-	f.Add(mk(snap)[:20], mk(create))                    // torn snapshot
+	f.Add(mk(snap), mk(create, running, item)) // un-truncated WAL behind a snapshot
+	f.Add(mk(snap), []byte("{torn"))           // torn tail
+	f.Add(mk(snap)[:20], mk(create))           // torn snapshot
 	f.Add([]byte("garbage\n"), mk(create, create, running, running, done, done))
 	f.Add([]byte(""), append(mk(create, running), []byte(`{"op":"item","i":999999999,"result":{}}`+"\n")...))
 

@@ -20,11 +20,11 @@ func FuzzSampleDisplacement(f *testing.F) {
 	f.Add(2, 1.0, int64(1))
 	f.Add(1, 0.5, int64(2))
 	f.Add(100, 0.0, int64(3))
-	f.Add(50, 1e-300, int64(4))   // q rounds to exactly 1
-	f.Add(50, 5e-17, int64(5))    // 1 − q^j on the edge of underflow
-	f.Add(37, 745.0, int64(6))    // q underflows to exactly 0
-	f.Add(64, 7000.0, int64(7))   // far past underflow
-	f.Add(1000, 1e-12, int64(8))  // near-uniform, large j
+	f.Add(50, 1e-300, int64(4))  // q rounds to exactly 1
+	f.Add(50, 5e-17, int64(5))   // 1 − q^j on the edge of underflow
+	f.Add(37, 745.0, int64(6))   // q underflows to exactly 0
+	f.Add(64, 7000.0, int64(7))  // far past underflow
+	f.Add(1000, 1e-12, int64(8)) // near-uniform, large j
 	f.Add(3, math.Inf(1), int64(9))
 	f.Fuzz(func(t *testing.T, j int, theta float64, seed int64) {
 		if j < 0 || j > 1<<14 {

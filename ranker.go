@@ -52,14 +52,15 @@ type Ranker struct {
 	statDrawsTruncated atomic.Int64
 	statTableHits      atomic.Int64
 	statTableMisses    atomic.Int64
-	// truncByNoise splits statDrawsTruncated by noise mechanism
-	// (Noise → *atomic.Int64); every axis with a truncated draw path
-	// gets its own counter on first use.
-	truncByNoise sync.Map
+	// truncDraws splits statDrawsTruncated by noise axis: one counter
+	// per kernel, created in NewRanker. The map never changes after
+	// that, so it is read without a lock.
+	truncDraws map[Noise]*atomic.Int64
 
-	// forceFullDraws pins TopK requests to the full-length reference
-	// draw path. Test-only: the equivalence suite uses it to check the
-	// truncated fast path against the reference bit for bit.
+	// forceFullDraws routes every noise axis through the registry
+	// adapter, the full-length reference draw path. Test-only: the
+	// equivalence suite uses it to check the kernels against the
+	// registered samplers bit for bit.
 	forceFullDraws bool
 }
 
@@ -116,26 +117,15 @@ func (r *Ranker) Stats() RankerStats {
 		s.PoolMisses += int64(misses)
 		return true
 	})
-	r.truncByNoise.Range(func(k, v any) bool {
-		if c := v.(*atomic.Int64).Load(); c != 0 {
+	for noise, c := range r.truncDraws {
+		if v := c.Load(); v != 0 {
 			if s.DrawsTruncatedByNoise == nil {
 				s.DrawsTruncatedByNoise = make(map[string]int64)
 			}
-			s.DrawsTruncatedByNoise[string(k.(Noise))] = c
+			s.DrawsTruncatedByNoise[string(noise)] = v
 		}
-		return true
-	})
-	return s
-}
-
-// truncCounter returns the per-noise truncated-draw counter, creating
-// it on first use.
-func (r *Ranker) truncCounter(noise Noise) *atomic.Int64 {
-	if v, ok := r.truncByNoise.Load(noise); ok {
-		return v.(*atomic.Int64)
 	}
-	v, _ := r.truncByNoise.LoadOrStore(noise, new(atomic.Int64))
-	return v.(*atomic.Int64)
+	return s
 }
 
 // maxSizeStates caps the per-(n, θ) cache: a size-state costs O(n)
@@ -147,7 +137,8 @@ func (r *Ranker) truncCounter(noise Noise) *atomic.Int64 {
 const maxSizeStates = 64
 
 // sizeKey indexes the amortized per-size state. Theta is part of the key
-// so a future per-request dispersion override can share the cache.
+// so requests that override the dispersion (Request.Theta) share the
+// cache instead of invalidating it.
 type sizeKey struct {
 	n     int
 	theta float64
@@ -159,7 +150,7 @@ type sizeKey struct {
 // axes build on first use — PL-only traffic never pays for Mallows
 // tables and vice versa — and each builds at most once per state. The
 // DCG discount table lives in its own n-keyed cache (discountsFor):
-// every mechanism and criterion shares it, and generic-noise traffic
+// every mechanism and criterion shares it, and registry-adapter traffic
 // with varied θ must not evict warm tables it never samples from.
 type sizeState struct {
 	key     sizeKey
@@ -216,11 +207,6 @@ func (st *sizeState) gtables() (*mallows.GeneralizedTables, error) {
 	return st.gmTab, st.gmErr
 }
 
-func (st *sizeState) getFloats() *[]float64  { return st.floats.Get().(*[]float64) }
-func (st *sizeState) putFloats(f *[]float64) { st.floats.Put(f) }
-func (st *sizeState) getPL() *pl.Scratch     { return st.pls.Get().(*pl.Scratch) }
-func (st *sizeState) putPL(s *pl.Scratch)    { st.pls.Put(s) }
-
 // NewRanker validates cfg and returns a reusable Ranker. Field semantics
 // and defaults are exactly Config's; cfg.Seed is only a fallback — each
 // request carries its own seed (Request.Seed, or the seed argument of
@@ -265,7 +251,10 @@ func NewRanker(cfg Config) (*Ranker, error) {
 	if math.IsNaN(cfg.Sigma) || cfg.Sigma < 0 {
 		return nil, fmt.Errorf("fairrank: constraint noise σ = %v, want ≥ 0", cfg.Sigma)
 	}
-	r := &Ranker{cfg: cfg, entry: entry}
+	r := &Ranker{cfg: cfg, entry: entry, truncDraws: make(map[Noise]*atomic.Int64, len(kernels))}
+	for noise := range kernels {
+		r.truncDraws[noise] = new(atomic.Int64)
+	}
 	r.rngs.New = func() any { return rand.New(rand.NewSource(0)) }
 	return r, nil
 }
@@ -275,30 +264,28 @@ func (r *Ranker) Config() Config { return r.cfg }
 
 // Warm pre-builds the per-size caches for the given candidate-pool
 // sizes, moving the one-time table construction off the first request.
-// It builds the tables of the noise axis the Ranker's configuration
-// resolves to (the algorithm's pinned mechanism, else Config.Noise);
-// the shared scratch pools warm for every axis either way.
+// It prepares the kernel of the noise axis the Ranker's configuration
+// resolves to (the algorithm's pinned mechanism, else Config.Noise) as a
+// request of each size would; registered mechanisms without a kernel
+// keep no per-size state, so there is nothing to warm for them.
 func (r *Ranker) Warm(sizes ...int) error {
 	for _, n := range sizes {
 		cfg := r.cfg.withDefaults(n)
-		st := r.state(n, cfg.Theta)
 		noise := r.entry.info.Noise
 		if noise == "" {
 			noise = cfg.Noise
 		}
-		switch noise {
-		case NoiseGMallows:
-			if _, err := st.gtables(); err != nil {
-				return err
-			}
-		case NoisePlackettLuce:
-			// No tables: the log-weight vector is per-request (it depends
-			// on the central ranking) and draws come from pooled scratch.
-		default:
-			if _, err := st.tables(); err != nil {
-				return err
-			}
+		k, ok := kernels[noise]
+		if !ok {
+			continue
 		}
+		// An empty center builds the size-state's tables and skips the
+		// per-request vectors, which depend on the central ranking.
+		p, err := k(drawPlan{theta: cfg.Theta, st: r.state(n, cfg.Theta)})
+		if err != nil {
+			return err
+		}
+		p.release()
 	}
 	return nil
 }
@@ -336,13 +323,6 @@ func (r *Ranker) RankParallel(candidates []Candidate, seed int64, workers int) (
 		return nil, err
 	}
 	return res.Ranking, nil
-}
-
-// model wraps the instance's central ranking as a Mallows model without
-// cloning it — the instance is request-local and the samplers only read
-// the center.
-func (r *Ranker) model(in rankers.Instance, cfg Config) *mallows.Model {
-	return &mallows.Model{Center: in.Initial, Theta: cfg.Theta}
 }
 
 // criterionAt returns a maker of sample-selection score functions

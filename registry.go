@@ -177,20 +177,22 @@ type NoiseInfo struct {
 	Description string
 	// Truncated reports that the engine runs a dedicated truncated draw
 	// path for this mechanism: top-k requests materialize only the
-	// delivered prefix and count as DrawsTruncated. Mechanisms
-	// registered through RegisterNoise draw full-length through the
-	// generic sampler, so only built-ins set it; load harnesses use it
-	// to predict the engine's per-noise draw-path counters without
-	// hardcoding mechanism names.
+	// delivered prefix and count as DrawsTruncated. RegisterNoise sets
+	// it from the engine's own draw paths — only built-ins have one —
+	// and rejects a registration that claims it without one; load
+	// harnesses use it to predict the engine's per-noise draw-path
+	// counters without hardcoding mechanism names.
 	Truncated bool
 }
 
 // NoiseSampler builds a draw function for one request: central is the
 // central ranking (candidate indices, best first — do not mutate), theta
 // the resolved dispersion/concentration (θ = 0 must mean uniform). Each
-// returned draw must be a fresh permutation of the same indices and the
-// draw function must be safe for concurrent use, because DoParallel fans
-// draws across goroutines.
+// draw must return a permutation of the same indices; the engine copies
+// it before the next draw, so a draw function may reuse its output slice
+// within one RNG stream. The draw function must be safe for concurrent
+// use, because DoParallel fans draws across goroutines, each drawing on
+// its own stream.
 type NoiseSampler func(central []int, theta float64) (func(*rand.Rand) []int, error)
 
 type algorithmEntry struct {
@@ -266,6 +268,11 @@ func RegisterNoise(info NoiseInfo, sampler NoiseSampler) error {
 	if sampler == nil {
 		return fmt.Errorf("fairrank: RegisterNoise(%q): nil sampler", info.Name)
 	}
+	_, hasKernel := kernels[Noise(info.Name)]
+	if info.Truncated && !hasKernel {
+		return fmt.Errorf("fairrank: RegisterNoise(%q): Truncated set, but the engine has no truncated draw path for it", info.Name)
+	}
+	info.Truncated = hasKernel
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	if _, dup := registry.noises[info.Name]; dup {

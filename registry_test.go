@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -71,6 +72,9 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test-nilsampler"}, nil); err == nil {
 		t.Error("accepted a nil noise sampler")
+	}
+	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test:claims-truncated", Truncated: true}, reusedBufferSampler); err == nil {
+		t.Error("accepted Truncated for a mechanism the engine has no truncated draw path for")
 	}
 }
 
@@ -265,6 +269,67 @@ func TestNoiseMechanismsDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// reusedBufferSampler is a registered mechanism that shuffles the
+// central ranking into one slice per RNG stream and returns that same
+// slice on every draw of the stream. Keying the slice by stream keeps it
+// safe under DoParallel, whose workers each draw on their own stream.
+func reusedBufferSampler(central []int, _ float64) (func(*rand.Rand) []int, error) {
+	var mu sync.Mutex
+	bufs := map[*rand.Rand][]int{}
+	return func(rng *rand.Rand) []int {
+		mu.Lock()
+		buf, ok := bufs[rng]
+		if !ok {
+			buf = make([]int, len(central))
+			bufs[rng] = buf
+		}
+		mu.Unlock()
+		copy(buf, central)
+		rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+		return buf
+	}, nil
+}
+
+// A mechanism that reuses its output slice must not corrupt best-of
+// selection: the engine has to keep its own copy of the winning draw, or
+// the next draw overwrites it and the request delivers a ranking it never
+// scored.
+func TestRegisteredNoiseReusingItsBuffer(t *testing.T) {
+	const name = "test:reused-buffer"
+	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: name, Description: "in-place shuffle of one slice per stream (test mechanism)"}, reusedBufferSampler); err != nil && !errors.Is(err, fairrank.ErrDuplicateNoise) {
+		t.Fatal(err)
+	}
+	r, err := fairrank.NewRanker(fairrank.Config{Noise: name, Samples: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := registryPool(30)
+	check := func(what string, res *fairrank.Result) {
+		t.Helper()
+		ndcg, err := fairrank.NDCG(res.Ranking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(ndcg-res.Diagnostics.NDCG) > 1e-12 {
+			t.Errorf("%s: delivered ranking has NDCG %v, the selected draw scored %v", what, ndcg, res.Diagnostics.NDCG)
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		res, err := r.Do(context.Background(), fairrank.Request{Candidates: pool, Seed: &seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Do seed %d", seed), res)
+	}
+	seed := int64(7)
+	if err := r.Sample(context.Background(), fairrank.Request{Candidates: pool, Seed: &seed}, 20, func(i int, res *fairrank.Result) error {
+		check(fmt.Sprintf("Sample draw %d", i), res)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/fairness"
 	"repro/internal/perm"
-	"repro/internal/pl"
 	"repro/internal/quality"
 	"repro/internal/rankdist"
 	"repro/internal/rankers"
@@ -212,13 +211,11 @@ func (r *Ranker) do(ctx context.Context, req Request, workers int) (*Result, err
 func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Config, topK, workers int) (perm.Perm, float64, bool, int, Noise, error) {
 	entry := r.entry
 	var (
-		out       perm.Perm
-		score     float64
-		scored    bool
-		draws     int
-		noise     Noise
-		truncated bool
-		err       error
+		out    perm.Perm
+		score  float64
+		scored bool
+		draws  int
+		noise  Noise
 	)
 	if entry.info.Sampling {
 		// The engine-managed Algorithm-1 family: best-of-m draws from
@@ -232,71 +229,29 @@ func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Conf
 		if noise == "" {
 			noise = cfg.Noise
 		}
-		switch {
-		case noise == NoiseMallows:
-			// The default mechanism keeps its dedicated path: amortized
-			// (n, θ)-keyed insertion tables and pooled scratch buffers,
-			// bit-identical to the pre-registry engine — and, for TopK
-			// requests, the lazy truncated sampler that never
-			// materializes ranks the response discards.
-			truncated = topK < len(in.Initial) && !r.forceFullDraws
-			if workers > 0 && samples > 1 {
-				out, score, scored, err = r.sampleParallel(ctx, in, cfg, samples, topK, truncated, workers)
-			} else {
-				rng := r.getRNG(cfg.Seed)
-				out, score, scored, err = r.sampleSequential(ctx, in, cfg, samples, entry.info.BestOf, topK, truncated, rng)
-				r.rngs.Put(rng)
-			}
-		case noise == NoisePlackettLuce && !r.forceFullDraws:
-			// Dedicated Plackett–Luce path: pooled log-weight and Gumbel
-			// scratch, block-filled uniforms, and — on TopK requests —
-			// the Gumbel top-k sampler. Stream- and bit-identical to the
-			// registry mechanism for equal seeds; forceFullDraws routes
-			// to the generic registry path below as the reference.
-			truncated = topK < len(in.Initial)
-			if workers > 0 && samples > 1 {
-				out, score, scored, err = r.plParallel(ctx, in, cfg, samples, topK, truncated, workers)
-			} else {
-				rng := r.getRNG(cfg.Seed)
-				out, score, scored, err = r.plSequential(ctx, in, cfg, samples, entry.info.BestOf, topK, truncated, rng)
-				r.rngs.Put(rng)
-			}
-		case noise == NoiseGMallows && !r.forceFullDraws:
-			// Dedicated generalized-Mallows path: per-step tables cached
-			// per (n, θ) for the built-in geometric-decay schedule, with
-			// the bounded-window truncated sampler on TopK requests.
-			truncated = topK < len(in.Initial)
-			if workers > 0 && samples > 1 {
-				out, score, scored, err = r.gmParallel(ctx, in, cfg, samples, topK, truncated, workers)
-			} else {
-				rng := r.getRNG(cfg.Seed)
-				out, score, scored, err = r.gmSequential(ctx, in, cfg, samples, entry.info.BestOf, topK, truncated, rng)
-				r.rngs.Put(rng)
-			}
-		default:
-			// Third-party mechanisms — and, under forceFullDraws, the
-			// reference path the built-in fast paths are checked against:
-			// fresh validated draws straight from the noise registry.
-			sampler, serr := lookupSampler(noise)
-			if serr != nil {
-				return nil, 0, false, 0, "", serr
-			}
-			if workers > 0 && samples > 1 {
-				out, score, scored, err = r.noiseParallel(ctx, in, cfg, noise, sampler, samples, topK, workers)
-			} else {
-				rng := r.getRNG(cfg.Seed)
-				out, score, scored, err = r.noiseSequential(ctx, in, cfg, noise, sampler, samples, entry.info.BestOf, topK, rng)
-				r.rngs.Put(rng)
-			}
+		if err := in.Validate(); err != nil {
+			return nil, 0, false, 0, "", err
 		}
+		plan, err := r.plan(noise, in.Initial, cfg.Theta, topK)
+		if err != nil {
+			return nil, 0, false, 0, "", err
+		}
+		if workers > 0 && samples > 1 {
+			out, score, scored, err = r.drawParallel(ctx, in, cfg, samples, workers, plan)
+		} else {
+			rng := r.getRNG(cfg.Seed)
+			out, score, scored, err = r.drawSequential(ctx, in, cfg, samples, entry.info.BestOf, plan, rng)
+			r.rngs.Put(rng)
+		}
+		plan.release()
 		if err != nil {
 			return nil, 0, false, 0, "", err
 		}
 		draws = samples
 		r.statDraws.Add(int64(draws))
-		if truncated {
+		if plan.truncated {
 			r.statDrawsTruncated.Add(int64(draws))
-			r.truncCounter(noise).Add(int64(draws))
+			r.truncDraws[noise].Add(int64(draws))
 		} else {
 			r.statDrawsFull.Add(int64(draws))
 		}
@@ -379,33 +334,27 @@ func (r *Ranker) resolve(req Request) (Config, int, error) {
 	return cfg, topK, nil
 }
 
-// drawFunc draws one sample into dst — a full-length buffer from the
-// per-size scratch pool — consuming rng, and returns the written
-// ranking: the full permutation, or just the top-k prefix when the
-// truncated path serves the request.
-type drawFunc func(dst perm.Perm, rng *rand.Rand) perm.Perm
-
-// drawSequential runs the amortized best-of-m loop on one RNG stream
-// for any dedicated draw path: same selection as the pre-registry
-// engine, bit for bit, plus a cancellation check between draws. It
+// drawSequential runs the best-of-m loop of Algorithm 1 on one RNG
+// stream for any draw plan, with a cancellation check between draws. It
 // returns the chosen ranking and, when a selection criterion ran, its
 // winning score.
-func (r *Ranker) drawSequential(ctx context.Context, in rankers.Instance, cfg Config, samples int, bestOf bool, topK int, pool *perm.Pool, draw drawFunc, rng *rand.Rand) (perm.Perm, float64, bool, error) {
-	// The scratch pool hands out full-length buffers; the truncated path
-	// just fills fewer slots of the same recycled buffers.
-	cur, best := pool.Get(), pool.Get()
-	defer func() { pool.Put(cur); pool.Put(best) }()
-	best = draw(best, rng)
+func (r *Ranker) drawSequential(ctx context.Context, in rankers.Instance, cfg Config, samples int, bestOf bool, plan drawPlan, rng *rand.Rand) (perm.Perm, float64, bool, error) {
+	w := plan.checkout()
+	defer func() { plan.checkin(w) }()
+	var err error
+	if w.best, err = plan.draw(plan, w.ws, w.best, rng); err != nil {
+		return nil, 0, false, err
+	}
 	if !bestOf {
 		// Algorithm 1 with m = 1: keep the first (only) draw.
-		return best.Clone(), 0, false, nil
+		return w.best.Clone(), 0, false, nil
 	}
-	maker, err := r.criterionAt(cfg, in, topK)
+	maker, err := r.criterionAt(cfg, in, plan.topK)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	score := maker()
-	bestScore, err := score(best)
+	bestScore, err := score(w.best)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -413,261 +362,30 @@ func (r *Ranker) drawSequential(ctx context.Context, in rankers.Instance, cfg Co
 		if err := ctx.Err(); err != nil {
 			return nil, 0, false, err
 		}
-		cur = draw(cur, rng)
-		v, err := score(cur)
+		if w.cur, err = plan.draw(plan, w.ws, w.cur, rng); err != nil {
+			return nil, 0, false, err
+		}
+		v, err := score(w.cur)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		if v > bestScore {
 			// Swap rather than copy: cur becomes the kept sample, best
 			// becomes the scratch the next draw overwrites.
-			best, cur = cur, best
+			w.best, w.cur = w.cur, w.best
 			bestScore = v
 		}
 	}
-	return best.Clone(), bestScore, true, nil
+	return w.best.Clone(), bestScore, true, nil
 }
 
-// sampleSequential runs the best-of-m Mallows loop on one RNG stream:
-// amortized (n, θ) tables, pooled scratch, and — when truncated is
-// set — the lazy top-k sampler instead of the full permutation. The
-// draws consume the RNG stream identically either way, and the
-// selection criterion is prefix-scoped in both cases, so the two paths
-// pick bit-identical winning prefixes for equal seeds.
-func (r *Ranker) sampleSequential(ctx context.Context, in rankers.Instance, cfg Config, samples int, bestOf bool, topK int, truncated bool, rng *rand.Rand) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	st := r.state(len(in.Initial), cfg.Theta)
-	tab, err := st.tables()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	model := r.model(in, cfg)
-	draw := func(dst perm.Perm, rng *rand.Rand) perm.Perm {
-		if truncated {
-			return model.SampleTopKInto(tab, topK, dst, rng)
-		}
-		return model.SampleInto(tab, dst, rng)
-	}
-	return r.drawSequential(ctx, in, cfg, samples, bestOf, topK, st.scratch, draw, rng)
-}
-
-// plSequential runs the best-of-m Plackett–Luce loop on one RNG stream
-// through the dedicated zero-allocation path: the log-weight vector is
-// built once per request on pooled float scratch with the exact
-// registry-mechanism expression, each draw perturbs it with block-
-// filled Gumbel noise on pooled sampler scratch, and TopK requests
-// select through the bounded k-slot heap instead of a full sort. Stream
-// consumption matches the registry sampler draw for draw, so equal
-// seeds yield bit-identical rankings (prefixes, when truncated).
-func (r *Ranker) plSequential(ctx context.Context, in rankers.Instance, cfg Config, samples int, bestOf bool, topK int, truncated bool, rng *rand.Rand) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	st := r.state(len(in.Initial), cfg.Theta)
-	logwBuf := st.getFloats()
-	defer st.putFloats(logwBuf)
-	logw := plLogWeights(*logwBuf, in, cfg.Theta)
-	sc := st.getPL()
-	defer st.putPL(sc)
-	draw := func(dst perm.Perm, rng *rand.Rand) perm.Perm {
-		if truncated {
-			return pl.SampleTopKInto(logw, topK, dst, sc, rng)
-		}
-		return pl.SampleLogWeightsInto(logw, dst, sc, rng)
-	}
-	return r.drawSequential(ctx, in, cfg, samples, bestOf, topK, st.scratch, draw, rng)
-}
-
-// plLogWeights fills buf with the Plackett–Luce log-weights of the
-// instance: the item at central rank rk gets −θ·rk, the exact
-// expression core.PlackettLuceNoise builds, so the dedicated path's
-// Gumbel utilities match the registry reference bit for bit.
-func plLogWeights(buf []float64, in rankers.Instance, theta float64) []float64 {
-	logw := buf[:len(in.Initial)]
-	for rk, item := range in.Initial {
-		logw[item] = -theta * float64(rk)
-	}
-	return logw
-}
-
-// gmSequential runs the best-of-m generalized-Mallows loop on one RNG
-// stream through the dedicated path: per-step displacement tables for
-// the built-in geometric-decay schedule, cached per (n, θ), and — on
-// TopK requests — the bounded-window truncated sampler with its miss
-// thresholds precomputed once per request on pooled float scratch.
-// Stream consumption matches the registry sampler draw for draw, so
-// equal seeds yield bit-identical rankings (prefixes, when truncated).
-func (r *Ranker) gmSequential(ctx context.Context, in rankers.Instance, cfg Config, samples int, bestOf bool, topK int, truncated bool, rng *rand.Rand) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	st := r.state(len(in.Initial), cfg.Theta)
-	gt, err := st.gtables()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	var thresh []float64
-	if truncated {
-		buf := st.getFloats()
-		defer st.putFloats(buf)
-		thresh = gt.MissThresholds(topK, *buf)
-	}
-	draw := func(dst perm.Perm, rng *rand.Rand) perm.Perm {
-		if truncated {
-			return gt.SampleTopKInto(in.Initial, topK, thresh, dst, rng)
-		}
-		return gt.SampleInto(in.Initial, dst, rng)
-	}
-	return r.drawSequential(ctx, in, cfg, samples, bestOf, topK, st.scratch, draw, rng)
-}
-
-// noiseSequential is sampleSequential for every mechanism beyond the
-// amortized Mallows path: it builds the draw function from the noise
-// registry and runs the same best-of-m selection on one RNG stream.
-// Every draw is validated, so a defective (possibly third-party)
-// mechanism surfaces as an error instead of corrupting the selection.
-func (r *Ranker) noiseSequential(ctx context.Context, in rankers.Instance, cfg Config, noise Noise, sampler NoiseSampler, samples int, bestOf bool, topK int, rng *rand.Rand) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	draw, err := sampler(in.Initial, cfg.Theta)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("fairrank: noise %q: %w", noise, err)
-	}
-	next := func() (perm.Perm, error) { return checkedDraw(noise, draw, len(in.Initial), rng) }
-	best, err := next()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if !bestOf {
-		return best, 0, false, nil
-	}
-	maker, err := r.criterionAt(cfg, in, topK)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	score := maker()
-	bestScore, err := score(best)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	for i := 1; i < samples; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, false, err
-		}
-		cur, err := next()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		v, err := score(cur)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if v > bestScore {
-			best, bestScore = cur, v
-		}
-	}
-	return best, bestScore, true, nil
-}
-
-// checkedDraw takes one draw from a registered noise mechanism and
-// validates it as a full permutation of the pool.
-func checkedDraw(noise Noise, draw func(*rand.Rand) []int, n int, rng *rand.Rand) (perm.Perm, error) {
-	p := perm.Perm(draw(rng))
-	if len(p) != n {
-		return nil, fmt.Errorf("fairrank: noise %q: drew %d indices for %d candidates", noise, len(p), n)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("fairrank: noise %q: invalid draw: %w", noise, err)
-	}
-	return p, nil
-}
-
-// noiseParallel fans the generic-noise best-of-m draws over up to
-// workers goroutines with the same per-draw derived RNG streams as
-// sampleParallel: the result depends only on the resolved seed, never
-// on the worker count. The registered draw function is shared across
-// workers (the NoiseSampler contract requires concurrency safety).
-func (r *Ranker) noiseParallel(ctx context.Context, in rankers.Instance, cfg Config, noise Noise, sampler NoiseSampler, samples, topK, workers int) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	maker, err := r.criterionAt(cfg, in, topK)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	draw, err := sampler(in.Initial, cfg.Theta)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("fairrank: noise %q: %w", noise, err)
-	}
-	if workers > samples {
-		workers = samples
-	}
-	type drawResult struct {
-		score float64
-		idx   int
-		p     perm.Perm
-		err   error
-	}
-	results := make([]drawResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * samples / workers
-		hi := (w + 1) * samples / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := r.rngs.Get().(*rand.Rand)
-			defer r.rngs.Put(rng)
-			score := maker()
-			local := drawResult{idx: -1}
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					results[w] = drawResult{err: err}
-					return
-				}
-				rng.Seed(mixSeed(cfg.Seed, i))
-				cur, err := checkedDraw(noise, draw, len(in.Initial), rng)
-				if err != nil {
-					results[w] = drawResult{err: err}
-					return
-				}
-				v, err := score(cur)
-				if err != nil {
-					results[w] = drawResult{err: err}
-					return
-				}
-				if local.idx < 0 || v > local.score {
-					local = drawResult{score: v, idx: i, p: cur}
-				}
-			}
-			results[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	winner := drawResult{idx: -1}
-	for _, d := range results {
-		if d.err != nil {
-			return nil, 0, false, d.err
-		}
-		if winner.idx < 0 || d.score > winner.score || (d.score == winner.score && d.idx < winner.idx) {
-			winner = d
-		}
-	}
-	return winner.p, winner.score, true, nil
-}
-
-// drawParallel fans the best-of-m draws of any dedicated draw path over
-// up to workers goroutines. Draw i uses its own RNG seeded by
-// mixSeed(seed, i) and score ties break toward the lowest i, so the
-// result depends only on the resolved seed, never on the worker count.
-// Each worker checks ctx between draws. mkDraw mints one draw function
-// per worker — private sampler scratch lives in its closure — plus an
-// optional release hook run when the worker finishes.
-func (r *Ranker) drawParallel(ctx context.Context, in rankers.Instance, cfg Config, samples, topK, workers int, pool *perm.Pool, mkDraw func() (drawFunc, func())) (perm.Perm, float64, bool, error) {
-	maker, err := r.criterionAt(cfg, in, topK)
+// drawParallel fans the best-of-m draws of any draw plan over up to
+// workers goroutines. Draw i uses its own RNG seeded by mixSeed(seed, i)
+// and score ties break toward the lowest i, so the result depends only
+// on the resolved seed, never on the worker count. Each worker checks
+// ctx between draws and draws on its own buffers and sampler scratch.
+func (r *Ranker) drawParallel(ctx context.Context, in rankers.Instance, cfg Config, samples, workers int, plan drawPlan) (perm.Perm, float64, bool, error) {
+	maker, err := r.criterionAt(cfg, in, plan.topK)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -691,12 +409,8 @@ func (r *Ranker) drawParallel(ctx context.Context, in rankers.Instance, cfg Conf
 			defer wg.Done()
 			rng := r.rngs.Get().(*rand.Rand)
 			defer r.rngs.Put(rng)
-			cur, best := pool.Get(), pool.Get()
-			defer func() { pool.Put(cur); pool.Put(best) }()
-			d, done := mkDraw()
-			if done != nil {
-				defer done()
-			}
+			dw := plan.checkout()
+			defer func() { plan.checkin(dw) }()
 			score := maker()
 			local := draw{idx: -1}
 			for i := lo; i < hi; i++ {
@@ -705,18 +419,22 @@ func (r *Ranker) drawParallel(ctx context.Context, in rankers.Instance, cfg Conf
 					return
 				}
 				rng.Seed(mixSeed(cfg.Seed, i))
-				cur = d(cur, rng)
-				v, err := score(cur)
+				var err error
+				if dw.cur, err = plan.draw(plan, dw.ws, dw.cur, rng); err != nil {
+					results[w] = draw{err: err}
+					return
+				}
+				v, err := score(dw.cur)
 				if err != nil {
 					results[w] = draw{err: err}
 					return
 				}
 				if local.idx < 0 || v > local.score {
-					best, cur = cur, best
+					dw.best, dw.cur = dw.cur, dw.best
 					local = draw{score: v, idx: i}
 				}
 			}
-			local.p = best.Clone()
+			local.p = dw.best.Clone()
 			results[w] = local
 		}(w, lo, hi)
 	}
@@ -731,87 +449,6 @@ func (r *Ranker) drawParallel(ctx context.Context, in rankers.Instance, cfg Conf
 		}
 	}
 	return winner.p, winner.score, true, nil
-}
-
-// sampleParallel fans the best-of-m Mallows draws over up to workers
-// goroutines. When truncated is set, every worker draws through the
-// lazy top-k sampler; each per-draw derived stream is consumed
-// identically to the full path's, and the prefix-scoped criterion makes
-// the winning prefix bit-identical to the reference path's for equal
-// seeds.
-func (r *Ranker) sampleParallel(ctx context.Context, in rankers.Instance, cfg Config, samples, topK int, truncated bool, workers int) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	st := r.state(len(in.Initial), cfg.Theta)
-	tab, err := st.tables()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	model := r.model(in, cfg)
-	draw := func(dst perm.Perm, rng *rand.Rand) perm.Perm {
-		if truncated {
-			return model.SampleTopKInto(tab, topK, dst, rng)
-		}
-		return model.SampleInto(tab, dst, rng)
-	}
-	// The Mallows samplers keep no per-worker scratch beyond the pooled
-	// permutation buffers drawParallel already manages.
-	return r.drawParallel(ctx, in, cfg, samples, topK, workers, st.scratch, func() (drawFunc, func()) { return draw, nil })
-}
-
-// plParallel fans the best-of-m Plackett–Luce draws over up to workers
-// goroutines through the dedicated path: the log-weight vector is built
-// once and shared read-only, each worker draws on its own pooled Gumbel
-// scratch, and per-draw derived streams match the generic registry
-// path's draw for draw, so equal seeds yield bit-identical results.
-func (r *Ranker) plParallel(ctx context.Context, in rankers.Instance, cfg Config, samples, topK int, truncated bool, workers int) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	st := r.state(len(in.Initial), cfg.Theta)
-	logwBuf := st.getFloats()
-	defer st.putFloats(logwBuf)
-	logw := plLogWeights(*logwBuf, in, cfg.Theta)
-	mk := func() (drawFunc, func()) {
-		sc := st.getPL()
-		d := func(dst perm.Perm, rng *rand.Rand) perm.Perm {
-			if truncated {
-				return pl.SampleTopKInto(logw, topK, dst, sc, rng)
-			}
-			return pl.SampleLogWeightsInto(logw, dst, sc, rng)
-		}
-		return d, func() { st.putPL(sc) }
-	}
-	return r.drawParallel(ctx, in, cfg, samples, topK, workers, st.scratch, mk)
-}
-
-// gmParallel fans the best-of-m generalized-Mallows draws over up to
-// workers goroutines through the dedicated path: the per-step tables
-// and (when truncated) the miss-threshold vector are built once and
-// shared read-only across workers.
-func (r *Ranker) gmParallel(ctx context.Context, in rankers.Instance, cfg Config, samples, topK int, truncated bool, workers int) (perm.Perm, float64, bool, error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, false, err
-	}
-	st := r.state(len(in.Initial), cfg.Theta)
-	gt, err := st.gtables()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	var thresh []float64
-	if truncated {
-		buf := st.getFloats()
-		defer st.putFloats(buf)
-		thresh = gt.MissThresholds(topK, *buf)
-	}
-	draw := func(dst perm.Perm, rng *rand.Rand) perm.Perm {
-		if truncated {
-			return gt.SampleTopKInto(in.Initial, topK, thresh, dst, rng)
-		}
-		return gt.SampleInto(in.Initial, dst, rng)
-	}
-	return r.drawParallel(ctx, in, cfg, samples, topK, workers, st.scratch, func() (drawFunc, func()) { return draw, nil })
 }
 
 // diagnose assembles the Result diagnostics from state the serving path
