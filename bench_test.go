@@ -197,7 +197,7 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCriterion compares the three sample-selection
+// BenchmarkAblationCriterion compares the two sample-selection
 // criteria of Algorithm 1 at fixed m.
 func BenchmarkAblationCriterion(b *testing.B) {
 	in := germanInstance(b)
@@ -207,7 +207,6 @@ func BenchmarkAblationCriterion(b *testing.B) {
 	}{
 		{"ndcg", core.NDCGCriterion{Scores: in.Scores}},
 		{"kt", core.KTCriterion{Reference: in.Initial}},
-		{"infeasible-index", core.FairnessCriterion{Groups: in.Groups, Constraints: mustConstraints(b, in.Groups)}},
 	}
 	for _, c := range criteria {
 		b.Run(c.name, func(b *testing.B) {
@@ -220,15 +219,6 @@ func BenchmarkAblationCriterion(b *testing.B) {
 			}
 		})
 	}
-}
-
-func mustConstraints(b *testing.B, gr *fairness.Groups) *fairness.Constraints {
-	b.Helper()
-	c, err := fairness.Proportional(gr, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
 }
 
 // BenchmarkAblationRIMvsNaive compares the closed-form truncated-
@@ -300,7 +290,6 @@ func BenchmarkAblationNoiseSources(b *testing.B) {
 		core.MallowsNoise{Theta: 1},
 		core.GeneralizedMallowsNoise{Thetas: thetas},
 		core.PlackettLuceNoise{Strength: 0.1},
-		core.AdjacentSwapNoise{Swaps: 60},
 	}
 	for _, src := range sources {
 		b.Run(src.Name(), func(b *testing.B) {

@@ -167,9 +167,9 @@ type Config struct {
 	// Theta is the noise dispersion/concentration (default 1): the
 	// Mallows dispersion under the default mechanism, the base
 	// per-position dispersion for gmallows, the weight-decay strength
-	// for plackett-luce — every registered mechanism receives it. Zero
-	// is read as "unset"; use Request.Theta for an explicit θ = 0
-	// (uniform noise).
+	// for plackett-luce — every registered mechanism receives it. It
+	// must be finite and ≥ 0. Zero is read as "unset"; use
+	// Request.Theta for an explicit θ = 0 (uniform noise).
 	Theta float64
 	// Samples is the best-of-m draw count (default 15).
 	Samples int

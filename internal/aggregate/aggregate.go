@@ -13,7 +13,6 @@
 //     bipartite matching (polynomial; a classic 2-approximation of Kemeny)
 //   - Borda         — items by mean rank (a 5-approximation of Kemeny and
 //     a consistent estimator of the Mallows center)
-//   - Copeland      — items by pairwise majority wins
 package aggregate
 
 import (
@@ -196,33 +195,5 @@ func Borda(votes []perm.Perm) (perm.Perm, error) {
 	}
 	out := perm.Identity(n)
 	sort.SliceStable(out, func(a, b int) bool { return sums[out[a]] < sums[out[b]] })
-	return out, nil
-}
-
-// Copeland returns the items ordered by pairwise-majority wins (a win
-// is a majority of votes preferring the item; ties count half). Ties in
-// the win score break by item id.
-func Copeland(votes []perm.Perm) (perm.Perm, error) {
-	n, err := validateVotes(votes)
-	if err != nil {
-		return nil, err
-	}
-	pref := prefCounts(votes, n)
-	score := make([]float64, n)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			switch {
-			case pref[a][b] > pref[b][a]:
-				score[a]++
-			case pref[a][b] == pref[b][a]:
-				score[a] += 0.5
-			}
-		}
-	}
-	out := perm.Identity(n)
-	sort.SliceStable(out, func(a, b int) bool { return score[out[a]] > score[out[b]] })
 	return out, nil
 }

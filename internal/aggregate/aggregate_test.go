@@ -186,26 +186,6 @@ func TestBordaRecoversMallowsCenter(t *testing.T) {
 	}
 }
 
-func TestCopelandCondorcetWinnerFirst(t *testing.T) {
-	// Item 0 beats everything pairwise in a majority of votes.
-	votes := []perm.Perm{
-		perm.MustNew(0, 1, 2, 3),
-		perm.MustNew(0, 2, 3, 1),
-		perm.MustNew(0, 3, 1, 2),
-		perm.MustNew(1, 0, 2, 3),
-	}
-	got, err := Copeland(votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0 {
-		t.Fatalf("Condorcet winner not first: %v", got)
-	}
-	if _, err := Copeland(nil); err == nil {
-		t.Error("accepted no votes")
-	}
-}
-
 func TestAggregatorsAgreeOnUnanimity(t *testing.T) {
 	v := perm.MustNew(2, 4, 0, 3, 1)
 	votes := []perm.Perm{v.Clone(), v.Clone()}
@@ -221,11 +201,7 @@ func TestAggregatorsAgreeOnUnanimity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := Copeland(votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, got := range []perm.Perm{k, f, bo, co} {
+	for _, got := range []perm.Perm{k, f, bo} {
 		if !got.Equal(v) {
 			t.Fatalf("unanimous aggregate = %v, want %v", got, v)
 		}

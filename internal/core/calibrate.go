@@ -3,12 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/mallows"
-	"repro/internal/perm"
-	"repro/internal/quality"
 )
+
+// maxTheta caps the dispersion CalibrateTheta searches; at θ = 50 the
+// probability of even a single discordant pair is below e^{−50} ≈ 2e−22.
+const maxTheta = 50.0
 
 // CalibrateTheta returns the dispersion θ at which the Mallows model
 // over n items has expected Kendall tau distance targetKT from its
@@ -30,77 +31,10 @@ func CalibrateTheta(n int, targetKT float64) (float64, error) {
 	if targetKT == max {
 		return 0, nil
 	}
-	lo, hi := 0.0, mallows.MaxTheta
+	lo, hi := 0.0, maxTheta
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
 		if mallows.ExpectedDistance(n, mid) > targetKT {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// CalibrateThetaNormalized is CalibrateTheta with the target expressed
-// as a fraction of the uniform-distribution mean n(n−1)/4 (so frac = 1
-// means θ = 0 and frac → 0 means θ → ∞).
-func CalibrateThetaNormalized(n int, frac float64) (float64, error) {
-	if frac <= 0 || frac > 1 {
-		return 0, fmt.Errorf("core: fraction %v outside (0,1]", frac)
-	}
-	return CalibrateTheta(n, frac*mallows.ExpectedDistance(n, 0))
-}
-
-// CalibrateThetaForNDCG searches for the dispersion whose expected NDCG
-// loss around the given central ranking matches targetNDCG. NDCG has no
-// closed form under Mallows noise, so the expectation is estimated by
-// Monte Carlo with the given sample count per probe; the result carries
-// that sampling error. Expected NDCG is increasing in θ, so bisection
-// applies.
-func CalibrateThetaForNDCG(central perm.Perm, scores quality.Scores, targetNDCG float64, probes int, rng *rand.Rand) (float64, error) {
-	if err := central.Validate(); err != nil {
-		return 0, err
-	}
-	if len(scores) != len(central) {
-		return 0, fmt.Errorf("core: %d scores for %d items", len(scores), len(central))
-	}
-	if targetNDCG <= 0 || targetNDCG >= 1 {
-		return 0, fmt.Errorf("core: target NDCG %v outside (0,1)", targetNDCG)
-	}
-	if probes < 1 {
-		return 0, fmt.Errorf("core: probes = %d, want ≥ 1", probes)
-	}
-	mean := func(theta float64) (float64, error) {
-		model, err := mallows.New(central, theta)
-		if err != nil {
-			return 0, err
-		}
-		var total float64
-		for i := 0; i < probes; i++ {
-			v, err := quality.NDCG(model.Sample(rng), scores, len(central))
-			if err != nil {
-				return 0, err
-			}
-			total += v
-		}
-		return total / float64(probes), nil
-	}
-	atZero, err := mean(0)
-	if err != nil {
-		return 0, err
-	}
-	if targetNDCG <= atZero {
-		return 0, nil // even uniform shuffling beats the target
-	}
-	lo, hi := 0.0, mallows.MaxTheta
-	for iter := 0; iter < 40; iter++ {
-		mid := (lo + hi) / 2
-		v, err := mean(mid)
-		if err != nil {
-			return 0, err
-		}
-		if v < targetNDCG {
 			lo = mid
 		} else {
 			hi = mid

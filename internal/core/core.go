@@ -11,10 +11,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
-	"repro/internal/fairness"
 	"repro/internal/perm"
 	"repro/internal/quality"
 	"repro/internal/rankdist"
@@ -63,28 +61,6 @@ func (c KTCriterion) Score(p perm.Perm) (float64, error) {
 // Name implements Criterion.
 func (c KTCriterion) Name() string { return "kt" }
 
-// FairnessCriterion selects the sample with the fewest two-sided
-// infeasible positions with respect to a known attribute. It is NOT
-// attribute-blind; the paper's experiments do not use it, but it makes
-// the fairness/efficiency trade-off of the mechanism measurable when an
-// attribute is available (used by the ablation benches).
-type FairnessCriterion struct {
-	Groups      *fairness.Groups
-	Constraints *fairness.Constraints
-}
-
-// Score implements Criterion.
-func (c FairnessCriterion) Score(p perm.Perm) (float64, error) {
-	ii, err := fairness.TwoSidedInfeasibleIndex(p, c.Groups, c.Constraints)
-	if err != nil {
-		return 0, err
-	}
-	return -float64(ii), nil
-}
-
-// Name implements Criterion.
-func (c FairnessCriterion) Name() string { return "infeasible-index" }
-
 // Config parameterizes Algorithm 1.
 type Config struct {
 	// Theta is the Mallows dispersion; larger values stay closer to the
@@ -103,17 +79,4 @@ type Config struct {
 // cfg.Criterion (the first sample if the criterion is nil).
 func PostProcess(central perm.Perm, cfg Config, rng *rand.Rand) (perm.Perm, error) {
 	return PostProcessWith(central, MallowsNoise{Theta: cfg.Theta}, cfg.Samples, cfg.Criterion, rng)
-}
-
-// Rank is the end-to-end fair-ranking entry point: it constructs the
-// weakly k-fair central permutation from the scores (candidates in
-// descending score order, §IV-A) and post-processes it with Mallows
-// noise. The groups and constraints are used only to build the central
-// ranking; the randomization itself never reads them.
-func Rank(scores quality.Scores, gr *fairness.Groups, c *fairness.Constraints, k int, cfg Config, rng *rand.Rand) (perm.Perm, error) {
-	central, err := fairness.WeaklyFairRanking(scores, gr, c, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: building weakly fair central: %w", err)
-	}
-	return PostProcess(central, cfg, rng)
 }

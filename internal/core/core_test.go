@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/fairness"
 	"repro/internal/perm"
 	"repro/internal/quality"
 	"repro/internal/rankdist"
@@ -142,20 +141,6 @@ func TestCriteriaScores(t *testing.T) {
 	if k.Name() != "kt" {
 		t.Error("KT name")
 	}
-
-	gr := fairness.MustGroups([]int{0, 0, 1}, 2)
-	c, _ := fairness.NewConstraints([]float64{0.3, 0.3}, []float64{0.7, 0.7})
-	f := FairnessCriterion{Groups: gr, Constraints: c}
-	v, err := f.Score(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v > 0 {
-		t.Fatalf("fairness criterion positive: %v", v)
-	}
-	if f.Name() != "infeasible-index" {
-		t.Error("fairness name")
-	}
 }
 
 func TestCriterionErrorsPropagate(t *testing.T) {
@@ -171,34 +156,6 @@ func TestCriterionErrorsPropagate(t *testing.T) {
 		Config{Theta: 1, Samples: 1, Criterion: KTCriterion{Reference: perm.Identity(4)}}, rng)
 	if err == nil {
 		t.Fatal("first-sample criterion error not propagated")
-	}
-}
-
-func TestRankEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	scores := quality.Scores{10, 9, 8, 7, 3, 2, 1, 0.5}
-	gr := fairness.MustGroups([]int{0, 0, 0, 0, 1, 1, 1, 1}, 2)
-	c, _ := fairness.NewConstraints([]float64{0.4, 0.4}, []float64{0.6, 0.6})
-	p, err := Rank(scores, gr, c, 4, Config{Theta: 2, Samples: 5, Criterion: NDCGCriterion{Scores: scores}}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 8 {
-		t.Fatalf("ranked %d items", len(p))
-	}
-}
-
-func TestRankInfeasibleCentral(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	// Group 1 has one member but ⌊0.9·3⌋ = 2 are demanded in the top 3.
-	scores := quality.Scores{1, 2, 3}
-	gr := fairness.MustGroups([]int{0, 0, 1}, 2)
-	c, _ := fairness.NewConstraints([]float64{0.9, 0.9}, []float64{1, 1})
-	if _, err := Rank(scores, gr, c, 3, Config{Theta: 1, Samples: 1}, rng); err == nil {
-		t.Fatal("accepted infeasible weak-fairness demand")
 	}
 }
 

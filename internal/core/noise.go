@@ -14,7 +14,7 @@ import (
 // ranking it yields a sampler of perturbed rankings. The paper's §VI
 // proposes exploring noise distributions beyond Mallows; implementations
 // here cover the Mallows model (the paper's choice), its generalized
-// per-position form, Plackett–Luce sampling, and adjacent-swap chains.
+// per-position form, and Plackett–Luce sampling.
 type Noise interface {
 	// Name identifies the mechanism in reports.
 	Name() string
@@ -84,36 +84,6 @@ func (n PlackettLuceNoise) Sampler(central perm.Perm) (func(*rand.Rand) perm.Per
 		logw[item] = -n.Strength * float64(r)
 	}
 	return func(rng *rand.Rand) perm.Perm { return pl.SampleLogWeights(logw, rng) }, nil
-}
-
-// AdjacentSwapNoise applies Swaps uniformly random adjacent
-// transpositions to the central ranking — a lazy random walk on the
-// Cayley graph that the Mallows model is the stationary analogue of.
-type AdjacentSwapNoise struct {
-	Swaps int
-}
-
-// Name implements Noise.
-func (n AdjacentSwapNoise) Name() string { return fmt.Sprintf("adjacent-swaps(k=%d)", n.Swaps) }
-
-// Sampler implements Noise.
-func (n AdjacentSwapNoise) Sampler(central perm.Perm) (func(*rand.Rand) perm.Perm, error) {
-	if err := central.Validate(); err != nil {
-		return nil, err
-	}
-	if n.Swaps < 0 {
-		return nil, fmt.Errorf("core: adjacent swaps %d, want ≥ 0", n.Swaps)
-	}
-	c := central.Clone()
-	swaps := n.Swaps
-	return func(rng *rand.Rand) perm.Perm {
-		out := c.Clone()
-		for s := 0; s < swaps && len(out) > 1; s++ {
-			i := rng.Intn(len(out) - 1)
-			out.Swap(i, i+1)
-		}
-		return out
-	}, nil
 }
 
 // PostProcessWith generalizes Algorithm 1 to any noise mechanism: draw

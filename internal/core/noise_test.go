@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/mallows"
 	"repro/internal/perm"
-	"repro/internal/quality"
-	"repro/internal/rankdist"
 )
 
 func allNoises() []Noise {
@@ -16,7 +14,6 @@ func allNoises() []Noise {
 		MallowsNoise{Theta: 1},
 		GeneralizedMallowsNoise{Thetas: []float64{2, 1, 1, 0.5, 0.5, 0.2, 0.2, 0.1, 0.1, 0}},
 		PlackettLuceNoise{Strength: 0.5},
-		AdjacentSwapNoise{Swaps: 8},
 	}
 }
 
@@ -66,16 +63,12 @@ func TestNoiseParameterValidation(t *testing.T) {
 	if _, err := (PlackettLuceNoise{Strength: math.NaN()}).Sampler(central); err == nil {
 		t.Error("plackett-luce accepted NaN strength")
 	}
-	if _, err := (AdjacentSwapNoise{Swaps: -1}).Sampler(central); err == nil {
-		t.Error("adjacent-swap accepted negative count")
-	}
 }
 
 func TestZeroNoiseKeepsCentral(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	central := perm.Random(8, rng)
 	cases := []Noise{
-		AdjacentSwapNoise{Swaps: 0},
 		MallowsNoise{Theta: 40},
 		PlackettLuceNoise{Strength: 40},
 	}
@@ -113,24 +106,6 @@ func TestPlackettLuceUniformAtZeroStrength(t *testing.T) {
 	}
 }
 
-func TestAdjacentSwapDistanceBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	central := perm.Identity(12)
-	draw, err := AdjacentSwapNoise{Swaps: 5}.Sampler(central)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		d, err := rankdist.KendallTau(draw(rng), central)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > 5 {
-			t.Fatalf("5 adjacent swaps produced KT %d", d)
-		}
-	}
-}
-
 func TestPostProcessWith(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	central := perm.Identity(10)
@@ -151,9 +126,9 @@ func TestPostProcessWith(t *testing.T) {
 		t.Error("accepted zero samples")
 	}
 	// nil criterion keeps the first draw.
-	p1, err := PostProcessWith(central, AdjacentSwapNoise{Swaps: 0}, 3, nil, rng)
+	p1, err := PostProcessWith(central, MallowsNoise{Theta: 50}, 3, nil, rng)
 	if err != nil || !p1.Equal(central) {
-		t.Fatalf("nil criterion with zero swaps: %v, %v", p1, err)
+		t.Fatalf("nil criterion at θ=50: %v, %v", p1, err)
 	}
 	// Criterion errors propagate.
 	badCrit := KTCriterion{Reference: perm.Identity(4)}
@@ -205,65 +180,5 @@ func TestCalibrateTheta(t *testing.T) {
 	}
 	if _, err := CalibrateTheta(12, max+1); err == nil {
 		t.Error("accepted target beyond uniform mean")
-	}
-}
-
-func TestCalibrateThetaNormalized(t *testing.T) {
-	theta, err := CalibrateThetaNormalized(10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mallows.ExpectedDistance(10, 0) * 0.5
-	if got := mallows.ExpectedDistance(10, theta); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("normalized calibration off: %v vs %v", got, want)
-	}
-	if _, err := CalibrateThetaNormalized(10, 0); err == nil {
-		t.Error("accepted frac 0")
-	}
-	if _, err := CalibrateThetaNormalized(10, 1.5); err == nil {
-		t.Error("accepted frac > 1")
-	}
-}
-
-func TestCalibrateThetaForNDCG(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	scores := make(quality.Scores, 20)
-	for i := range scores {
-		scores[i] = float64(20 - i)
-	}
-	central := perm.Identity(20)
-	theta, err := CalibrateThetaForNDCG(central, scores, 0.95, 300, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify: mean NDCG at the calibrated θ is near the target.
-	model, err := mallows.New(central, theta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	const probes = 2000
-	for i := 0; i < probes; i++ {
-		v, err := quality.NDCG(model.Sample(rng), scores, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += v
-	}
-	if got := total / probes; math.Abs(got-0.95) > 0.02 {
-		t.Fatalf("calibrated θ=%v gives mean NDCG %v, want ≈ 0.95", theta, got)
-	}
-	// Validation.
-	if _, err := CalibrateThetaForNDCG(perm.Perm{0, 0}, scores[:2], 0.9, 10, rng); err == nil {
-		t.Error("accepted invalid central")
-	}
-	if _, err := CalibrateThetaForNDCG(central, scores[:5], 0.9, 10, rng); err == nil {
-		t.Error("accepted score size mismatch")
-	}
-	if _, err := CalibrateThetaForNDCG(central, scores, 1.5, 10, rng); err == nil {
-		t.Error("accepted target ≥ 1")
-	}
-	if _, err := CalibrateThetaForNDCG(central, scores, 0.9, 0, rng); err == nil {
-		t.Error("accepted zero probes")
 	}
 }

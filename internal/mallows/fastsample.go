@@ -59,9 +59,6 @@ func NewTables(n int, theta float64) (*Tables, error) {
 // N returns the number of items the tables cover.
 func (t *Tables) N() int { return t.n }
 
-// Theta returns the dispersion the tables were built for.
-func (t *Tables) Theta() float64 { return t.theta }
-
 // Displacement draws V ∈ {0,…,j−1} with P(V=v) ∝ e^{−θv}, the j-th
 // insertion displacement, using the precomputed normalizers. It panics if
 // j exceeds the table size.

@@ -265,78 +265,6 @@ func TestSampleN(t *testing.T) {
 	}
 }
 
-func TestEstimateThetaRecovers(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for _, theta := range []float64{0.3, 0.8, 1.5} {
-		m, _ := New(perm.Identity(15), theta)
-		samples := m.SampleN(4000, rng)
-		got, err := EstimateTheta(samples, m.Center)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-theta) > 0.1 {
-			t.Fatalf("estimated θ = %v, want ≈ %v", got, theta)
-		}
-	}
-}
-
-func TestEstimateThetaEdgeCases(t *testing.T) {
-	if _, err := EstimateTheta(nil, perm.Identity(3)); err == nil {
-		t.Error("accepted empty samples")
-	}
-	// All samples identical to center → MaxTheta.
-	center := perm.Identity(6)
-	got, err := EstimateTheta([]perm.Perm{center.Clone(), center.Clone()}, center)
-	if err != nil || got != MaxTheta {
-		t.Errorf("θ for zero-distance samples = %v, %v", got, err)
-	}
-	// Samples at maximal spread → 0.
-	rev := center.Reverse()
-	got, err = EstimateTheta([]perm.Perm{rev, rev.Clone()}, center)
-	if err != nil || got != 0 {
-		t.Errorf("θ for max-distance samples = %v, %v", got, err)
-	}
-	// Size mismatch.
-	if _, err := EstimateTheta([]perm.Perm{perm.Identity(4)}, center); err == nil {
-		t.Error("accepted sample size mismatch")
-	}
-}
-
-func TestEstimateCenterBorda(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	truth := perm.Random(10, rng)
-	m, _ := New(truth, 1.5)
-	samples := m.SampleN(3000, rng)
-	center, err := EstimateCenterBorda(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !center.Equal(truth) {
-		t.Fatalf("Borda center %v, want %v", center, truth)
-	}
-	if _, err := EstimateCenterBorda(nil); err == nil {
-		t.Error("accepted empty samples")
-	}
-	if _, err := EstimateCenterBorda([]perm.Perm{perm.Identity(3), perm.Identity(4)}); err == nil {
-		t.Error("accepted ragged samples")
-	}
-}
-
-func TestFitRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	truth, _ := New(perm.Random(8, rng), 1.1)
-	fitted, err := Fit(truth.SampleN(4000, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fitted.Center.Equal(truth.Center) {
-		t.Fatalf("fitted center %v, want %v", fitted.Center, truth.Center)
-	}
-	if math.Abs(fitted.Theta-truth.Theta) > 0.15 {
-		t.Fatalf("fitted θ = %v, want ≈ %v", fitted.Theta, truth.Theta)
-	}
-}
-
 func TestLogZConsistencyZeroThetaLimit(t *testing.T) {
 	// LogZ must be continuous as θ→0: compare θ=1e-9 against θ=0.
 	a := LogZ(8, 0)

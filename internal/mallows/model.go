@@ -2,8 +2,8 @@
 // M(π₀, θ) of §III-E under the Kendall tau distance: the probability of a
 // permutation π is exp(−θ·d_KT(π, π₀))/Z_n(θ). It provides the partition
 // function, exact probabilities, moments of the distance, an exact
-// sampler (repeated insertion model), a dispersion estimator, and
-// exhaustive small-n distributions used as test oracles.
+// sampler (repeated insertion model), and exhaustive small-n
+// distributions used as test oracles.
 package mallows
 
 import (
@@ -59,10 +59,6 @@ func LogZ(n int, theta float64) float64 {
 	}
 	return s
 }
-
-// Z returns the partition function Z_n(θ); may overflow to +Inf for
-// large n at θ = 0, where callers should prefer LogZ.
-func Z(n int, theta float64) float64 { return math.Exp(LogZ(n, theta)) }
 
 // LogProb returns ln P[π] under the model.
 func (m *Model) LogProb(p perm.Perm) (float64, error) {

@@ -7,12 +7,13 @@
 // The paper's §VI proposes exploring noise distributions beyond Mallows;
 // Plackett–Luce is the canonical alternative (core.PlackettLuceNoise
 // draws from this model with exponentially decaying weights). The
-// package provides exact probabilities, a Gumbel-trick sampler, and
-// maximum-likelihood fitting via Hunter's MM algorithm.
+// package provides Gumbel-trick samplers that work directly on
+// log-weights: full-length draws (SampleLogWeights and its
+// zero-allocation form SampleLogWeightsInto) and the truncated top-k
+// draw SampleTopKInto.
 package pl
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -20,103 +21,12 @@ import (
 	"repro/internal/perm"
 )
 
-// Model is a Plackett–Luce distribution over rankings of n items;
-// weights[i] > 0 is the choice weight of item i.
-type Model struct {
-	weights []float64
-}
-
-// New validates the weights (finite, strictly positive).
-func New(weights []float64) (*Model, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("pl: no weights")
-	}
-	for i, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-			return nil, fmt.Errorf("pl: weight of item %d is %v, want finite > 0", i, w)
-		}
-	}
-	return &Model{weights: append([]float64(nil), weights...)}, nil
-}
-
-// FromScores builds a model with weights e^{strength·score(i)}
-// (Bradley–Terry/softmax weights); strength 0 is uniform.
-func FromScores(scores []float64, strength float64) (*Model, error) {
-	if math.IsNaN(strength) {
-		return nil, fmt.Errorf("pl: NaN strength")
-	}
-	w := make([]float64, len(scores))
-	for i, s := range scores {
-		w[i] = math.Exp(strength * s)
-	}
-	return New(w)
-}
-
-// N returns the number of items.
-func (m *Model) N() int { return len(m.weights) }
-
-// Weights returns a copy of the item weights.
-func (m *Model) Weights() []float64 { return append([]float64(nil), m.weights...) }
-
-// LogProb returns ln P[π].
-func (m *Model) LogProb(p perm.Perm) (float64, error) {
-	if len(p) != m.N() {
-		return 0, fmt.Errorf("pl: ranking of %d items, model has %d", len(p), m.N())
-	}
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	// Suffix weight sums from the bottom up.
-	var lp, suffix float64
-	for r := len(p) - 1; r >= 0; r-- {
-		suffix += m.weights[p[r]]
-		lp += math.Log(m.weights[p[r]]) - math.Log(suffix)
-	}
-	return lp, nil
-}
-
-// Prob returns P[π].
-func (m *Model) Prob(p perm.Perm) (float64, error) {
-	lp, err := m.LogProb(p)
-	if err != nil {
-		return 0, err
-	}
-	return math.Exp(lp), nil
-}
-
-// Sample draws one ranking by the Gumbel-max trick: item i gets utility
-// ln w_i + Gumbel noise, and the ranking sorts utilities descending —
-// an O(n log n) exact sampler for Plackett–Luce. Equal utilities (ties
-// occur at ±Inf log-weights, where the Gumbel perturbation cannot
-// separate items) break toward the lower item index, so equal seeds
-// yield one well-defined ranking regardless of the sort algorithm.
-func (m *Model) Sample(rng *rand.Rand) perm.Perm {
-	n := m.N()
-	utilities := make([]float64, n)
-	for i, w := range m.weights {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		utilities[i] = math.Log(w) - math.Log(-math.Log(u))
-	}
-	out := perm.Identity(n)
-	sort.Slice(out, func(a, b int) bool {
-		ua, ub := utilities[out[a]], utilities[out[b]]
-		if ua != ub {
-			return ua > ub
-		}
-		return out[a] < out[b]
-	})
-	return out
-}
-
 // SampleLogWeights draws one Plackett–Luce ranking by the Gumbel-max
 // trick directly from log-weights: item i gets utility logw[i] + Gumbel
 // noise and the ranking sorts utilities descending. Operating in log
 // space sidesteps the under/overflow of materializing w = e^{logw} —
 // e.g. exponentially decaying weights over long rankings, where the
-// tail weights round to zero and New would reject them.
+// tail weights would round to zero.
 //
 // Equal utilities — possible when logw holds ±Inf entries, which the
 // Gumbel perturbation cannot separate — break toward the lower item
@@ -142,120 +52,4 @@ func SampleLogWeights(logw []float64, rng *rand.Rand) perm.Perm {
 		return out[a] < out[b]
 	})
 	return out
-}
-
-// SampleN draws count independent rankings.
-func (m *Model) SampleN(count int, rng *rand.Rand) []perm.Perm {
-	out := make([]perm.Perm, count)
-	for i := range out {
-		out[i] = m.Sample(rng)
-	}
-	return out
-}
-
-// LogLikelihood returns Σ ln P[vote] over the votes.
-func (m *Model) LogLikelihood(votes []perm.Perm) (float64, error) {
-	var total float64
-	for i, v := range votes {
-		lp, err := m.LogProb(v)
-		if err != nil {
-			return 0, fmt.Errorf("pl: vote %d: %w", i, err)
-		}
-		total += lp
-	}
-	return total, nil
-}
-
-// FitMM fits Plackett–Luce weights to full rankings by Hunter's (2004)
-// minorize–maximize algorithm, which increases the likelihood at every
-// iteration:
-//
-//	w_i ← c_i / Σ_{votes, stages r with i in the remaining set}
-//	            1 / (Σ_{k remaining at r} w_k)
-//
-// where c_i counts the stages at which i was chosen (every position
-// except the last of each vote). Weights are normalized to geometric
-// mean 1 after each sweep; the model is identifiable only up to a
-// common scale. Items never chosen before the last position in any
-// vote would be driven to weight 0; they are kept at a small floor.
-func FitMM(votes []perm.Perm, iterations int) (*Model, error) {
-	if len(votes) == 0 {
-		return nil, fmt.Errorf("pl: no votes")
-	}
-	if iterations < 1 {
-		return nil, fmt.Errorf("pl: iterations = %d, want ≥ 1", iterations)
-	}
-	n := len(votes[0])
-	for i, v := range votes {
-		if len(v) != n {
-			return nil, fmt.Errorf("pl: vote %d ranks %d items, want %d", i, len(v), n)
-		}
-		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("pl: vote %d: %w", i, err)
-		}
-	}
-	if n == 1 {
-		return New([]float64{1})
-	}
-
-	wins := make([]float64, n) // c_i: times chosen at a competitive stage
-	for _, v := range votes {
-		for r := 0; r < n-1; r++ {
-			wins[v[r]]++
-		}
-	}
-
-	const floor = 1e-12
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	denom := make([]float64, n)
-	for iter := 0; iter < iterations; iter++ {
-		for i := range denom {
-			denom[i] = 0
-		}
-		for _, v := range votes {
-			// Stage r ∈ {0…n−2} has remaining set {v[r…n−1]} with weight
-			// sum S_r; every item in that set collects 1/S_r. Walking
-			// top-down, item v[r] participates in stages 0…r, so it
-			// collects the running inverse sum at the moment it leaves.
-			var remaining float64
-			for _, item := range v {
-				remaining += w[item]
-			}
-			var invAccum float64
-			for r := 0; r < n-1; r++ {
-				invAccum += 1 / remaining
-				denom[v[r]] += invAccum
-				remaining -= w[v[r]]
-			}
-			// The last item participated in every competitive stage.
-			denom[v[n-1]] += invAccum
-		}
-		for i := range w {
-			if denom[i] == 0 {
-				w[i] = floor
-				continue
-			}
-			w[i] = wins[i] / denom[i]
-			if w[i] < floor {
-				w[i] = floor
-			}
-		}
-		normalizeGeoMean(w)
-	}
-	return New(w)
-}
-
-// normalizeGeoMean rescales the weights to geometric mean 1.
-func normalizeGeoMean(w []float64) {
-	var logSum float64
-	for _, v := range w {
-		logSum += math.Log(v)
-	}
-	scale := math.Exp(-logSum / float64(len(w)))
-	for i := range w {
-		w[i] *= scale
-	}
 }

@@ -8,185 +8,37 @@ import (
 	"repro/internal/perm"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New([]float64{1, 2, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	bad := [][]float64{
-		nil,
-		{0},
-		{-1},
-		{math.NaN()},
-		{math.Inf(1)},
-		{1, 0},
-	}
-	for i, w := range bad {
-		if _, err := New(w); err == nil {
-			t.Errorf("case %d accepted invalid weights", i)
-		}
-	}
-}
-
-func TestFromScores(t *testing.T) {
-	m, err := FromScores([]float64{0, 1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := m.Weights()
-	if math.Abs(w[1]/w[0]-math.E) > 1e-12 {
-		t.Fatalf("weight ratio = %v, want e", w[1]/w[0])
-	}
-	if _, err := FromScores([]float64{0}, math.NaN()); err == nil {
-		t.Error("accepted NaN strength")
-	}
-}
-
-func TestProbSumsToOne(t *testing.T) {
-	m, err := New([]float64{3, 1, 0.5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	perm.All(4, func(p perm.Perm) bool {
-		pr, err := m.Prob(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += pr
-		return true
-	})
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-}
-
-func TestLogProbKnownValue(t *testing.T) {
-	// Weights 2,1: P[⟨0 1⟩] = 2/3, P[⟨1 0⟩] = 1/3.
-	m, err := New([]float64{2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, err := m.Prob(perm.Identity(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p0-2.0/3) > 1e-12 {
-		t.Fatalf("P[id] = %v, want 2/3", p0)
-	}
-	if _, err := m.LogProb(perm.Identity(3)); err == nil {
-		t.Error("accepted size mismatch")
-	}
-	if _, err := m.LogProb(perm.Perm{0, 0}); err == nil {
-		t.Error("accepted invalid permutation")
-	}
-}
-
 func TestSamplerMatchesExactProbabilities(t *testing.T) {
-	m, err := New([]float64{4, 2, 1})
-	if err != nil {
-		t.Fatal(err)
+	weights := []float64{4, 2, 1}
+	logw := make([]float64, len(weights))
+	for i, w := range weights {
+		logw[i] = math.Log(w)
+	}
+	// prob is the closed form P[π] = ∏_r w(π(r)) / Σ_{r'≥r} w(π(r')).
+	prob := func(p perm.Perm) float64 {
+		pr := 1.0
+		for r := range p {
+			var rest float64
+			for _, item := range p[r:] {
+				rest += weights[item]
+			}
+			pr *= weights[p[r]] / rest
+		}
+		return pr
 	}
 	rng := rand.New(rand.NewSource(100))
 	const samples = 60000
 	freq := map[string]float64{}
 	for i := 0; i < samples; i++ {
-		freq[m.Sample(rng).String()]++
+		freq[SampleLogWeights(logw, rng).String()]++
 	}
 	var tv float64
 	perm.All(3, func(p perm.Perm) bool {
-		want, err := m.Prob(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tv += math.Abs(freq[p.String()]/samples - want)
+		tv += math.Abs(freq[p.String()]/samples - prob(p))
 		return true
 	})
 	tv /= 2
 	if tv > 0.01 {
 		t.Fatalf("total variation distance %v too large", tv)
-	}
-}
-
-func TestFitMMRecoversWeights(t *testing.T) {
-	truth, err := New([]float64{4, 2, 1, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(101))
-	votes := truth.SampleN(8000, rng)
-	fitted, err := FitMM(votes, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare weight ratios (the scale is not identifiable).
-	tw, fw := truth.Weights(), fitted.Weights()
-	for i := 1; i < len(tw); i++ {
-		want := tw[i] / tw[0]
-		got := fw[i] / fw[0]
-		if math.Abs(math.Log(got/want)) > 0.15 {
-			t.Fatalf("weight ratio %d: fitted %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestFitMMIncreasesLikelihood(t *testing.T) {
-	truth, err := New([]float64{3, 1, 1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(102))
-	votes := truth.SampleN(500, rng)
-	prev := math.Inf(-1)
-	for _, iters := range []int{1, 3, 10, 50} {
-		fitted, err := FitMM(votes, iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ll, err := fitted.LogLikelihood(votes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ll < prev-1e-9 {
-			t.Fatalf("likelihood decreased: %v after %d iters (prev %v)", ll, iters, prev)
-		}
-		prev = ll
-	}
-	// The fit should beat the uniform model.
-	uniform, err := New([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniLL, err := uniform.LogLikelihood(votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev <= uniLL {
-		t.Fatalf("fitted likelihood %v not above uniform %v", prev, uniLL)
-	}
-}
-
-func TestFitMMValidation(t *testing.T) {
-	if _, err := FitMM(nil, 10); err == nil {
-		t.Error("accepted no votes")
-	}
-	if _, err := FitMM([]perm.Perm{perm.Identity(3)}, 0); err == nil {
-		t.Error("accepted zero iterations")
-	}
-	if _, err := FitMM([]perm.Perm{perm.Identity(3), perm.Identity(4)}, 5); err == nil {
-		t.Error("accepted ragged votes")
-	}
-	if _, err := FitMM([]perm.Perm{{0, 0, 1}}, 5); err == nil {
-		t.Error("accepted invalid vote")
-	}
-	m, err := FitMM([]perm.Perm{perm.Identity(1)}, 5)
-	if err != nil || m.N() != 1 {
-		t.Errorf("singleton fit = %v, %v", m, err)
-	}
-}
-
-func TestLogLikelihoodErrors(t *testing.T) {
-	m, _ := New([]float64{1, 1})
-	if _, err := m.LogLikelihood([]perm.Perm{perm.Identity(3)}); err == nil {
-		t.Error("accepted mismatched vote")
 	}
 }

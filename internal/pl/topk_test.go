@@ -147,9 +147,6 @@ func TestPLTiedWeightsDeterministicOrder(t *testing.T) {
 		check("SampleTopKInto",
 			SampleTopKInto(logw, n, make(perm.Perm, 0, n), s, rand.New(rand.NewSource(seed))))
 	}
-	// Model.Sample ties the same way at +Inf/-Inf utilities; exercised
-	// through exp-space weights it cannot represent ±Inf, so pin the
-	// log-weight paths only.
 }
 
 // Truncated and full draws must consume the RNG stream identically: one

@@ -1,8 +1,8 @@
 // Package rankdist implements the distance metrics between rankings used
-// by the paper (§III-C): Kendall tau distance and coefficient, Spearman
-// distance (total squared displacement), Spearman footrule, and — because
-// the related work (Wei et al., Chakraborty et al.) states results for
-// them — Ulam, Cayley, and Hamming distances.
+// by the paper (§III-C): the Kendall tau distance, which the KT
+// selection criterion uses, and the Spearman footrule, the objective of
+// ApproxMultiValuedIPF and footrule aggregation, whose tests check
+// against it.
 //
 // All functions take two rankings over the same ground set {0,…,d−1} in
 // the perm.Perm one-line representation (item at each rank) and are
@@ -11,7 +11,6 @@ package rankdist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/perm"
 )
@@ -44,64 +43,6 @@ func MaxKendallTau(d int) int64 {
 	return n * (n - 1) / 2
 }
 
-// KendallTauNormalized returns KendallTau scaled into [0,1] by its
-// maximum d(d−1)/2. For d < 2 the distance is defined as 0.
-func KendallTauNormalized(p, q perm.Perm) (float64, error) {
-	d, err := KendallTau(p, q)
-	if err != nil {
-		return 0, err
-	}
-	max := MaxKendallTau(len(p))
-	if max == 0 {
-		return 0, nil
-	}
-	return float64(d) / float64(max), nil
-}
-
-// KendallTauCoefficient returns Kendall's tau correlation coefficient
-// kτ = 1 − 4·d_KT/(k(k−1)) ∈ [−1, 1]; 1 means identical rankings, −1
-// perfect disagreement. For k < 2 the coefficient is defined as 1.
-func KendallTauCoefficient(p, q perm.Perm) (float64, error) {
-	d, err := KendallTau(p, q)
-	if err != nil {
-		return 0, err
-	}
-	k := int64(len(p))
-	if k < 2 {
-		return 1, nil
-	}
-	return 1 - 4*float64(d)/float64(k*(k-1)), nil
-}
-
-// Spearman returns the Spearman distance d₂(p,q) = Σᵢ (pos_p(i) − pos_q(i))²,
-// the total squared element-wise displacement (§III-C of the paper).
-func Spearman(p, q perm.Perm) (int64, error) {
-	if err := checkSizes("Spearman", p, q); err != nil {
-		return 0, err
-	}
-	pp, qp := p.Positions(), q.Positions()
-	var sum int64
-	for item := range pp {
-		d := int64(pp[item] - qp[item])
-		sum += d * d
-	}
-	return sum, nil
-}
-
-// SpearmanRho returns the Spearman rank-correlation coefficient
-// ρ = 1 − 6·d₂ / (d(d²−1)) ∈ [−1, 1]. For d < 2 it is defined as 1.
-func SpearmanRho(p, q perm.Perm) (float64, error) {
-	d2, err := Spearman(p, q)
-	if err != nil {
-		return 0, err
-	}
-	n := int64(len(p))
-	if n < 2 {
-		return 1, nil
-	}
-	return 1 - 6*float64(d2)/float64(n*(n*n-1)), nil
-}
-
 // Footrule returns the Spearman footrule distance
 // F(p,q) = Σᵢ |pos_p(i) − pos_q(i)|, the total absolute displacement.
 // ApproxMultiValuedIPF optimizes this objective.
@@ -119,62 +60,4 @@ func Footrule(p, q perm.Perm) (int64, error) {
 		sum += d
 	}
 	return sum, nil
-}
-
-// Ulam returns the Ulam distance: the minimum number of move-one-item
-// operations transforming q into p, which equals d minus the length of
-// the longest increasing subsequence of p relabeled by q. O(d log d).
-func Ulam(p, q perm.Perm) (int, error) {
-	if err := checkSizes("Ulam", p, q); err != nil {
-		return 0, err
-	}
-	rel, err := p.RelativeTo(q)
-	if err != nil {
-		return 0, err
-	}
-	return len(p) - lisLength(rel), nil
-}
-
-// lisLength returns the length of the longest strictly increasing
-// subsequence via patience sorting.
-func lisLength(s perm.Perm) int {
-	tails := make([]int, 0, len(s))
-	for _, v := range s {
-		i := sort.SearchInts(tails, v)
-		if i == len(tails) {
-			tails = append(tails, v)
-		} else {
-			tails[i] = v
-		}
-	}
-	return len(tails)
-}
-
-// Cayley returns the Cayley distance: the minimum number of (arbitrary)
-// transpositions transforming q into p, which equals d minus the number
-// of cycles of the relative permutation.
-func Cayley(p, q perm.Perm) (int, error) {
-	if err := checkSizes("Cayley", p, q); err != nil {
-		return 0, err
-	}
-	rel, err := p.RelativeTo(q)
-	if err != nil {
-		return 0, err
-	}
-	return len(p) - rel.CycleCount(), nil
-}
-
-// Hamming returns the number of ranks at which p and q hold different
-// items.
-func Hamming(p, q perm.Perm) (int, error) {
-	if err := checkSizes("Hamming", p, q); err != nil {
-		return 0, err
-	}
-	n := 0
-	for i := range p {
-		if p[i] != q[i] {
-			n++
-		}
-	}
-	return n, nil
 }

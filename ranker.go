@@ -242,6 +242,9 @@ func NewRanker(cfg Config) (*Ranker, error) {
 	if math.IsNaN(probe.Theta) || probe.Theta < 0 {
 		return nil, fmt.Errorf("fairrank: dispersion θ = %v, want ≥ 0", probe.Theta)
 	}
+	if math.IsInf(probe.Theta, 1) {
+		return nil, fmt.Errorf("fairrank: dispersion θ = %v, want finite", probe.Theta)
+	}
 	if probe.Samples < 1 {
 		return nil, fmt.Errorf("fairrank: samples = %d, want ≥ 1", probe.Samples)
 	}

@@ -80,7 +80,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestRegisterDuplicateRejected(t *testing.T) {
 	factory := func(fairrank.Config) (fairrank.Strategy, error) { return reverseStrategy, nil }
-	info := fairrank.AlgorithmInfo{Name: "test-dup", Description: "first registration wins"}
+	info := fairrank.AlgorithmInfo{Name: "test:dup", Description: "first registration wins"}
 	registerOnce(t, info, factory)
 	if err := fairrank.Register(info, factory); !errors.Is(err, fairrank.ErrDuplicateAlgorithm) {
 		t.Errorf("second Register: got %v, want ErrDuplicateAlgorithm", err)
@@ -92,10 +92,10 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 	sampler := func(central []int, theta float64) (func(*rand.Rand) []int, error) {
 		return func(*rand.Rand) []int { return append([]int(nil), central...) }, nil
 	}
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test-dupnoise"}, sampler); err != nil && !errors.Is(err, fairrank.ErrDuplicateNoise) {
+	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test:dupnoise"}, sampler); err != nil && !errors.Is(err, fairrank.ErrDuplicateNoise) {
 		t.Fatal(err)
 	}
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test-dupnoise"}, sampler); !errors.Is(err, fairrank.ErrDuplicateNoise) {
+	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test:dupnoise"}, sampler); !errors.Is(err, fairrank.ErrDuplicateNoise) {
 		t.Errorf("second RegisterNoise: got %v, want ErrDuplicateNoise", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestUnknownNamesSurfaceSentinels(t *testing.T) {
 // built-in.
 func TestCustomStrategyRankable(t *testing.T) {
 	registerOnce(t, fairrank.AlgorithmInfo{
-		Name:          "test-reverse",
+		Name:          "test:reverse",
 		Description:   "central ranking reversed (test strategy)",
 		Deterministic: true,
 	}, func(cfg fairrank.Config) (fairrank.Strategy, error) {
@@ -133,14 +133,14 @@ func TestCustomStrategyRankable(t *testing.T) {
 	})
 	found := false
 	for _, a := range fairrank.Algorithms() {
-		if a.Name == "test-reverse" {
+		if a.Name == "test:reverse" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("registered algorithm missing from Algorithms()")
 	}
-	r, err := fairrank.NewRanker(fairrank.Config{Algorithm: "test-reverse", Central: fairrank.CentralScoreOrder})
+	r, err := fairrank.NewRanker(fairrank.Config{Algorithm: "test:reverse", Central: fairrank.CentralScoreOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCustomStrategyRankable(t *testing.T) {
 			t.Fatalf("rank %d: got %s, want %s", i, c.ID, want)
 		}
 	}
-	if d := res.Diagnostics; d.Algorithm != "test-reverse" || d.DrawsEvaluated != 0 || d.Noise != "" {
+	if d := res.Diagnostics; d.Algorithm != "test:reverse" || d.DrawsEvaluated != 0 || d.Noise != "" {
 		t.Errorf("diagnostics: %+v", d)
 	}
 }
@@ -164,10 +164,10 @@ func TestCustomStrategyRankable(t *testing.T) {
 // ranking or an out-of-range panic in the audit.
 func TestDefectiveStrategyRejected(t *testing.T) {
 	cases := map[string]fairrank.StrategyFunc{
-		"test-short": func(in *fairrank.Instance, _ *rand.Rand) ([]int, error) {
+		"test:short": func(in *fairrank.Instance, _ *rand.Rand) ([]int, error) {
 			return in.Central()[:in.N()-1], nil
 		},
-		"test-dupidx": func(in *fairrank.Instance, _ *rand.Rand) ([]int, error) {
+		"test:dupidx": func(in *fairrank.Instance, _ *rand.Rand) ([]int, error) {
 			c := in.Central()
 			c[0] = c[1]
 			return c, nil
@@ -353,7 +353,7 @@ func TestRegisterRacingDo(t *testing.T) {
 				// raceSeq keeps names unique across repeated in-process
 				// runs (go test -count=N), so every pass registers live.
 				err := fairrank.Register(fairrank.AlgorithmInfo{
-					Name:        fmt.Sprintf("test-race-%d", raceSeq.Add(1)),
+					Name:        fmt.Sprintf("test:race-%d", raceSeq.Add(1)),
 					Description: "race test strategy",
 				}, func(fairrank.Config) (fairrank.Strategy, error) { return reverseStrategy, nil })
 				if err != nil {

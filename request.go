@@ -30,7 +30,8 @@ type Request struct {
 	// Candidates is the pool to rank; must be nonempty with unique,
 	// nonempty IDs, nonempty Groups, and non-NaN scores.
 	Candidates []Candidate
-	// Theta overrides Config.Theta (Mallows dispersion); must be ≥ 0.
+	// Theta overrides Config.Theta (Mallows dispersion); must be finite
+	// and ≥ 0.
 	// 0 draws uniformly random permutations.
 	Theta *float64
 	// Samples overrides Config.Samples (best-of-m draw count); ≥ 1.
@@ -290,6 +291,9 @@ func (r *Ranker) resolve(req Request) (Config, int, error) {
 	if req.Theta != nil {
 		if math.IsNaN(*req.Theta) || *req.Theta < 0 {
 			return Config{}, 0, fmt.Errorf("fairrank: request dispersion θ = %v, want ≥ 0", *req.Theta)
+		}
+		if math.IsInf(*req.Theta, 1) {
+			return Config{}, 0, fmt.Errorf("fairrank: request dispersion θ = %v, want finite", *req.Theta)
 		}
 		cfg.Theta = *req.Theta
 	}

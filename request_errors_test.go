@@ -25,6 +25,7 @@ func TestNewRankerRejectsExact(t *testing.T) {
 		{"unknown criterion", Config{Criterion: "vibes"}, `fairrank: unknown criterion "vibes"`, nil},
 		{"negative theta", Config{Theta: -1}, "fairrank: dispersion θ = -1, want ≥ 0", nil},
 		{"NaN theta", Config{Theta: math.NaN()}, "fairrank: dispersion θ = NaN, want ≥ 0", nil},
+		{"+Inf theta", Config{Theta: math.Inf(1)}, "fairrank: dispersion θ = +Inf, want finite", nil},
 		{"negative samples", Config{Samples: -3}, "fairrank: samples = -3, want ≥ 1", nil},
 		{"negative tolerance", Config{Tolerance: -0.2}, "fairrank: tolerance = -0.2, want ≥ 0", nil},
 		{"NaN tolerance", Config{Tolerance: math.NaN()}, "fairrank: tolerance = NaN, want ≥ 0", nil},
@@ -61,6 +62,7 @@ func TestRequestRejectsExact(t *testing.T) {
 	}{
 		{"negative theta", Request{Candidates: ok, Theta: fptr(-1)}, "fairrank: request dispersion θ = -1, want ≥ 0", nil},
 		{"NaN theta", Request{Candidates: ok, Theta: fptr(math.NaN())}, "fairrank: request dispersion θ = NaN, want ≥ 0", nil},
+		{"+Inf theta", Request{Candidates: ok, Theta: fptr(math.Inf(1))}, "fairrank: request dispersion θ = +Inf, want finite", nil},
 		{"zero samples", Request{Candidates: ok, Samples: iptr(0)}, "fairrank: request samples = 0, want ≥ 1", nil},
 		{"negative samples", Request{Candidates: ok, Samples: iptr(-2)}, "fairrank: request samples = -2, want ≥ 1", nil},
 		{"unknown criterion", Request{Candidates: ok, Criterion: "vibes"}, `fairrank: unknown criterion "vibes"`, nil},
