@@ -15,6 +15,12 @@ type Constraints struct {
 
 // NewConstraints validates 0 ≤ α ≤ β ≤ 1 per group.
 func NewConstraints(alpha, beta []float64) (*Constraints, error) {
+	return newConstraints(append([]float64(nil), alpha...), append([]float64(nil), beta...))
+}
+
+// newConstraints is NewConstraints for slices the caller hands over
+// rather than lends.
+func newConstraints(alpha, beta []float64) (*Constraints, error) {
 	if len(alpha) != len(beta) {
 		return nil, fmt.Errorf("fairness: %d alphas vs %d betas", len(alpha), len(beta))
 	}
@@ -30,10 +36,7 @@ func NewConstraints(alpha, beta []float64) (*Constraints, error) {
 			return nil, fmt.Errorf("fairness: group %d bounds (α=%v, β=%v) violate 0 ≤ α ≤ β ≤ 1", i, a, b)
 		}
 	}
-	return &Constraints{
-		Alpha: append([]float64(nil), alpha...),
-		Beta:  append([]float64(nil), beta...),
-	}, nil
+	return &Constraints{Alpha: alpha, Beta: beta}, nil
 }
 
 // Proportional builds constraints centred on each group's share of the
@@ -50,7 +53,7 @@ func Proportional(gr *Groups, tol float64) (*Constraints, error) {
 		alpha[i] = math.Max(0, s-tol)
 		beta[i] = math.Min(1, s+tol)
 	}
-	return NewConstraints(alpha, beta)
+	return newConstraints(alpha, beta)
 }
 
 // NumGroups returns the number of groups the constraints cover.
@@ -77,22 +80,24 @@ type Bounds struct {
 	Upper [][]int
 }
 
-// Table materializes the bounds for prefixes of length 1…k.
+// Table materializes the bounds for prefixes of length 1…k. Whatever k
+// is, it makes two allocations besides the Bounds itself: one array of
+// row headers and one of cells, which Lower and Upper split in halves.
+// Lower is capped at k rows and every row at its length, so an append
+// cannot spill into Upper or into the next row.
 func (c *Constraints) Table(k int) *Bounds {
 	g := len(c.Alpha)
-	b := &Bounds{
-		Lower: make([][]int, k),
-		Upper: make([][]int, k),
+	rows := make([][]int, 2*k)
+	cells := make([]int, 2*k*g)
+	for i := range rows {
+		rows[i] = cells[i*g : (i+1)*g : (i+1)*g]
 	}
+	b := &Bounds{Lower: rows[:k:k], Upper: rows[k:]}
 	for ell := 1; ell <= k; ell++ {
-		lo := make([]int, g)
-		hi := make([]int, g)
 		for gid := 0; gid < g; gid++ {
-			lo[gid] = c.LowerAt(gid, ell)
-			hi[gid] = c.UpperAt(gid, ell)
+			b.Lower[ell-1][gid] = c.LowerAt(gid, ell)
+			b.Upper[ell-1][gid] = c.UpperAt(gid, ell)
 		}
-		b.Lower[ell-1] = lo
-		b.Upper[ell-1] = hi
 	}
 	return b
 }
@@ -109,17 +114,27 @@ func (b *Bounds) NumGroups() int {
 	return len(b.Lower[0])
 }
 
-// Clone deep-copies the table.
+// Clone deep-copies the table. The rows of Lower, and those of Upper,
+// share one backing array each, every row capped at its length.
 func (b *Bounds) Clone() *Bounds {
-	nb := &Bounds{
-		Lower: make([][]int, len(b.Lower)),
-		Upper: make([][]int, len(b.Upper)),
+	return &Bounds{Lower: cloneRows(b.Lower), Upper: cloneRows(b.Upper)}
+}
+
+// cloneRows deep-copies rows, which may differ in length, into one
+// backing array.
+func cloneRows(rows [][]int) [][]int {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
 	}
-	for i := range b.Lower {
-		nb.Lower[i] = append([]int(nil), b.Lower[i]...)
-		nb.Upper[i] = append([]int(nil), b.Upper[i]...)
+	flat := make([]int, 0, n)
+	out := make([][]int, len(rows))
+	for i, r := range rows {
+		start := len(flat)
+		flat = append(flat, r...)
+		out[i] = flat[start:len(flat):len(flat)]
 	}
-	return nb
+	return out
 }
 
 // Clamp restores the invariants 0 ≤ Lower ≤ Upper and Lower ≤ ell after a

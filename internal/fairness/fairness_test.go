@@ -131,6 +131,18 @@ func TestBoundsTable(t *testing.T) {
 			}
 		}
 	}
+	// The rows share two backing arrays: the allocation count does not
+	// grow with k, and an append to one row cannot spill into the next,
+	// nor an append to Lower into Upper.
+	if allocs := testing.AllocsPerRun(10, func() { c.Table(1000) }); allocs > 3 {
+		t.Errorf("Table(1000) made %v allocations, want ≤ 3", allocs)
+	}
+	_ = append(b.Lower[0], 7)
+	_ = append(b.Upper[0], 7)
+	_ = append(b.Lower, []int{7, 7})
+	if b.Lower[1][0] != 1 || b.Upper[1][0] != 1 || b.Upper[0][0] != 1 {
+		t.Errorf("an append overwrote a row: lo=%v hi=%v", b.Lower, b.Upper)
+	}
 }
 
 func TestBoundsCloneAndClamp(t *testing.T) {
@@ -140,6 +152,10 @@ func TestBoundsCloneAndClamp(t *testing.T) {
 	cl.Lower[0][0] = 99
 	if b.Lower[0][0] == 99 {
 		t.Fatal("Clone aliases the table")
+	}
+	_ = append(cl.Lower[1], 7)
+	if cl.Lower[2][0] != 1 {
+		t.Fatalf("an append to a cloned row overwrote the next: %v", cl.Lower[2])
 	}
 	cl.Upper[0][0] = -5
 	cl.Clamp()

@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
@@ -39,7 +41,9 @@ const maxBodyBytes = 32 << 20
 // served by GET /v1/metrics.
 //
 // Error mapping: request-caused failures (ErrInvalid, malformed JSON)
-// return 400 with a JSON {"error": "..."} body; unknown job IDs 404;
+// return 400 with a JSON {"error": "..."} body; a body over 32 MiB 413
+// (the whole body is read before decoding, so this holds even when its
+// first JSON value ends sooner); unknown job IDs 404;
 // deleting a finished job 409; a saturated admission queue or job
 // store 429 with Retry-After; a
 // draining service 503 (new jobs) with Retry-After; a client
@@ -144,13 +148,42 @@ func NewHandler(s *Service) http.Handler {
 	)
 }
 
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed JSON: " + err.Error()})
-		return false
+// maxPooledBody caps both the buffer a declared Content-Length reserves
+// before the body arrives and the buffers bodyBuffers keeps: a larger
+// body grows its buffer as its bytes arrive, and the buffer is dropped
+// after decoding, so one outsized request pins no memory in the pool.
+const maxPooledBody = 4 << 20
+
+// bodyBuffers holds the buffers request bodies are read into. decodeBody
+// copies every string out, so a buffer goes back right after decoding.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decode reads the whole body, capped at maxBodyBytes, and decodes it
+// into dst with decodeBody. A body over the cap is answered with 413,
+// any other read or decode failure with 400.
+func decode[T RankRequest | BatchRequest](w http.ResponseWriter, r *http.Request, dst *T) bool {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPooledBody)) + bytes.MinRead)
 	}
-	return true
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = decodeBody(buf.Bytes(), dst)
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyBuffers.Put(buf)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "reading request body: " + err.Error()})
+	default:
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed JSON: " + err.Error()})
+	}
+	return false
 }
 
 // writeError maps service errors onto wire statuses; see NewHandler.

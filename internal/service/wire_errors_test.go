@@ -8,6 +8,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -169,6 +170,43 @@ func TestWireMalformedJSONExactStatus(t *testing.T) {
 	if !strings.HasPrefix(rec.Body.String(), `{"error":"malformed JSON: `) {
 		t.Errorf("body %q does not carry the malformed-JSON prefix", rec.Body.String())
 	}
+}
+
+// TestWireOversizedBodyExact pins the 413 contract of the three POST
+// routes, which the gateway answers alike: a body over the 32 MiB cap is
+// refused with the stable error shape. The body's first JSON value ends
+// long before the cap, and it is still refused, because the whole body
+// is read before decoding; it has no Content-Length, so the cap alone
+// stops the read.
+func TestWireOversizedBodyExact(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	h := NewHandler(s)
+	for _, path := range []string{"/v1/rank", "/v1/rank/batch", "/v1/jobs/rank"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			body := io.MultiReader(
+				strings.NewReader(`{"candidates":`+candidatesJSON+`}`),
+				io.LimitReader(spaces{}, maxBodyBytes))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413; body %s", rec.Code, rec.Body.String())
+			}
+			if got, want := rec.Body.String(), wantErrorBody(t, "reading request body: http: request body too large"); got != want {
+				t.Errorf("body = %q, want exactly %q", got, want)
+			}
+		})
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestWireContextStatusCodes pins the cancellation-vs-deadline wire
