@@ -182,7 +182,7 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 			var total float64
 			for i := 0; i < b.N; i++ {
-				out, err := rankers.Mallows{Theta: 1, Samples: m, Criterion: rankers.SelectNDCG}.Rank(in, rng)
+				out, err := core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: 1, Samples: m, Criterion: core.SelectNDCG}, rng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -205,14 +205,14 @@ func BenchmarkAblationCriterion(b *testing.B) {
 		name string
 		crit core.Criterion
 	}{
-		{"ndcg", core.NDCGCriterion{Scores: in.Scores}},
-		{"kt", core.KTCriterion{Reference: in.Initial}},
+		{"ndcg", core.SelectNDCG},
+		{"kt", core.SelectKT},
 	}
 	for _, c := range criteria {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < b.N; i++ {
-				_, err := core.PostProcess(in.Initial, core.Config{Theta: 1, Samples: 15, Criterion: c.crit}, rng)
+				_, err := core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: 1, Samples: 15, Criterion: c.crit}, rng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,32 +276,26 @@ func naiveMallowsSample(center perm.Perm, theta float64, rng *rand.Rand) perm.Pe
 	return out
 }
 
-// BenchmarkAblationNoiseSources compares the pluggable randomization
+// BenchmarkAblationNoiseSources compares the built-in randomization
 // mechanisms (§VI future work) around the same central ranking: wall
-// time per draw plus the mean Kendall tau movement they cause, reported
-// as the custom metric "kt".
+// time per one-shot draw plus the mean Kendall tau movement they cause,
+// reported as the custom metric "kt".
 func BenchmarkAblationNoiseSources(b *testing.B) {
 	in := germanInstance(b)
-	thetas := make([]float64, len(in.Initial))
-	for i := range thetas {
-		thetas[i] = 2 * math.Pow(0.97, float64(i))
-	}
-	sources := []core.Noise{
-		core.MallowsNoise{Theta: 1},
-		core.GeneralizedMallowsNoise{Thetas: thetas},
-		core.PlackettLuceNoise{Strength: 0.1},
+	sources := []core.Config{
+		{Noise: core.NoiseMallows, Theta: 1, Samples: 1},
+		{Noise: core.NoiseGMallows, Theta: 2, Samples: 1},
+		{Noise: core.NoisePlackettLuce, Theta: 0.1, Samples: 1},
 	}
 	for _, src := range sources {
-		b.Run(src.Name(), func(b *testing.B) {
+		b.Run(string(src.Noise), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(11))
-			draw, err := src.Sampler(in.Initial)
-			if err != nil {
-				b.Fatal(err)
-			}
 			var totalKT float64
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := draw(rng)
+				p, err := core.PostProcess(in.Initial, in.Scores, src, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
 				d, err := rankdist.KendallTau(p, in.Initial)
 				if err != nil {
 					b.Fatal(err)

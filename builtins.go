@@ -1,19 +1,11 @@
 package fairrank
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/perm"
 	"repro/internal/rankers"
 )
-
-// gmallowsDecay is the per-position geometric decay of the generalized
-// Mallows built-in: insertion step j uses dispersion θ·gmallowsDecay^j,
-// so the head of the ranking stays close to the central while the tail
-// mixes progressively more.
-const gmallowsDecay = 0.97
 
 // internalStrategy adapts an internal/rankers implementation to the
 // public Strategy interface; the built-in factories use it, and it keeps
@@ -33,25 +25,15 @@ func init() {
 	MustRegisterNoise(NoiseInfo{
 		Name:        string(NoiseMallows),
 		Description: "Mallows model M(central, θ) — the paper's mechanism (repeated-insertion sampling, amortized tables)",
-	}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
-		return adaptNoise(core.MallowsNoise{Theta: theta}, central)
-	})
+	}, core.Axes[core.NoiseMallows].Reference)
 	MustRegisterNoise(NoiseInfo{
 		Name:        string(NoiseGMallows),
 		Description: "generalized Mallows (Fligner–Verducci) with per-position dispersion θ·0.97^j: the head stays close to the central, the tail mixes more",
-	}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
-		thetas := make([]float64, len(central))
-		for j := range thetas {
-			thetas[j] = theta * math.Pow(gmallowsDecay, float64(j))
-		}
-		return adaptNoise(core.GeneralizedMallowsNoise{Thetas: thetas}, central)
-	})
+	}, core.Axes[core.NoiseGMallows].Reference)
 	MustRegisterNoise(NoiseInfo{
 		Name:        string(NoisePlackettLuce),
 		Description: "Plackett–Luce with weights e^{−θ·rank} (Gumbel-max sampling); θ = 0 is uniform, large θ concentrates on the central",
-	}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
-		return adaptNoise(core.PlackettLuceNoise{Strength: theta}, central)
-	})
+	}, core.Axes[core.NoisePlackettLuce].Reference)
 
 	samplingTunables := []string{"central", "theta", "noise", "tolerance", "weak_k", "seed"}
 	bestOfTunables := []string{"central", "criterion", "theta", "noise", "samples", "tolerance", "weak_k", "seed"}
@@ -167,14 +149,4 @@ func init() {
 	}, func(cfg Config) (Strategy, error) {
 		return internalStrategy{rankers.ScoreSorted{}}, nil
 	})
-}
-
-// adaptNoise bridges a core.Noise mechanism into the public NoiseSampler
-// draw shape over plain index slices.
-func adaptNoise(n core.Noise, central []int) (func(*rand.Rand) []int, error) {
-	draw, err := n.Sampler(perm.Perm(central))
-	if err != nil {
-		return nil, err
-	}
-	return func(rng *rand.Rand) []int { return []int(draw(rng)) }, nil
 }

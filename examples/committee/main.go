@@ -90,10 +90,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	final, err := core.PostProcess(kemeny, core.Config{
+	final, err := core.PostProcess(kemeny, nil, core.Config{
+		Noise:     core.NoiseMallows,
 		Theta:     theta,
 		Samples:   15,
-		Criterion: core.KTCriterion{Reference: kemeny},
+		Criterion: core.SelectKT,
 	}, rng)
 	if err != nil {
 		log.Fatal(err)

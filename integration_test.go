@@ -5,6 +5,7 @@ package fairrank
 // ordering between the exact algorithms.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -146,10 +147,11 @@ func TestAggregateThenPostProcessPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := core.PostProcess(consensus, core.Config{
+	final, err := core.PostProcess(consensus, nil, core.Config{
+		Noise:     core.NoiseMallows,
 		Theta:     theta,
 		Samples:   10,
-		Criterion: core.KTCriterion{Reference: consensus},
+		Criterion: core.SelectKT,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +166,47 @@ func TestAggregateThenPostProcessPipeline(t *testing.T) {
 	// Best-of-10 under the KT criterion at E[d]=4 stays close.
 	if d > 8 {
 		t.Fatalf("post-processed ranking drifted KT %d from consensus", d)
+	}
+}
+
+// TestPostProcessMatchesDo pins the one-shot Algorithm 1 the paper
+// experiments run on to the serving engine: on the score-order central,
+// for every built-in noise axis and both selection criteria, it must
+// return exactly the ranking Ranker.Do returns for the same θ, samples
+// and seed.
+func TestPostProcessMatchesDo(t *testing.T) {
+	cands := germanPool(t, 25)
+	for _, noise := range []Noise{NoiseMallows, NoiseGMallows, NoisePlackettLuce} {
+		for _, crit := range []Criterion{CriterionNDCG, CriterionKT} {
+			for _, theta := range []float64{0, 0.7, 2} {
+				cfg := Config{Algorithm: AlgorithmMallowsBest, Central: CentralScoreOrder, Noise: noise, Criterion: crit, Samples: 7}
+				r, err := NewRanker(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in, err := buildInstance(cands, r.Config().withDefaults(len(cands)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cc := core.Config{Noise: core.Noise(noise), Theta: theta, Samples: cfg.Samples, Criterion: core.SelectNDCG}
+				if crit == CriterionKT {
+					cc.Criterion = core.SelectKT
+				}
+				for seed := int64(0); seed < 10; seed++ {
+					res, err := r.Do(context.Background(), Request{Candidates: cands, Theta: &theta, Seed: &seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := core.PostProcess(in.Initial, in.Scores, cc, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := res.Ranking; !sameRanking(pickCandidates(cands, got), want) {
+						t.Fatalf("%s/%s θ=%g seed %d: PostProcess %v, Do %v", noise, crit, theta, seed, ids(pickCandidates(cands, got)), ids(want))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -8,75 +8,83 @@
 // never consults group membership, the randomization is oblivious to the
 // protected attribute: the fairness it buys is robust to attributes that
 // are unknown at ranking time, which is the paper's central claim.
+//
+// The package holds the one implementation of the algorithm: the table
+// of built-in noise axes (Mallows, as in the paper, plus the
+// generalized Mallows and Plackett–Luce mechanisms of its §VI
+// direction), each with a reference sampler and an amortized kernel;
+// the Engine state the kernels draw from; the prefix-scoped selection
+// criteria; and the sequential and parallel best-of loops. The serving
+// engine (package fairrank) draws through an Engine per Ranker, and the
+// paper experiments (internal/rankers) through PostProcess.
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/perm"
 	"repro/internal/quality"
-	"repro/internal/rankdist"
 )
 
-// Criterion scores a sampled ranking; PostProcess keeps the sample with
-// the highest criterion value. Criteria must be deterministic.
-type Criterion interface {
-	// Score returns the selection score of candidate ranking p.
-	Score(p perm.Perm) (float64, error)
-	// Name identifies the criterion in reports.
-	Name() string
-}
+// Criterion selects how Algorithm 1 picks among its draws.
+type Criterion int
 
-// NDCGCriterion selects the sample with the highest NDCG under the given
-// scores — the efficiency-first choice used when quality scores are
-// known (§III-F).
-type NDCGCriterion struct {
-	Scores quality.Scores
-}
-
-// Score implements Criterion.
-func (c NDCGCriterion) Score(p perm.Perm) (float64, error) {
-	return quality.NDCG(p, c.Scores, len(p))
-}
-
-// Name implements Criterion.
-func (c NDCGCriterion) Name() string { return "ndcg" }
-
-// KTCriterion selects the sample closest to the reference ranking in
-// Kendall tau distance — the efficiency measure used when the scores
-// behind the input ranking are unknown (§III-F).
-type KTCriterion struct {
-	Reference perm.Perm
-}
-
-// Score implements Criterion.
-func (c KTCriterion) Score(p perm.Perm) (float64, error) {
-	d, err := rankdist.KendallTau(p, c.Reference)
-	if err != nil {
-		return 0, err
-	}
-	return -float64(d), nil
-}
-
-// Name implements Criterion.
-func (c KTCriterion) Name() string { return "kt" }
+const (
+	// SelectFirst keeps the first draw (pure randomization); it draws
+	// once whatever the sample count.
+	SelectFirst Criterion = iota
+	// SelectNDCG keeps the draw with the highest NDCG — the
+	// efficiency-first choice used when quality scores are known
+	// (§III-F).
+	SelectNDCG
+	// SelectKT keeps the draw closest to the central ranking in Kendall
+	// tau distance — the efficiency measure used when the scores behind
+	// the input ranking are unknown (§III-F).
+	SelectKT
+)
 
 // Config parameterizes Algorithm 1.
 type Config struct {
-	// Theta is the Mallows dispersion; larger values stay closer to the
-	// central ranking (θ → ∞ reproduces it, θ = 0 is uniform shuffling).
+	// Noise is the built-in noise axis the draws come from.
+	Noise Noise
+	// Theta is the dispersion; larger values stay closer to the central
+	// ranking (θ → ∞ reproduces it, θ = 0 is uniform shuffling).
 	Theta float64
-	// Samples is m, the number of Mallows draws. 1 yields pure
-	// randomization; larger m trades computation for criterion value.
+	// Samples is m, the number of draws. 1 yields pure randomization;
+	// larger m trades computation for criterion value.
 	Samples int
-	// Criterion picks the best sample. nil keeps the first sample
-	// regardless of quality (equivalent to m = 1 semantics for any m).
+	// Criterion picks the kept draw.
 	Criterion Criterion
 }
 
 // PostProcess runs Algorithm 1 around the given central ranking: draw
-// cfg.Samples rankings from M(central, θ) and return the one maximizing
-// cfg.Criterion (the first sample if the criterion is nil).
-func PostProcess(central perm.Perm, cfg Config, rng *rand.Rand) (perm.Perm, error) {
-	return PostProcessWith(central, MallowsNoise{Theta: cfg.Theta}, cfg.Samples, cfg.Criterion, rng)
+// cfg.Samples rankings from cfg.Noise and return the one maximizing
+// cfg.Criterion, whose NDCG is computed against scores (which the other
+// criteria ignore). It runs the engine's sequential loop on fresh
+// Engine state, so for equal seeds it returns exactly what the serving
+// engine returns for the same central ranking, θ, samples and
+// criterion. It rejects a NaN, negative or infinite θ, samples < 1, an
+// invalid central ranking, and a noise axis or criterion it does not
+// know.
+func PostProcess(central perm.Perm, scores quality.Scores, cfg Config, rng *rand.Rand) (perm.Perm, error) {
+	if math.IsNaN(cfg.Theta) || cfg.Theta < 0 || math.IsInf(cfg.Theta, 1) {
+		return nil, fmt.Errorf("core: dispersion θ = %v, want finite and ≥ 0", cfg.Theta)
+	}
+	if cfg.Samples < 1 {
+		return nil, fmt.Errorf("core: samples = %d, want ≥ 1", cfg.Samples)
+	}
+	if err := central.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid central ranking: %w", err)
+	}
+	var e Engine
+	p, err := e.Plan(cfg.Noise, central, cfg.Theta, len(central))
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	out, _, err := e.Sequential(context.Background(), p, scores, cfg.Criterion, cfg.Samples, rng)
+	return out, err
 }

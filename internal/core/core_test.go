@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/perm"
@@ -12,26 +14,43 @@ import (
 
 func TestPostProcessValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := PostProcess(perm.Identity(5), Config{Theta: -1, Samples: 1}, rng); err == nil {
-		t.Error("accepted negative theta")
+	cases := []struct {
+		name    string
+		central perm.Perm
+		cfg     Config
+	}{
+		{"negative theta", perm.Identity(5), Config{Noise: NoiseMallows, Theta: -1, Samples: 1}},
+		{"NaN theta", perm.Identity(5), Config{Noise: NoiseMallows, Theta: math.NaN(), Samples: 1}},
+		{"infinite theta", perm.Identity(5), Config{Noise: NoiseMallows, Theta: math.Inf(1), Samples: 1}},
+		{"zero samples", perm.Identity(5), Config{Noise: NoiseMallows, Theta: 1, Samples: 0}},
+		{"invalid central", perm.Perm{0, 0}, Config{Noise: NoiseMallows, Theta: 1, Samples: 1}},
+		{"unknown noise", perm.Identity(5), Config{Noise: "cauchy", Theta: 1, Samples: 1}},
+		{"unknown criterion", perm.Identity(5), Config{Noise: NoiseMallows, Theta: 1, Samples: 2, Criterion: 99}},
 	}
-	if _, err := PostProcess(perm.Identity(5), Config{Theta: 1, Samples: 0}, rng); err == nil {
-		t.Error("accepted zero samples")
-	}
-	if _, err := PostProcess(perm.Perm{0, 0}, Config{Theta: 1, Samples: 1}, rng); err == nil {
-		t.Error("accepted invalid central")
+	for _, c := range cases {
+		if _, err := PostProcess(c.central, nil, c.cfg, rng); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
 func TestPostProcessReturnsValidPerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, theta := range []float64{0, 0.5, 3} {
-		p, err := PostProcess(perm.Random(20, rng), Config{Theta: theta, Samples: 3}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
+	scores := make(quality.Scores, 20)
+	for i := range scores {
+		scores[i] = rng.Float64()
+	}
+	for _, noise := range allAxes {
+		for _, theta := range []float64{0, 0.5, 3} {
+			for _, crit := range []Criterion{SelectFirst, SelectNDCG, SelectKT} {
+				p, err := PostProcess(perm.Random(20, rng), scores, Config{Noise: noise, Theta: theta, Samples: 3, Criterion: crit}, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Validate(); err != nil || len(p) != 20 {
+					t.Fatalf("%s θ=%g criterion %d: %v (length %d)", noise, theta, crit, err, len(p))
+				}
+			}
 		}
 	}
 }
@@ -39,7 +58,7 @@ func TestPostProcessReturnsValidPerm(t *testing.T) {
 func TestPostProcessHighThetaStaysClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	central := perm.Random(15, rng)
-	p, err := PostProcess(central, Config{Theta: 20, Samples: 1}, rng)
+	p, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 20, Samples: 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +77,16 @@ func TestPostProcessBestOfImprovesCriterion(t *testing.T) {
 	rngA := rand.New(rand.NewSource(4))
 	rngB := rand.New(rand.NewSource(4))
 	central := perm.Identity(12)
-	crit := KTCriterion{Reference: central}
 	var one, best float64
 	const trials = 300
 	for i := 0; i < trials; i++ {
-		p1, err := PostProcess(central, Config{Theta: 0.3, Samples: 1, Criterion: crit}, rngA)
+		p1, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0.3, Samples: 1, Criterion: SelectKT}, rngA)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d1, _ := rankdist.KendallTau(p1, central)
 		one += float64(d1)
-		p15, err := PostProcess(central, Config{Theta: 0.3, Samples: 15, Criterion: crit}, rngB)
+		p15, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0.3, Samples: 15, Criterion: SelectKT}, rngB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,85 +98,6 @@ func TestPostProcessBestOfImprovesCriterion(t *testing.T) {
 	}
 }
 
-func TestPostProcessNilCriterionConsumesDeterministicStream(t *testing.T) {
-	// With the same seed, nil criterion and m samples must return the
-	// first sample and leave the RNG in the same state as scoring runs —
-	// i.e. exactly m draws consumed.
-	central := perm.Identity(8)
-	rng1 := rand.New(rand.NewSource(5))
-	p1, err := PostProcess(central, Config{Theta: 1, Samples: 4}, rng1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after1 := rng1.Int63()
-
-	rng2 := rand.New(rand.NewSource(5))
-	first, err := PostProcess(central, Config{Theta: 1, Samples: 1}, rng2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p1.Equal(first) {
-		t.Fatalf("nil criterion returned %v, want first sample %v", p1, first)
-	}
-	// Draw the remaining 3 samples manually; stream must align.
-	for i := 0; i < 3; i++ {
-		if _, err := PostProcess(central, Config{Theta: 1, Samples: 1}, rng2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after2 := rng2.Int63(); after1 != after2 {
-		t.Fatalf("RNG streams diverged: %d vs %d", after1, after2)
-	}
-}
-
-func TestCriteriaScores(t *testing.T) {
-	scores := quality.Scores{3, 2, 1}
-	id := perm.Identity(3)
-	rev := id.Reverse()
-
-	n := NDCGCriterion{Scores: scores}
-	vID, err := n.Score(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vRev, err := n.Score(rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vID != 1 || vRev >= vID {
-		t.Fatalf("NDCG criterion: id=%v rev=%v", vID, vRev)
-	}
-	if n.Name() != "ndcg" {
-		t.Error("NDCG name")
-	}
-
-	k := KTCriterion{Reference: id}
-	vSelf, _ := k.Score(id)
-	vFar, _ := k.Score(rev)
-	if vSelf != 0 || vFar != -3 {
-		t.Fatalf("KT criterion: self=%v far=%v", vSelf, vFar)
-	}
-	if k.Name() != "kt" {
-		t.Error("KT name")
-	}
-}
-
-func TestCriterionErrorsPropagate(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	// Reference of the wrong size makes the KT criterion fail.
-	_, err := PostProcess(perm.Identity(5),
-		Config{Theta: 1, Samples: 2, Criterion: KTCriterion{Reference: perm.Identity(4)}}, rng)
-	if err == nil {
-		t.Fatal("criterion error not propagated")
-	}
-	// Same failure on the very first sample.
-	_, err = PostProcess(perm.Identity(5),
-		Config{Theta: 1, Samples: 1, Criterion: KTCriterion{Reference: perm.Identity(4)}}, rng)
-	if err == nil {
-		t.Fatal("first-sample criterion error not propagated")
-	}
-}
-
 func TestPostProcessZeroThetaIsUniform(t *testing.T) {
 	// θ=0 must not privilege the central ranking: over many draws the
 	// mean distance should match the uniform expectation n(n−1)/4.
@@ -167,7 +106,7 @@ func TestPostProcessZeroThetaIsUniform(t *testing.T) {
 	var total float64
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		p, err := PostProcess(central, Config{Theta: 0, Samples: 1}, rng)
+		p, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0, Samples: 1}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,5 +117,66 @@ func TestPostProcessZeroThetaIsUniform(t *testing.T) {
 	want := 8.0 * 7.0 / 4.0
 	if math.Abs(mean-want) > 0.5 {
 		t.Fatalf("θ=0 mean distance %v, want ≈ %v", mean, want)
+	}
+}
+
+// The size-state cache holds at most maxSizeStates (n, θ) keys: past the
+// cap each new key evicts an old one instead of growing the cache.
+func TestEngineSizeCacheCap(t *testing.T) {
+	var e Engine
+	for n := 2; n < 2+maxSizeStates+10; n++ {
+		if err := e.Warm(NoiseMallows, n, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int(e.numStates.Load()), min(n-1, maxSizeStates); got != want {
+			t.Fatalf("after %d sizes the cache holds %d states, want %d", n-1, got, want)
+		}
+	}
+}
+
+// Pool counters never decrease, even while concurrent requests evict
+// the size-states they count.
+func TestEngineStatsMonotonicUnderEviction(t *testing.T) {
+	var e Engine
+	center := perm.Identity(8)
+	const workers, requests = 4, 100
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < requests; i++ {
+				p, err := e.Plan(NoiseMallows, center, float64(g*requests+i), len(center))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _, err = e.Sequential(context.Background(), p, nil, SelectKT, 2, rng)
+				p.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var prev Stats
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s := e.Stats()
+		if s.PoolGets < prev.PoolGets || s.PoolMisses < prev.PoolMisses {
+			t.Fatalf("pool counters went from %d/%d to %d/%d", prev.PoolGets, prev.PoolMisses, s.PoolGets, s.PoolMisses)
+		}
+		prev = s
+	}
+	if max := int64(2 * workers * requests); prev.PoolGets > max {
+		t.Fatalf("pool gets = %d, more than the %d checkouts made", prev.PoolGets, max)
 	}
 }

@@ -1,0 +1,446 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/mallows"
+	"repro/internal/perm"
+	"repro/internal/pl"
+	"repro/internal/quality"
+)
+
+// Engine is the state Algorithm 1 amortizes across requests:
+//
+//   - Mallows and generalized-Mallows displacement tables, cached per
+//     (n, θ) — the e^{−θ} and q^j evaluations behind every displacement
+//     draw;
+//   - the DCG discount table behind the NDCG selection criterion,
+//     cached per n;
+//   - permutation scratch buffers and per-request float vectors, pooled
+//     per (n, θ) so the best-of-m loop allocates nothing on the steady
+//     state;
+//   - RNGs, pooled and re-seeded per request instead of re-allocated.
+//
+// The zero Engine is ready to use and safe for concurrent use by
+// multiple goroutines; the caches are shared and lock-free on the hot
+// path. An Engine must not be copied after first use.
+type Engine struct {
+	states    sync.Map   // sizeKey → *sizeState
+	stateMu   sync.Mutex // serializes insert/evict; Load stays lock-free
+	numStates atomic.Int32
+	discMu    sync.Mutex // serializes discount insert/evict
+	discounts sync.Map   // n → []float64
+	numDiscs  atomic.Int32
+	rngs      sync.Pool
+
+	tableHits   atomic.Int64
+	tableMisses atomic.Int64
+	// evictedGets and evictedMisses carry the scratch-pool counts of
+	// evicted size-states; stateMu guards them together with the map.
+	evictedGets   int64
+	evictedMisses int64
+}
+
+// Stats is a snapshot of an Engine's cache counters.
+type Stats struct {
+	// TableHits and TableMisses count lookups of the per-(n, θ)
+	// size-state cache; a miss paid the state build.
+	TableHits   int64
+	TableMisses int64
+	// PoolGets and PoolMisses count scratch-permutation checkouts and
+	// how many of those had to allocate.
+	PoolGets   int64
+	PoolMisses int64
+}
+
+// Stats snapshots the Engine's counters. None of them ever decreases:
+// an evicted size-state's pool counts move into the engine's own, under
+// the lock Stats reads them with. The pool counts are exact except for
+// checkouts a request makes from a size-state evicted while the request
+// was drawing from it; those go uncounted.
+func (e *Engine) Stats() Stats {
+	s := Stats{TableHits: e.tableHits.Load(), TableMisses: e.tableMisses.Load()}
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	s.PoolGets, s.PoolMisses = e.evictedGets, e.evictedMisses
+	e.states.Range(func(_, v any) bool {
+		gets, misses := v.(*sizeState).scratch.Stats()
+		s.PoolGets += int64(gets)
+		s.PoolMisses += int64(misses)
+		return true
+	})
+	return s
+}
+
+// maxSizeStates caps the per-(n, θ) cache: a size-state costs O(n)
+// memory, so an adversarial mix of pool sizes or per-request
+// dispersions must not pin unbounded state. At the cap an arbitrary
+// entry is evicted rather than refusing the new key — otherwise a
+// burst of junk (n, θ) keys would permanently lock legitimate traffic
+// out of the amortization.
+const maxSizeStates = 64
+
+// sizeKey indexes the amortized per-size state. Theta is part of the key
+// so requests that override the dispersion share the cache instead of
+// invalidating it.
+type sizeKey struct {
+	n     int
+	theta float64
+}
+
+// sizeState is the draw-path state reusable across requests of one pool
+// size and dispersion: the shared permutation scratch pool plus, per
+// noise axis, lazily built displacement tables and sampler scratch. The
+// axes build on first use — PL-only traffic never pays for Mallows
+// tables and vice versa — and each builds at most once per state. The
+// DCG discount table lives in its own n-keyed cache (discountsFor):
+// every axis and criterion shares it, and sampler-plan traffic with
+// varied θ must not evict warm tables it never samples from.
+type sizeState struct {
+	key     sizeKey
+	scratch *perm.Pool
+	// floats recycles *[]float64 scratch of capacity n+1 — Plackett–Luce
+	// log-weight vectors and generalized-Mallows miss-threshold tables,
+	// built once per request and shared read-only across its workers.
+	floats sync.Pool
+	// pls recycles *pl.Scratch (utilities, uniform blocks, top-k heap);
+	// one per worker on the Plackett–Luce draw path.
+	pls sync.Pool
+
+	mallowsOnce sync.Once
+	mallowsTab  *mallows.Tables
+	mallowsErr  error
+
+	gmOnce sync.Once
+	gmTab  *mallows.GeneralizedTables
+	gmErr  error
+}
+
+func newSizeState(key sizeKey) *sizeState {
+	st := &sizeState{key: key, scratch: perm.NewPool(key.n)}
+	st.floats.New = func() any {
+		buf := make([]float64, key.n+1)
+		return &buf
+	}
+	st.pls.New = func() any { return pl.NewScratch(key.n) }
+	return st
+}
+
+// tables returns the fixed-θ Mallows displacement tables, building them
+// on first use.
+func (st *sizeState) tables() (*mallows.Tables, error) {
+	st.mallowsOnce.Do(func() {
+		st.mallowsTab, st.mallowsErr = mallows.NewTables(st.key.n, st.key.theta)
+	})
+	return st.mallowsTab, st.mallowsErr
+}
+
+// gtables returns the generalized-Mallows displacement tables of the
+// gmallows axis's schedule, building them on first use.
+func (st *sizeState) gtables() (*mallows.GeneralizedTables, error) {
+	st.gmOnce.Do(func() {
+		st.gmTab, st.gmErr = mallows.NewGeneralizedTables(gmallowsThetas(st.key.n, st.key.theta))
+	})
+	return st.gmTab, st.gmErr
+}
+
+// state returns the cached per-(n, θ) draw-path state, creating it on
+// first use; each noise axis's tables build lazily inside the entry. At
+// maxSizeStates distinct keys an arbitrary existing entry is evicted to
+// make room, keeping memory bounded while letting every key (re-)enter
+// the cache.
+func (e *Engine) state(n int, theta float64) *sizeState {
+	key := sizeKey{n: n, theta: theta}
+	if v, ok := e.states.Load(key); ok {
+		e.tableHits.Add(1)
+		return v.(*sizeState)
+	}
+	e.tableMisses.Add(1)
+	st := newSizeState(key)
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	if v, ok := e.states.Load(key); ok {
+		// Another goroutine cached the key while we built; use theirs so
+		// concurrent requests share one scratch pool.
+		return v.(*sizeState)
+	}
+	if e.numStates.Load() >= maxSizeStates {
+		e.states.Range(func(k, v any) bool {
+			gets, misses := v.(*sizeState).scratch.Stats()
+			e.evictedGets += int64(gets)
+			e.evictedMisses += int64(misses)
+			e.states.Delete(k)
+			e.numStates.Add(-1)
+			return false // one eviction is enough
+		})
+	}
+	e.states.Store(key, st)
+	e.numStates.Add(1)
+	return st
+}
+
+// discountsFor returns the cached DCG discount table of pool size n
+// (rank r, 0-based, → discount of rank r+1), building it on first use.
+// Keyed by n alone — all axes, dispersions, and criteria share it — and
+// bounded like the size-state cache.
+func (e *Engine) discountsFor(n int) []float64 {
+	if v, ok := e.discounts.Load(n); ok {
+		return v.([]float64)
+	}
+	disc := make([]float64, n)
+	for rk := range disc {
+		disc[rk] = quality.LogDiscount(rk + 1)
+	}
+	e.discMu.Lock()
+	defer e.discMu.Unlock()
+	if v, ok := e.discounts.Load(n); ok {
+		return v.([]float64)
+	}
+	if e.numDiscs.Load() >= maxSizeStates {
+		e.discounts.Range(func(k, _ any) bool {
+			e.discounts.Delete(k)
+			e.numDiscs.Add(-1)
+			return false // one eviction is enough
+		})
+	}
+	e.discounts.Store(n, disc)
+	e.numDiscs.Add(1)
+	return disc
+}
+
+// RNG hands out a pooled RNG seeded with seed; equal seeds yield the
+// exact stream of rand.New(rand.NewSource(seed)). Return it with PutRNG.
+func (e *Engine) RNG(seed int64) *rand.Rand {
+	rng := e.rng()
+	rng.Seed(seed)
+	return rng
+}
+
+// rng takes an RNG out of the pool in whatever state it was returned.
+func (e *Engine) rng() *rand.Rand {
+	if rng, ok := e.rngs.Get().(*rand.Rand); ok {
+		return rng
+	}
+	return rand.New(rand.NewSource(0))
+}
+
+// PutRNG returns an RNG from RNG to the pool.
+func (e *Engine) PutRNG(rng *rand.Rand) { e.rngs.Put(rng) }
+
+// Plan prepares one request's draws around center at dispersion theta
+// through axis's kernel: a truncated plan when topK < len(center),
+// whose draws materialize only the top-topK prefix. Release the plan
+// when its draws are done.
+func (e *Engine) Plan(axis Noise, center perm.Perm, theta float64, topK int) (Plan, error) {
+	a, ok := Axes[axis]
+	if !ok {
+		return Plan{}, fmt.Errorf("core: unknown noise %q", axis)
+	}
+	return a.kernel(Plan{
+		center:    center,
+		theta:     theta,
+		topK:      topK,
+		truncated: topK < len(center),
+		st:        e.state(len(center), theta),
+	})
+}
+
+// Warm builds the size-state of (n, θ) and axis's tables in it, as a
+// request of pool size n would, moving the one-time construction off
+// the first request. Noise outside the axis table keeps no per-size
+// state, so there is nothing to warm for it.
+func (e *Engine) Warm(axis Noise, n int, theta float64) error {
+	a, ok := Axes[axis]
+	if !ok {
+		return nil
+	}
+	// An empty center builds the size-state's tables and skips the
+	// per-request vectors, which depend on the central ranking.
+	p, err := a.kernel(Plan{theta: theta, st: e.state(n, theta)})
+	if err != nil {
+		return err
+	}
+	p.Release()
+	return nil
+}
+
+// criterionAt returns a maker of sample-selection score functions
+// scoped to the first k ranks — the prefix a truncated request
+// delivers. Scorers accept both full-length draws and lazy top-k
+// prefixes (any permutation with ≥ k entries) and score only the first
+// k, so the truncated and reference draw paths select identical
+// winners. At k = n the NDCG scorer is quality.NDCG and the KT scorer
+// minus rankdist.KendallTau against the center, with the discount table
+// cached and the IDCG hoisted out of the per-sample loop.
+//
+// The two-level shape exists for the parallel fan-out: the maker builds
+// the shared read-only state (discounts, IDCG, center positions) once
+// per request, then each worker mints its own scorer holding private
+// scratch, keeping the per-draw path allocation-free without locks.
+func (e *Engine) criterionAt(crit Criterion, center perm.Perm, scores quality.Scores, k int) (func() func(perm.Perm) float64, error) {
+	switch crit {
+	case SelectNDCG:
+		discounts := e.discountsFor(len(center))
+		// The normalizer is the ideal DCG of the whole pool at cutoff k —
+		// the best any delivered prefix could score — so NDCG stays in
+		// [0, 1] and ranks prefixes the way NDCG@k ranks rankings.
+		idcg, err := quality.IDCG(center, scores, k)
+		if err != nil {
+			return nil, err
+		}
+		scorer := func(p perm.Perm) float64 {
+			var dcg float64
+			for rk, item := range p[:k] {
+				dcg += scores[item] * discounts[rk]
+			}
+			if idcg == 0 {
+				return 1
+			}
+			return dcg / idcg
+		}
+		// NDCG scoring reads only shared immutable state; every worker
+		// can use one scorer.
+		return func() func(perm.Perm) float64 { return scorer }, nil
+	case SelectKT:
+		pos := center.Positions()
+		return func() func(perm.Perm) float64 {
+			seq := make(perm.Perm, k)
+			work := make([]int, k)
+			buf := make([]int, k)
+			return func(p perm.Perm) float64 {
+				// Inversions of the center-position sequence of the
+				// prefix = Kendall tau pairs the prefix orders against
+				// the center; at k = n this is exactly the full Kendall
+				// tau distance, computed through reusable scratch
+				// instead of per-draw slices.
+				for i, item := range p[:k] {
+					seq[i] = pos[item]
+				}
+				return -float64(seq.InversionCountScratch(work, buf))
+			}
+		}, nil
+	default:
+		return nil, fmt.Errorf("core: unknown criterion %d", crit)
+	}
+}
+
+// Sequential runs the best-of-m loop of Algorithm 1 for plan p on one
+// RNG stream, with a cancellation check between draws: it draws samples
+// rankings and keeps the one crit scores highest (ties keep the
+// earlier), scoring NDCG against scores. SelectFirst draws once. It
+// returns the kept ranking — the top-k prefix on a truncated plan — and
+// its score (0 under SelectFirst).
+func (e *Engine) Sequential(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples int, rng *rand.Rand) (perm.Perm, float64, error) {
+	w := p.checkout()
+	defer func() { p.checkin(w) }()
+	var err error
+	if w.best, err = p.draw(p, w.ws, w.best, rng); err != nil {
+		return nil, 0, err
+	}
+	if crit == SelectFirst {
+		// Algorithm 1 with m = 1: keep the first (only) draw.
+		return w.best.Clone(), 0, nil
+	}
+	maker, err := e.criterionAt(crit, p.center, scores, p.topK)
+	if err != nil {
+		return nil, 0, err
+	}
+	score := maker()
+	bestScore := score(w.best)
+	for i := 1; i < samples; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		if w.cur, err = p.draw(p, w.ws, w.cur, rng); err != nil {
+			return nil, 0, err
+		}
+		if v := score(w.cur); v > bestScore {
+			// Swap rather than copy: cur becomes the kept sample, best
+			// becomes the scratch the next draw overwrites.
+			w.best, w.cur = w.cur, w.best
+			bestScore = v
+		}
+	}
+	return w.best.Clone(), bestScore, nil
+}
+
+// Parallel is Sequential with the draws fanned out over up to workers
+// goroutines, for crit SelectNDCG or SelectKT. Draw i uses its own RNG
+// seeded by MixSeed(seed, i) and score ties break toward the lowest i,
+// so the result depends only on seed, never on the worker count. Each
+// worker checks ctx between draws and draws on its own buffers and
+// sampler scratch.
+func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples, workers int, seed int64) (perm.Perm, float64, error) {
+	maker, err := e.criterionAt(crit, p.center, scores, p.topK)
+	if err != nil {
+		return nil, 0, err
+	}
+	if workers > samples {
+		workers = samples
+	}
+	type draw struct {
+		score float64
+		idx   int
+		p     perm.Perm
+		err   error
+	}
+	results := make([]draw, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		// Contiguous index chunks: worker w owns draws [lo, hi).
+		lo := w * samples / workers
+		hi := (w + 1) * samples / workers
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			rng := e.rng()
+			defer e.PutRNG(rng)
+			dw := p.checkout()
+			defer func() { p.checkin(dw) }()
+			score := maker()
+			local := draw{idx: -1}
+			for i := lo; i < hi; i++ {
+				if err := ctx.Err(); err != nil {
+					results[w] = draw{err: err}
+					return
+				}
+				rng.Seed(MixSeed(seed, i))
+				var err error
+				if dw.cur, err = p.draw(p, dw.ws, dw.cur, rng); err != nil {
+					results[w] = draw{err: err}
+					return
+				}
+				if v := score(dw.cur); local.idx < 0 || v > local.score {
+					dw.best, dw.cur = dw.cur, dw.best
+					local = draw{score: v, idx: i}
+				}
+			}
+			local.p = dw.best.Clone()
+			results[w] = local
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	winner := draw{idx: -1}
+	for _, d := range results {
+		if d.err != nil {
+			return nil, 0, d.err
+		}
+		if winner.idx < 0 || d.score > winner.score || (d.score == winner.score && d.idx < winner.idx) {
+			winner = d
+		}
+	}
+	return winner.p, winner.score, nil
+}
+
+// MixSeed derives the RNG seed of parallel draw i from the request seed
+// (a splitmix64 step), decorrelating the per-draw streams.
+func MixSeed(seed int64, i int) int64 {
+	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
+}

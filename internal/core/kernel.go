@@ -1,0 +1,257 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+
+	"repro/internal/mallows"
+	"repro/internal/perm"
+	"repro/internal/pl"
+)
+
+// Noise names a built-in noise axis: a randomization mechanism around
+// the central ranking with a dedicated draw path. The names are the
+// ones package fairrank registers the mechanisms under.
+type Noise string
+
+// The built-in noise axes.
+const (
+	// NoiseMallows draws from the Mallows model M(central, θ) — the
+	// paper's mechanism.
+	NoiseMallows Noise = "mallows"
+	// NoiseGMallows draws from the Fligner–Verducci generalized Mallows
+	// model with per-position dispersion θ·0.97^j.
+	NoiseGMallows Noise = "gmallows"
+	// NoisePlackettLuce draws a Plackett–Luce ranking whose item at
+	// central rank r (0-based) has weight e^{−θ·r}: θ = 0 is uniform,
+	// large θ concentrates on the central.
+	NoisePlackettLuce Noise = "plackett-luce"
+)
+
+// gmallowsDecay is the per-position geometric decay of the generalized
+// Mallows axis: insertion step j uses dispersion θ·gmallowsDecay^j, so
+// the head of the ranking stays close to the central while the tail
+// mixes progressively more.
+const gmallowsDecay = 0.97
+
+// An Axis is one built-in noise mechanism. Reference draws full rankings
+// straight from the model; package fairrank registers it as the
+// mechanism's NoiseSampler, and it is the reference the kernel is
+// checked against. The kernel is the engine's amortized draw path: it
+// completes a plan whose size-state, center, θ, prefix and truncation
+// are set, fetching the cached (n, θ) tables, checking out the pooled
+// per-request vector, naming the per-worker scratch pool and picking the
+// draw function, which materializes only the top-k prefix on a
+// truncated plan. Every kernel consumes the RNG stream exactly as its
+// reference sampler does, so for equal seeds its draws (their prefixes,
+// when truncated) are bit-identical to the reference's.
+type Axis struct {
+	Reference func(central []int, theta float64) (func(*rand.Rand) []int, error)
+	kernel    func(p Plan) (Plan, error)
+}
+
+// Axes is the table of built-in noise axes. Engine.Plan draws through
+// their kernels; package fairrank derives NoiseInfo.Truncated and its
+// per-axis truncated-draw counters from the table.
+var Axes = map[Noise]Axis{
+	NoiseMallows:      {mallowsReference, prepareMallows},
+	NoiseGMallows:     {gmallowsReference, prepareGMallows},
+	NoisePlackettLuce: {plReference, preparePL},
+}
+
+// gmallowsThetas is the generalized Mallows axis's dispersion schedule
+// over n insertion steps: θ·gmallowsDecay^j at step j.
+func gmallowsThetas(n int, theta float64) []float64 {
+	thetas := make([]float64, n)
+	for j := range thetas {
+		thetas[j] = theta * math.Pow(gmallowsDecay, float64(j))
+	}
+	return thetas
+}
+
+// plLogWeights writes the Plackett–Luce axis's log-weights into
+// dst[:len(center)] and returns them: the item at central rank rk gets
+// −θ·rk. Drawing on log-weights (internal/pl, Gumbel-max trick) keeps
+// long rankings and large θ from underflowing the tail weights to zero.
+func plLogWeights(center perm.Perm, theta float64, dst []float64) []float64 {
+	dst = dst[:len(center)]
+	for rk, item := range center {
+		dst[item] = -theta * float64(rk)
+	}
+	return dst
+}
+
+func mallowsReference(central []int, theta float64) (func(*rand.Rand) []int, error) {
+	model, err := mallows.New(central, theta)
+	if err != nil {
+		return nil, err
+	}
+	return func(rng *rand.Rand) []int { return model.Sample(rng) }, nil
+}
+
+func gmallowsReference(central []int, theta float64) (func(*rand.Rand) []int, error) {
+	model, err := mallows.NewGeneralized(central, gmallowsThetas(len(central), theta))
+	if err != nil {
+		return nil, err
+	}
+	return func(rng *rand.Rand) []int { return model.Sample(rng) }, nil
+}
+
+func plReference(central []int, theta float64) (func(*rand.Rand) []int, error) {
+	if err := perm.Perm(central).Validate(); err != nil {
+		return nil, err
+	}
+	if math.IsNaN(theta) || theta < 0 {
+		return nil, fmt.Errorf("core: plackett-luce strength %v, want ≥ 0", theta)
+	}
+	logw := plLogWeights(central, theta, make([]float64, len(central)))
+	return func(rng *rand.Rand) []int { return pl.SampleLogWeights(logw, rng) }, nil
+}
+
+// Plan is one request's prepared draws: the draw function and the state
+// every draw of the request shares, read-only across the parallel
+// loop's workers. Kernel plans draw into the size-state's pooled
+// buffers; sampler plans (st == nil) touch no size-state at all, so
+// traffic outside the axis table never creates or evicts one.
+type Plan struct {
+	draw      drawFunc
+	center    perm.Perm
+	theta     float64
+	topK      int
+	truncated bool
+
+	st     *sizeState
+	tab    *mallows.Tables            // Mallows insertion tables
+	gt     *mallows.GeneralizedTables // generalized-Mallows step tables
+	vecBuf *[]float64                 // pooled vector behind vec
+	vec    []float64                  // PL log-weights or gmallows miss thresholds
+	// wsPool pools the per-worker sampler scratch; nil when the draws
+	// need none.
+	wsPool *sync.Pool
+
+	sample func(dst perm.Perm, rng *rand.Rand) (perm.Perm, error) // sampler plans
+}
+
+// drawFunc draws one sample of plan p into dst — a full-length buffer —
+// with the worker's scratch ws, consuming rng, and returns the written
+// ranking: the full permutation, or just the top-k prefix on a truncated
+// plan. The plan travels by value so that no request state escapes to
+// the heap through the indirect call.
+type drawFunc func(p Plan, ws any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error)
+
+// SamplerPlan is the plan of a sampler outside the axis table, always
+// full-length: draw writes one draw of the pool center ranks into dst
+// and returns it, or fails the request with an error.
+func SamplerPlan(center perm.Perm, topK int, draw func(dst perm.Perm, rng *rand.Rand) (perm.Perm, error)) Plan {
+	return Plan{draw: drawSampler, center: center, topK: topK, sample: draw}
+}
+
+func drawSampler(p Plan, _ any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+	return p.sample(dst, rng)
+}
+
+// Truncated reports whether the plan's draws materialize only the top-k
+// prefix.
+func (p *Plan) Truncated() bool { return p.truncated }
+
+// drawWorker is what one draw loop checks out of its plan: the buffer
+// the next draw overwrites, the buffer holding the kept draw, and the
+// sampler scratch.
+type drawWorker struct {
+	cur, best perm.Perm
+	ws        any
+}
+
+// checkout hands one draw loop its buffers and sampler scratch; checkin
+// takes them back when the loop finishes.
+func (p *Plan) checkout() drawWorker {
+	var w drawWorker
+	if p.wsPool != nil {
+		w.ws = p.wsPool.Get()
+	}
+	if p.st == nil {
+		w.cur, w.best = make(perm.Perm, len(p.center)), make(perm.Perm, len(p.center))
+		return w
+	}
+	w.cur, w.best = p.st.scratch.Get(), p.st.scratch.Get()
+	return w
+}
+
+func (p *Plan) checkin(w drawWorker) {
+	if p.wsPool != nil {
+		p.wsPool.Put(w.ws)
+	}
+	if p.st != nil {
+		p.st.scratch.Put(w.cur)
+		p.st.scratch.Put(w.best)
+	}
+}
+
+// Release returns the plan's pooled per-request vector; call it once
+// the request's draws are done.
+func (p *Plan) Release() {
+	if p.vecBuf != nil {
+		p.st.floats.Put(p.vecBuf)
+	}
+}
+
+// prepareMallows serves M(center, θ) from the amortized insertion tables:
+// repeated insertion, or the lazy top-k sampler that never materializes
+// the ranks a truncated plan discards.
+func prepareMallows(p Plan) (Plan, error) {
+	tab, err := p.st.tables()
+	p.tab, p.draw = tab, drawMallows
+	return p, err
+}
+
+func drawMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+	m := mallows.Model{Center: p.center, Theta: p.theta}
+	if p.truncated {
+		return m.SampleTopKInto(p.tab, p.topK, dst, rng), nil
+	}
+	return m.SampleInto(p.tab, dst, rng), nil
+}
+
+// prepareGMallows serves the generalized Mallows axis from per-step
+// tables cached per (n, θ); truncated plans precompute the bounded-window
+// sampler's miss thresholds once per request on pooled float scratch.
+func prepareGMallows(p Plan) (Plan, error) {
+	gt, err := p.st.gtables()
+	if err != nil {
+		return p, err
+	}
+	p.gt, p.draw = gt, drawGMallows
+	if p.truncated {
+		p.vecBuf = p.st.floats.Get().(*[]float64)
+		p.vec = gt.MissThresholds(p.topK, *p.vecBuf)
+	}
+	return p, nil
+}
+
+func drawGMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+	if p.truncated {
+		return p.gt.SampleTopKInto(p.center, p.topK, p.vec, dst, rng), nil
+	}
+	return p.gt.SampleInto(p.center, dst, rng), nil
+}
+
+// preparePL builds the Plackett–Luce log-weights once per request on
+// pooled float scratch and gives each worker pooled Gumbel scratch;
+// truncated plans select through the bounded k-slot heap instead of a
+// full sort.
+func preparePL(p Plan) (Plan, error) {
+	p.vecBuf = p.st.floats.Get().(*[]float64)
+	p.vec = plLogWeights(p.center, p.theta, *p.vecBuf)
+	p.wsPool, p.draw = &p.st.pls, drawPL
+	return p, nil
+}
+
+func drawPL(p Plan, ws any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+	sc := ws.(*pl.Scratch)
+	if p.truncated {
+		return pl.SampleTopKInto(p.vec, p.topK, dst, sc, rng), nil
+	}
+	return pl.SampleLogWeightsInto(p.vec, dst, sc, rng), nil
+}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fairness"
 	"repro/internal/quality"
@@ -155,8 +156,8 @@ func German(cfg GermanConfig) (*GermanResult, error) {
 				rankers.DetConstSort{Sigma: sigma},
 				rankers.ApproxMultiValuedIPF{Sigma: sigma},
 				rankers.ILPRanker{Sigma: sigma},
-				rankers.Mallows{Theta: theta, Samples: 1, Criterion: rankers.SelectFirst},
-				rankers.Mallows{Theta: theta, Samples: cfg.BestOf, Criterion: rankers.SelectNDCG},
+				rankers.Mallows{Theta: theta, Samples: 1, Criterion: core.SelectFirst},
+				rankers.Mallows{Theta: theta, Samples: cfg.BestOf, Criterion: core.SelectNDCG},
 			}
 			p5 := Panel{Title: panelTitle}
 			p6 := Panel{Title: panelTitle}

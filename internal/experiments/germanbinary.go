@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fairness"
 	"repro/internal/quality"
@@ -34,12 +35,12 @@ func GermanBinary(cfg GermanConfig) (*Figure, error) {
 		rankers.GrBinaryIPF{},
 		rankers.ApproxMultiValuedIPF{},
 		rankers.ILPRanker{},
-		rankers.Mallows{Theta: theta, Samples: 1, Criterion: rankers.SelectFirst},
-		rankers.Mallows{Theta: theta, Samples: cfg.BestOf, Criterion: rankers.SelectKT},
+		rankers.Mallows{Theta: theta, Samples: 1, Criterion: core.SelectFirst},
+		rankers.Mallows{Theta: theta, Samples: cfg.BestOf, Criterion: core.SelectKT},
 		// The beyond-Mallows arm (§VI): Plackett–Luce noise at the same
 		// concentration and best-of count, so the figure shows how the
 		// alternative mechanism trades fairness against KT efficiency.
-		rankers.PlackettLuce{Strength: theta, Samples: cfg.BestOf, Criterion: rankers.SelectKT},
+		rankers.PlackettLuce{Strength: theta, Samples: cfg.BestOf, Criterion: core.SelectKT},
 	}
 
 	fig := &Figure{

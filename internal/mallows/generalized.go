@@ -65,15 +65,6 @@ func (m *GeneralizedModel) Sample(rng *rand.Rand) perm.Perm {
 	return out
 }
 
-// SampleN draws count independent samples.
-func (m *GeneralizedModel) SampleN(count int, rng *rand.Rand) []perm.Perm {
-	out := make([]perm.Perm, count)
-	for i := range out {
-		out[i] = m.Sample(rng)
-	}
-	return out
-}
-
 // LogZ returns the log partition function: the product of the per-step
 // truncated-geometric normalizers.
 func (m *GeneralizedModel) LogZ() float64 {

@@ -170,20 +170,3 @@ func TestTopHeavyPreservesHeadOrder(t *testing.T) {
 		t.Error("accepted decay > 1")
 	}
 }
-
-func TestGeneralizedSampleN(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	m, err := Uniform(perm.Identity(5), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := m.SampleN(4, rng)
-	if len(out) != 4 {
-		t.Fatalf("SampleN returned %d", len(out))
-	}
-	for _, p := range out {
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

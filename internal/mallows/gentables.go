@@ -71,11 +71,6 @@ func (m *GeneralizedModel) Tables() *GeneralizedTables {
 // N returns the number of items the tables cover.
 func (t *GeneralizedTables) N() int { return len(t.thetas) }
 
-// Thetas returns a copy of the per-step dispersion schedule.
-func (t *GeneralizedTables) Thetas() []float64 {
-	return append([]float64(nil), t.thetas...)
-}
-
 // Displacement draws V ∈ {0,…,j−1} with P(V=v) ∝ e^{−θ_j·v} — bit for
 // bit the arithmetic of the table-free generalized draw at step j.
 // It panics if j exceeds the table size.

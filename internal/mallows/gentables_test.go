@@ -274,21 +274,3 @@ func TestGeneralizedSampleZeroAlloc(t *testing.T) {
 		t.Fatalf("SampleInto allocates %.1f times per draw, want 0", allocs)
 	}
 }
-
-func TestGeneralizedTablesAccessors(t *testing.T) {
-	in := []float64{0.5, 0, 2}
-	tb, err := NewGeneralizedTables(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tb.Thetas()
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("Thetas()[%d] = %v, want %v", i, got[i], in[i])
-		}
-	}
-	got[0] = 99
-	if tb.Thetas()[0] != in[0] {
-		t.Fatal("Thetas() aliases internal state")
-	}
-}

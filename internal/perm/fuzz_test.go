@@ -60,7 +60,6 @@ func FuzzValidate(f *testing.F) {
 			_ = p.Positions()
 			_ = p.InversionCount()
 			_ = p.LehmerCode()
-			_ = p.CycleCount()
 		}
 	})
 }

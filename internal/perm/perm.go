@@ -152,23 +152,6 @@ func (p Perm) Reverse() Perm {
 // Swap exchanges the items at ranks i and j in place.
 func (p Perm) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
 
-// CycleCount returns the number of cycles of p viewed as a bijection.
-// The Cayley distance to the identity is Len() − CycleCount().
-func (p Perm) CycleCount() int {
-	seen := make([]bool, len(p))
-	cycles := 0
-	for i := range p {
-		if seen[i] {
-			continue
-		}
-		cycles++
-		for j := i; !seen[j]; j = p[j] {
-			seen[j] = true
-		}
-	}
-	return cycles
-}
-
 // String renders p in one-line notation, e.g. "⟨2 0 1⟩".
 func (p Perm) String() string {
 	var b strings.Builder

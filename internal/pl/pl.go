@@ -5,8 +5,9 @@
 //	P[π] = ∏_{r=0}^{n−1} w(π(r)) / Σ_{r'≥r} w(π(r')).
 //
 // The paper's §VI proposes exploring noise distributions beyond Mallows;
-// Plackett–Luce is the canonical alternative (core.PlackettLuceNoise
-// draws from this model with exponentially decaying weights). The
+// Plackett–Luce is the canonical alternative (internal/core's
+// plackett-luce noise axis draws from this model with exponentially
+// decaying weights). The
 // package provides Gumbel-trick samplers that work directly on
 // log-weights: full-length draws (SampleLogWeights and its
 // zero-allocation form SampleLogWeightsInto) and the truncated top-k

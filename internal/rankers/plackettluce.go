@@ -16,7 +16,7 @@ import (
 type PlackettLuce struct {
 	Strength  float64
 	Samples   int
-	Criterion MallowsCriterion
+	Criterion core.Criterion
 }
 
 // Name implements Ranker.
@@ -29,15 +29,5 @@ func (p PlackettLuce) Rank(in Instance, rng *rand.Rand) (perm.Perm, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	var crit core.Criterion
-	switch p.Criterion {
-	case SelectFirst:
-	case SelectNDCG:
-		crit = core.NDCGCriterion{Scores: in.Scores}
-	case SelectKT:
-		crit = core.KTCriterion{Reference: in.Initial}
-	default:
-		return nil, fmt.Errorf("rankers: unknown Plackett-Luce criterion %d", p.Criterion)
-	}
-	return core.PostProcessWith(in.Initial, core.PlackettLuceNoise{Strength: p.Strength}, p.Samples, crit, rng)
+	return core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoisePlackettLuce, Theta: p.Strength, Samples: p.Samples, Criterion: p.Criterion}, rng)
 }

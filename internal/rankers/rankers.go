@@ -7,10 +7,10 @@
 //   - GrBinaryIPF   — Wei et al., SIGMOD'22 (exact Kendall tau, 2 groups)
 //   - ILP           — the paper's §IV-B program, solved exactly by internal/fairdp
 //
-// plus the score-sorted identity baseline. The attribute-aware
-// algorithms accept a noise level σ reproducing the imperfect-knowledge
-// experiment: Gaussian noise injected into their representation
-// constraints exactly where §V-C prescribes.
+// plus the score-sorted baseline. The attribute-aware algorithms accept
+// a noise level σ reproducing the imperfect-knowledge experiment:
+// Gaussian noise injected into their representation constraints exactly
+// where §V-C prescribes.
 package rankers
 
 import (
@@ -97,40 +97,13 @@ func (ScoreSorted) Rank(in Instance, _ *rand.Rand) (perm.Perm, error) {
 	return quality.Ideal(in.Initial, in.Scores), nil
 }
 
-// Identity returns the initial ranking unchanged; useful as the
-// "no post-processing" arm of experiments.
-type Identity struct{}
-
-// Name implements Ranker.
-func (Identity) Name() string { return "initial" }
-
-// Rank implements Ranker.
-func (Identity) Rank(in Instance, _ *rand.Rand) (perm.Perm, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return in.Initial.Clone(), nil
-}
-
-// MallowsCriterion selects how the Mallows ranker picks among samples.
-type MallowsCriterion int
-
-const (
-	// SelectFirst keeps the first sample (pure randomization).
-	SelectFirst MallowsCriterion = iota
-	// SelectNDCG keeps the sample with the highest NDCG.
-	SelectNDCG
-	// SelectKT keeps the sample closest to the initial ranking.
-	SelectKT
-)
-
 // Mallows is the paper's Algorithm 1: sample from M(Initial, θ), keep
 // the best of m draws. It reads neither Groups nor Bounds — the
 // attribute-blindness that gives the method its robustness.
 type Mallows struct {
 	Theta     float64
 	Samples   int
-	Criterion MallowsCriterion
+	Criterion core.Criterion
 }
 
 // Name implements Ranker.
@@ -143,15 +116,5 @@ func (m Mallows) Rank(in Instance, rng *rand.Rand) (perm.Perm, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := core.Config{Theta: m.Theta, Samples: m.Samples}
-	switch m.Criterion {
-	case SelectFirst:
-	case SelectNDCG:
-		cfg.Criterion = core.NDCGCriterion{Scores: in.Scores}
-	case SelectKT:
-		cfg.Criterion = core.KTCriterion{Reference: in.Initial}
-	default:
-		return nil, fmt.Errorf("rankers: unknown Mallows criterion %d", m.Criterion)
-	}
-	return core.PostProcess(in.Initial, cfg, rng)
+	return core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: m.Theta, Samples: m.Samples, Criterion: m.Criterion}, rng)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fairness"
 	"repro/internal/perm"
 	"repro/internal/quality"
@@ -92,26 +93,15 @@ func TestScoreSortedAndIdentity(t *testing.T) {
 	if !p.Equal(perm.MustNew(1, 3, 2, 0)) {
 		t.Fatalf("score-sorted = %v", p)
 	}
-	q, err := Identity{}.Rank(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Equal(in.Initial) {
-		t.Fatalf("identity = %v, want %v", q, in.Initial)
-	}
-	q[0], q[1] = q[1], q[0]
-	if q.Equal(in.Initial) {
-		t.Fatal("identity aliases the instance")
-	}
-	if (ScoreSorted{}).Name() == "" || (Identity{}).Name() == "" {
-		t.Error("names must be nonempty")
+	if (ScoreSorted{}).Name() == "" {
+		t.Error("name must be nonempty")
 	}
 }
 
 func TestMallowsRanker(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	in := randomFeasibleInstance(t, rng, 12, 2)
-	for _, crit := range []MallowsCriterion{SelectFirst, SelectNDCG, SelectKT} {
+	for _, crit := range []core.Criterion{core.SelectFirst, core.SelectNDCG, core.SelectKT} {
 		m := Mallows{Theta: 1, Samples: 5, Criterion: crit}
 		p, err := m.Rank(in, rng)
 		if err != nil {
@@ -129,7 +119,7 @@ func TestMallowsRanker(t *testing.T) {
 	if !p.Equal(in.Initial) {
 		t.Fatalf("θ=30 sample differs from initial")
 	}
-	if _, err := (Mallows{Theta: 1, Samples: 1, Criterion: MallowsCriterion(99)}).Rank(in, rng); err == nil {
+	if _, err := (Mallows{Theta: 1, Samples: 1, Criterion: core.Criterion(99)}).Rank(in, rng); err == nil {
 		t.Error("accepted unknown criterion")
 	}
 	if (Mallows{Theta: 0.5, Samples: 15}).Name() != "mallows(θ=0.5,m=15)" {
@@ -421,7 +411,7 @@ func TestAllRankersEmptyInstance(t *testing.T) {
 	in := Instance{Initial: perm.Perm{}, Scores: quality.Scores{}, Groups: gr, Bounds: c.Table(0)}
 	rng := rand.New(rand.NewSource(110))
 	rankersUnderTest := []Ranker{
-		ScoreSorted{}, Identity{}, Mallows{Theta: 1, Samples: 1},
+		ScoreSorted{}, Mallows{Theta: 1, Samples: 1},
 		DetConstSort{}, ApproxMultiValuedIPF{}, ILPRanker{},
 	}
 	for _, r := range rankersUnderTest {

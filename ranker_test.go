@@ -194,28 +194,27 @@ func TestRankerWarm(t *testing.T) {
 	}
 }
 
-// Beyond maxSizeStates distinct pool sizes the cache stays bounded
-// (evicting an old entry per new key) and ranking stays equivalent to
-// Rank — a burst of junk (n, θ) keys cannot lock later traffic out of
-// the amortization.
+// Past the engine's size-state cap (64 distinct (n, θ) keys; the cap
+// itself is pinned in internal/core) ranking stays equivalent to Rank —
+// a burst of junk keys cannot lock later traffic out of the
+// amortization.
 func TestRankerSizeCacheCap(t *testing.T) {
 	r, err := NewRanker(Config{Theta: 1, Samples: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := make([]int, maxSizeStates)
-	for i := range sizes {
-		sizes[i] = i + 2
+	const sizes = 100
+	for n := 2; n < 2+sizes; n++ {
+		if err := r.Warm(n); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.Warm(sizes...); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.numStates.Load(); got != maxSizeStates {
-		t.Fatalf("cached %d size states, want %d", got, maxSizeStates)
+	if st := r.Stats(); st.TableMisses != sizes {
+		t.Fatalf("warming %d sizes missed the cache %d times", sizes, st.TableMisses)
 	}
 	// A fresh size past the cap must rank correctly, evicting rather
 	// than growing.
-	pool := germanPool(t, maxSizeStates+10)
+	pool := germanPool(t, sizes+10)
 	want, err := Rank(pool, Config{Theta: 1, Samples: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +225,6 @@ func TestRankerSizeCacheCap(t *testing.T) {
 	}
 	if !sameRanking(got, want) {
 		t.Fatal("over-cap ranking diverged from Rank")
-	}
-	if n := r.numStates.Load(); n != maxSizeStates {
-		t.Fatalf("cache grew past the cap: %d", n)
 	}
 }
 
@@ -302,6 +298,29 @@ func TestRankerStats(t *testing.T) {
 	}
 	if st := reg.Stats(); st.Draws != 9 || st.TableHits+st.TableMisses != 0 {
 		t.Errorf("registered-noise stats %+v, want 9 draws and no size-state lookups", st)
+	}
+	// The pool counters survive size-state eviction: 100 requests at
+	// 100 distinct θ overflow the cache, each sequential request checks
+	// out two buffers, and no snapshot is below the previous one.
+	ev, err := NewRanker(Config{Algorithm: AlgorithmMallowsBest, Samples: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 100
+	var prev RankerStats
+	for i := 0; i < requests; i++ {
+		theta := 0.01 * float64(i+1)
+		if _, err := ev.Do(context.Background(), Request{Candidates: pool, Theta: &theta, Seed: sptr(1)}); err != nil {
+			t.Fatal(err)
+		}
+		st := ev.Stats()
+		if st.PoolGets < prev.PoolGets || st.PoolMisses < prev.PoolMisses {
+			t.Fatalf("request %d: pool counters went from %d/%d to %d/%d", i, prev.PoolGets, prev.PoolMisses, st.PoolGets, st.PoolMisses)
+		}
+		prev = st
+	}
+	if prev.PoolGets != 2*requests {
+		t.Errorf("pool gets = %d after %d requests, want %d", prev.PoolGets, requests, 2*requests)
 	}
 }
 

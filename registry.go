@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/rankers"
 )
 
@@ -268,7 +269,7 @@ func RegisterNoise(info NoiseInfo, sampler NoiseSampler) error {
 	if sampler == nil {
 		return fmt.Errorf("fairrank: RegisterNoise(%q): nil sampler", info.Name)
 	}
-	_, hasKernel := kernels[Noise(info.Name)]
+	_, hasKernel := core.Axes[core.Noise(info.Name)]
 	if info.Truncated && !hasKernel {
 		return fmt.Errorf("fairrank: RegisterNoise(%q): Truncated set, but the engine has no truncated draw path for it", info.Name)
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
+	"repro/internal/core"
 	"repro/internal/fairness"
 	"repro/internal/perm"
 	"repro/internal/quality"
@@ -222,9 +222,12 @@ func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Conf
 		// The engine-managed Algorithm-1 family: best-of-m draws from
 		// the resolved noise mechanism around the central ranking, with
 		// cancellation between draws and optional parallel fan-out.
-		samples := 1
+		samples, crit := 1, core.SelectFirst
 		if entry.info.BestOf {
-			samples = cfg.Samples
+			samples, scored, crit = cfg.Samples, true, core.SelectNDCG
+			if cfg.Criterion == CriterionKT {
+				crit = core.SelectKT
+			}
 		}
 		noise = entry.info.Noise
 		if noise == "" {
@@ -238,19 +241,19 @@ func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Conf
 			return nil, 0, false, 0, "", err
 		}
 		if workers > 0 && samples > 1 {
-			out, score, scored, err = r.drawParallel(ctx, in, cfg, samples, workers, plan)
+			out, score, err = r.eng.Parallel(ctx, plan, in.Scores, crit, samples, workers, cfg.Seed)
 		} else {
-			rng := r.getRNG(cfg.Seed)
-			out, score, scored, err = r.drawSequential(ctx, in, cfg, samples, entry.info.BestOf, plan, rng)
-			r.rngs.Put(rng)
+			rng := r.eng.RNG(cfg.Seed)
+			out, score, err = r.eng.Sequential(ctx, plan, in.Scores, crit, samples, rng)
+			r.eng.PutRNG(rng)
 		}
-		plan.release()
+		plan.Release()
 		if err != nil {
 			return nil, 0, false, 0, "", err
 		}
 		draws = samples
 		r.statDraws.Add(int64(draws))
-		if plan.truncated {
+		if plan.Truncated() {
 			r.statDrawsTruncated.Add(int64(draws))
 			r.truncDraws[noise].Add(int64(draws))
 		} else {
@@ -261,9 +264,9 @@ func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Conf
 		if serr != nil {
 			return nil, 0, false, 0, "", serr
 		}
-		rng := r.getRNG(cfg.Seed)
+		rng := r.eng.RNG(cfg.Seed)
 		idx, rerr := strat.Rank(&Instance{in: in}, rng)
-		r.rngs.Put(rng)
+		r.eng.PutRNG(rng)
 		if rerr != nil {
 			return nil, 0, false, 0, "", fmt.Errorf("fairrank: %s: %w", entry.info.Name, rerr)
 		}
@@ -338,121 +341,37 @@ func (r *Ranker) resolve(req Request) (Config, int, error) {
 	return cfg, topK, nil
 }
 
-// drawSequential runs the best-of-m loop of Algorithm 1 on one RNG
-// stream for any draw plan, with a cancellation check between draws. It
-// returns the chosen ranking and, when a selection criterion ran, its
-// winning score.
-func (r *Ranker) drawSequential(ctx context.Context, in rankers.Instance, cfg Config, samples int, bestOf bool, plan drawPlan, rng *rand.Rand) (perm.Perm, float64, bool, error) {
-	w := plan.checkout()
-	defer func() { plan.checkin(w) }()
-	var err error
-	if w.best, err = plan.draw(plan, w.ws, w.best, rng); err != nil {
-		return nil, 0, false, err
+// plan prepares one request's draws from noise: through core's kernel
+// when the axis has one, else — and for every axis under
+// forceFullDraws, the reference the kernels are checked against —
+// through the validating registry adapter. The adapter draws from the
+// registered sampler, always full-length; it checks each draw is a full
+// permutation of the pool, so a defective (possibly third-party)
+// mechanism surfaces as an error instead of corrupting the selection,
+// and copies it into the loop's buffer, so a sampler that reuses its
+// output slice cannot overwrite a draw the loop keeps.
+func (r *Ranker) plan(noise Noise, center perm.Perm, theta float64, topK int) (core.Plan, error) {
+	if _, ok := core.Axes[core.Noise(noise)]; ok && !r.forceFullDraws {
+		return r.eng.Plan(core.Noise(noise), center, theta, topK)
 	}
-	if !bestOf {
-		// Algorithm 1 with m = 1: keep the first (only) draw.
-		return w.best.Clone(), 0, false, nil
-	}
-	maker, err := r.criterionAt(cfg, in, plan.topK)
+	sampler, err := lookupSampler(noise)
 	if err != nil {
-		return nil, 0, false, err
+		return core.Plan{}, err
 	}
-	score := maker()
-	bestScore, err := score(w.best)
+	sample, err := sampler(center, theta)
 	if err != nil {
-		return nil, 0, false, err
+		return core.Plan{}, fmt.Errorf("fairrank: noise %q: %w", noise, err)
 	}
-	for i := 1; i < samples; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, false, err
+	return core.SamplerPlan(center, topK, func(dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+		d := perm.Perm(sample(rng))
+		if len(d) != len(center) {
+			return nil, fmt.Errorf("fairrank: noise %q: drew %d indices for %d candidates", noise, len(d), len(center))
 		}
-		if w.cur, err = plan.draw(plan, w.ws, w.cur, rng); err != nil {
-			return nil, 0, false, err
+		if err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("fairrank: noise %q: invalid draw: %w", noise, err)
 		}
-		v, err := score(w.cur)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if v > bestScore {
-			// Swap rather than copy: cur becomes the kept sample, best
-			// becomes the scratch the next draw overwrites.
-			w.best, w.cur = w.cur, w.best
-			bestScore = v
-		}
-	}
-	return w.best.Clone(), bestScore, true, nil
-}
-
-// drawParallel fans the best-of-m draws of any draw plan over up to
-// workers goroutines. Draw i uses its own RNG seeded by mixSeed(seed, i)
-// and score ties break toward the lowest i, so the result depends only
-// on the resolved seed, never on the worker count. Each worker checks
-// ctx between draws and draws on its own buffers and sampler scratch.
-func (r *Ranker) drawParallel(ctx context.Context, in rankers.Instance, cfg Config, samples, workers int, plan drawPlan) (perm.Perm, float64, bool, error) {
-	maker, err := r.criterionAt(cfg, in, plan.topK)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if workers > samples {
-		workers = samples
-	}
-	type draw struct {
-		score float64
-		idx   int
-		p     perm.Perm
-		err   error
-	}
-	results := make([]draw, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous index chunks: worker w owns draws [lo, hi).
-		lo := w * samples / workers
-		hi := (w + 1) * samples / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := r.rngs.Get().(*rand.Rand)
-			defer r.rngs.Put(rng)
-			dw := plan.checkout()
-			defer func() { plan.checkin(dw) }()
-			score := maker()
-			local := draw{idx: -1}
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					results[w] = draw{err: err}
-					return
-				}
-				rng.Seed(mixSeed(cfg.Seed, i))
-				var err error
-				if dw.cur, err = plan.draw(plan, dw.ws, dw.cur, rng); err != nil {
-					results[w] = draw{err: err}
-					return
-				}
-				v, err := score(dw.cur)
-				if err != nil {
-					results[w] = draw{err: err}
-					return
-				}
-				if local.idx < 0 || v > local.score {
-					dw.best, dw.cur = dw.cur, dw.best
-					local = draw{score: v, idx: i}
-				}
-			}
-			local.p = dw.best.Clone()
-			results[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	winner := draw{idx: -1}
-	for _, d := range results {
-		if d.err != nil {
-			return nil, 0, false, d.err
-		}
-		if winner.idx < 0 || d.score > winner.score || (d.score == winner.score && d.idx < winner.idx) {
-			winner = d
-		}
-	}
-	return winner.p, winner.score, true, nil
+		return dst[:copy(dst, d)], nil
+	}), nil
 }
 
 // diagnose assembles the Result diagnostics from state the serving path

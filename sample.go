@@ -3,6 +3,8 @@ package fairrank
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/core"
 )
 
 // Sample serves one request draws times, calling observe with each
@@ -73,4 +75,4 @@ func (r *Ranker) Sample(ctx context.Context, req Request, draws int, observe fun
 // request seed. Exported so a draw flagged by a verification sweep can
 // be replayed in isolation (set Request.Seed to SampleSeed(seed, i) and
 // call Do) without rerunning the sweep.
-func SampleSeed(seed int64, draw int) int64 { return mixSeed(seed, draw) }
+func SampleSeed(seed int64, draw int) int64 { return core.MixSeed(seed, draw) }
