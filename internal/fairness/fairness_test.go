@@ -3,6 +3,7 @@ package fairness
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/perm"
@@ -480,6 +481,43 @@ func TestWeaklyFairRankingRandomized(t *testing.T) {
 		}
 		if !ok {
 			t.Fatalf("claimed weakly fair but is not: d=%d g=%d k=%d p=%v", d, g, k, p)
+		}
+	}
+}
+
+// TestWeaklyFairRankingScoreOrder holds the score order WeaklyFairRanking
+// builds on to a stable sort of the identity by non-increasing score, on
+// scores drawn from a handful of values, ±0 and ±Inf among them, so that
+// most comparisons tie. Bounds that bind nothing (α = 0, β = 1) make the
+// ranking that order itself, whatever k is.
+func TestWeaklyFairRankingScoreOrder(t *testing.T) {
+	values := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1)}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(300)
+		g := 1 + rng.Intn(3)
+		assign := make([]int, d)
+		scores := make([]float64, d)
+		for i := range scores {
+			assign[i] = rng.Intn(g)
+			scores[i] = values[rng.Intn(len(values))]
+		}
+		alpha, beta := make([]float64, g), make([]float64, g)
+		for i := range beta {
+			beta[i] = 1
+		}
+		c, err := NewConstraints(alpha, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := WeaklyFairRanking(scores, MustGroups(assign, g), c, 1+rng.Intn(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := perm.Identity(d)
+		sort.SliceStable(want, func(a, b int) bool { return scores[want[a]] > scores[want[b]] })
+		if !got.Equal(want) {
+			t.Fatalf("scores %v:\n got %v\nwant %v", scores, got, want)
 		}
 	}
 }

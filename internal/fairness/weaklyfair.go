@@ -1,8 +1,9 @@
 package fairness
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/perm"
 )
@@ -19,7 +20,8 @@ import (
 // for the Mallows mechanism (§IV-A).
 //
 // scores[i] is the score of item i; the ranking covers all len(scores)
-// items. Ties break toward lower item id for determinism.
+// items. Ties break toward lower item id for determinism. Scores must not
+// be NaN, which has no place in a score order; callers reject it first.
 func WeaklyFairRanking(scores []float64, gr *Groups, c *Constraints, k int) (perm.Perm, error) {
 	d := len(scores)
 	if gr.NumItems() != d {
@@ -57,9 +59,16 @@ func WeaklyFairRanking(scores []float64, gr *Groups, c *Constraints, k int) (per
 		return nil, fmt.Errorf("fairness: weak %d-fairness upper bounds admit only %d < %d items", k, sumCap, k)
 	}
 
-	// Items by non-increasing score, id-ascending on ties.
+	// Items by non-increasing score, id-ascending on ties: the order a
+	// stable sort of the identity gives, from an unstable sort whose ties
+	// are broken by the items' ids.
 	byScore := perm.Identity(d)
-	sort.SliceStable(byScore, func(a, b int) bool { return scores[byScore[a]] > scores[byScore[b]] })
+	slices.SortFunc(byScore, func(a, b int) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 
 	selected := make([]bool, d)
 	taken := make([]int, g)

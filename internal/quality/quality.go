@@ -10,9 +10,10 @@
 package quality
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/perm"
 )
@@ -80,10 +81,10 @@ func IDCG(p perm.Perm, s Scores, k int) (float64, error) {
 
 // Ideal returns the quality-optimal ranking of the items of p: items in
 // non-increasing score order. Ties keep the relative order of p (stable),
-// making the result deterministic.
+// making the result deterministic. Scores must not be NaN (see Validate).
 func Ideal(p perm.Perm, s Scores) perm.Perm {
 	ideal := p.Clone()
-	sort.SliceStable(ideal, func(a, b int) bool { return s[ideal[a]] > s[ideal[b]] })
+	slices.SortStableFunc(ideal, func(a, b int) int { return cmp.Compare(s[b], s[a]) })
 	return ideal
 }
 

@@ -3,6 +3,7 @@ package quality
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +155,30 @@ func TestQuickSwapTowardIdealImprovesDCG(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdealMatchesStableSort holds Ideal to sort.SliceStable on random
+// permutations of scores drawn from a handful of values, ±0 and ±Inf
+// among them, so that most comparisons tie and ties must keep p's order.
+func TestIdealMatchesStableSort(t *testing.T) {
+	values := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1)}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(300)
+		s := make(Scores, n)
+		for i := range s {
+			s[i] = values[rng.Intn(len(values))]
+		}
+		p := perm.Perm(rng.Perm(n))
+		orig := p.Clone()
+		want := p.Clone()
+		sort.SliceStable(want, func(a, b int) bool { return s[want[a]] > s[want[b]] })
+		if got := Ideal(p, s); !got.Equal(want) {
+			t.Fatalf("scores %v, p %v:\n got %v\nwant %v", s, p, got, want)
+		}
+		if !p.Equal(orig) {
+			t.Fatal("Ideal reordered its input")
+		}
 	}
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -47,7 +46,8 @@ const maxBodyBytes = 32 << 20
 // deleting a finished job 409; a saturated admission queue or job
 // store 429 with Retry-After; a
 // draining service 503 (new jobs) with Retry-After; a client
-// cancellation 499; a deadline expiry 504; anything else 500. Each
+// cancellation 499; a deadline expiry 504; anything else 500, as is a
+// response body that cannot be encoded (see writeJSON). Each
 // request's context flows into the sampling loops, so client
 // disconnects abort in-flight ranking work.
 func NewHandler(s *Service) http.Handler {
@@ -149,9 +149,10 @@ func NewHandler(s *Service) http.Handler {
 }
 
 // maxPooledBody caps both the buffer a declared Content-Length reserves
-// before the body arrives and the buffers bodyBuffers keeps: a larger
-// body grows its buffer as its bytes arrive, and the buffer is dropped
-// after decoding, so one outsized request pins no memory in the pool.
+// before the body arrives and the buffers bodyBuffers and encoders keep:
+// a larger body grows its buffer as its bytes arrive, and the buffer is
+// dropped after decoding or writing, so one outsized request or
+// response pins no memory in the pool.
 const maxPooledBody = 4 << 20
 
 // bodyBuffers holds the buffers request bodies are read into. decodeBody
@@ -212,10 +213,25 @@ func (s *Service) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// encoders holds the encoders response bodies are written with.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// writeJSON answers with status and v's JSON encoding, the bytes
+// json.NewEncoder(w).Encode(v) would write. The body is encoded in full
+// before the status line, so a value that cannot be encoded is answered
+// 500 with the stable error shape, not with the status over an empty
+// body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	e := encoders.Get().(*encoder)
+	if err := e.encode(v); err != nil {
+		status = http.StatusInternalServerError
+		_ = e.encode(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding failures past WriteHeader can only be logged by the
-	// server; the types here marshal unconditionally.
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; only the server can log it.
+	_, _ = w.Write(e.buf)
+	if cap(e.buf) <= maxPooledBody {
+		encoders.Put(e)
+	}
 }

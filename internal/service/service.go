@@ -448,6 +448,9 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	d := res.Diagnostics
+	if err := checkFinite(&d); err != nil {
+		return nil, err
+	}
 	resp := &RankResponse{
 		Algorithm: string(d.Algorithm),
 		Ranking:   make([]RankedCandidate, len(res.Ranking)),
@@ -481,6 +484,31 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 		resp.Ranking[i] = RankedCandidate{Rank: i + 1, ID: c.ID, Score: c.Score, Group: c.Group, Attrs: c.Attrs}
 	}
 	return resp, nil
+}
+
+// checkFinite rejects a ranking whose metrics JSON cannot carry. Scores
+// near the float64 limit are valid input, but they overflow DCG and IDCG
+// to +Inf, and the NDCG, their ratio, is then NaN. The request caused
+// it, so the error is an ErrInvalid naming the field.
+func checkFinite(d *fairrank.Diagnostics) error {
+	var p fairrank.ProbDiagnostics
+	if d.Probabilistic != nil {
+		p = *d.Probabilistic
+	}
+	for _, m := range [...]struct {
+		name  string
+		value float64
+	}{
+		{"ndcg", d.NDCG},
+		{"expected_ppfair", p.ExpectedPPfair},
+		{"expected_disparate_exposure", p.ExpectedDisparateExposure},
+		{"expected_exposure_gap", p.ExpectedExposureGap},
+	} {
+		if math.IsNaN(m.value) || math.IsInf(m.value, 0) {
+			return invalidf("%s = %v, want finite", m.name, m.value)
+		}
+	}
+	return nil
 }
 
 // validate rejects malformed requests before any ranking work starts.

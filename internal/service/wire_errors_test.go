@@ -136,6 +136,62 @@ func TestWireNaNMembershipRejected(t *testing.T) {
 	}
 }
 
+// TestWireNonFiniteMetricExact: scores near the float64 limit are valid
+// JSON, but their DCG and IDCG overflow to +Inf and the NDCG is NaN,
+// which JSON cannot carry. /v1/rank answers 400 with the error shape,
+// and in a batch or a job only that entry fails, while its neighbours
+// carry the bytes they carry on their own.
+func TestWireNonFiniteMetricExact(t *testing.T) {
+	const huge = `{"candidates": [{"id":"a","score":1.7e308,"group":"x"},{"id":"b","score":1.7e308,"group":"y"}], "seed": 1}`
+	const fine = `{"candidates": ` + candidatesJSON + `, "seed": 2}`
+	const msg = "invalid request: ndcg = NaN, want finite"
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	h := NewHandler(s)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+
+	rec := post("/v1/rank", huge)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400; body %q", rec.Code, rec.Body.String())
+	}
+	if got, want := rec.Body.String(), wantErrorBody(t, msg); got != want {
+		t.Errorf("body = %q, want exactly %q", got, want)
+	}
+
+	single := post("/v1/rank", fine)
+	if single.Code != http.StatusOK {
+		t.Fatalf("status %d for the finite entry alone; body %q", single.Code, single.Body.String())
+	}
+	errItem, err := json.Marshal(BatchItem{Error: msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"items":[` + string(errItem) + `,{"response":` + strings.TrimSuffix(single.Body.String(), "\n") + "}]}\n"
+	rec = post("/v1/rank/batch", `{"requests": [`+huge+`, `+fine+`]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d, want 200; body %q", rec.Code, rec.Body.String())
+	}
+	if got := rec.Body.String(); got != want {
+		t.Errorf("batch body = %q, want exactly %q", got, want)
+	}
+
+	sub, err := s.SubmitJob(&BatchRequest{Requests: []RankRequest{
+		{Candidates: []Candidate{{ID: "a", Score: 1.7e308, Group: "x"}, {ID: "b", Score: 1.7e308, Group: "y"}}, Seed: 1},
+		{Candidates: []Candidate{{ID: "a", Score: 2, Group: "x"}, {ID: "b", Score: 1, Group: "y"}}, Seed: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, s, sub.ID)
+	if st.Failed != 1 || len(st.Items) != 2 || st.Items[0].Error != msg || st.Items[1].Response == nil {
+		t.Errorf("job items = %+v (failed %d), want the first to fail with %q and the second to succeed", st.Items, st.Failed, msg)
+	}
+}
+
 func TestWireBatchLimitsExact(t *testing.T) {
 	cases := []struct {
 		name string
