@@ -307,9 +307,9 @@ func BenchmarkAblationNoiseSources(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDPvsILP compares the two exact solvers of the §IV-B
-// program on identical instances (the simplex branch-and-bound is only
-// viable at small sizes; the DP is the production path).
+// BenchmarkAblationDPvsILP times the exact DP solver of the §IV-B
+// program behind the ILP ranker. fairdp's TestSolveMatchesILP checks the
+// DP's optimum against internal/ilp's branch-and-bound solver.
 func BenchmarkAblationDPvsILP(b *testing.B) {
 	ds := dataset.SyntheticGermanCredit(rand.New(rand.NewSource(5)))
 	sub, err := ds.TopByAmount(10)
@@ -332,14 +332,7 @@ func BenchmarkAblationDPvsILP(b *testing.B) {
 	in := rankers.Instance{Initial: central, Scores: scores, Groups: gr, Bounds: cons.Table(10)}
 	b.Run("dp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := (rankers.ILPRanker{Backend: rankers.DP}).Rank(in, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("simplex-bb", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (rankers.ILPRanker{Backend: rankers.SimplexBB}).Rank(in, nil); err != nil {
+			if _, err := (rankers.ILPRanker{}).Rank(in, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -55,7 +55,6 @@ func main() {
 	log.SetPrefix("fairrank-gateway: ")
 	addr := flag.String("addr", ":9090", "listen address")
 	backends := flag.String("backends", "", "comma-separated fairrankd base URLs (required)")
-	picker := flag.String("picker", "hash", `backend selection policy: "hash" (consistent-hash primary, least-loaded fallback), "least-loaded", or "random"`)
 	probeInterval := flag.Duration("probe-interval", 0, "backend health/readiness probe cadence (0 = default 2s)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe round-trip budget (0 = default 1s)")
 	healthyThreshold := flag.Int("healthy-threshold", 0, "consecutive probe successes promoting a backend to serving (0 = default 2)")
@@ -86,23 +85,13 @@ func main() {
 		AttemptTimeout:     *attemptTimeout,
 		VirtualNodes:       *virtualNodes,
 	}
-	switch *picker {
-	case "hash":
-		// New wires the default hash+least-loaded composite.
-	case "least-loaded":
-		cfg.Picker = gateway.LeastLoadedPicker{}
-	case "random":
-		cfg.Picker = gateway.NewRandomPicker(time.Now().UnixNano())
-	default:
-		log.Fatalf(`-picker = %q, want "hash", "least-loaded", or "random"`, *picker)
-	}
 	g, err := gateway.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	g.Start()
 	defer g.Stop()
-	log.Printf("routing across %d backends with the %q picker", len(urls), *picker)
+	log.Printf("routing across %d backends", len(urls))
 
 	srv := &http.Server{
 		Addr:              *addr,

@@ -1,20 +1,15 @@
 package main
 
-// The -fleet topology: N in-process fairrankd backends (real listeners
-// on ephemeral ports) behind an in-process fairrank-gateway, with the
-// soak clients pointed at the gateway. -kill-backend abruptly stops
-// one backend a third of the way through the run — the availability
-// drill the gateway's retry/failover path exists for: the run must
-// still end with zero client-visible failures, and the reconciliation
-// pass then holds the gateway's aggregated /v1/metrics to the client's
-// ledger (FleetReconciled in the summary line).
+// The fleet drill's stack: in-process fairrankd backends (real
+// listeners on ephemeral ports) behind an in-process gateway, with the
+// clients pointed at the gateway. The injection stops the busiest
+// backend a third of the way through the run; the gateway's
+// retry/failover path must absorb it with zero client-visible failures.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"time"
@@ -27,13 +22,12 @@ type fleetHarness struct {
 	backends []*service.Server
 	gw       *gateway.Gateway
 	srv      *httptest.Server
-	killed   bool
 	victim   atomic.Int32 // config index of the killed backend; -1 until the kill fires
 }
 
 // startFleetHarness spawns the fleet and blocks until the gateway's
 // probes have promoted every backend to serving. svcCfg is applied to
-// every backend (jobs-mode runs size the job store through it).
+// every backend.
 func startFleetHarness(n int, svcCfg service.Config) (*fleetHarness, error) {
 	h := &fleetHarness{}
 	h.victim.Store(-1)
@@ -94,7 +88,6 @@ func (h *fleetHarness) scheduleKill(progress func() int, total int) {
 	if threshold < 1 {
 		threshold = 1
 	}
-	h.killed = true
 	go func() {
 		for progress() < threshold {
 			time.Sleep(5 * time.Millisecond)
@@ -123,105 +116,4 @@ func (h *fleetHarness) Close() {
 	for _, b := range h.backends {
 		b.Close() // safe on the killed backend: Close is idempotent
 	}
-}
-
-// reconcileFleet holds the gateway's aggregated /v1/metrics to the
-// client's ledger after the run:
-//
-//   - every route's gateway counter lands in [completed, attempts];
-//   - no request was ever unroutable, and in a kill run the victim is
-//     demoted out of the serving pool while every survivor still serves;
-//   - picker decisions and backend forwarding attempts cover the
-//     forwarded traffic (retries make attempts ≥ decisions ≥ requests);
-//   - the fleet engine aggregate reports the survivors' ranking work.
-func (h *fleetHarness) reconcileFleet(r *soakRun) (*gateway.MetricsResponse, error) {
-	resp, err := r.client.Get(h.URL() + "/v1/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /v1/metrics: status %d", resp.StatusCode)
-	}
-	var m gateway.MetricsResponse
-	if err := decodeJSON(resp, &m); err != nil {
-		return nil, err
-	}
-
-	byRoute := map[string]gateway.RouteMetrics{}
-	var forwarded int64
-	for _, rt := range m.Routes {
-		byRoute[rt.Route] = rt
-	}
-	r.mu.Lock()
-	for route, c := range r.counts {
-		got, ok := byRoute[route]
-		if !ok {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("route %q missing from the gateway's /v1/metrics", route)
-		}
-		if got.Requests < c.completed || got.Requests > c.attempts {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("route %q: gateway counted %d requests, client ledger wants [%d, %d]",
-				route, got.Requests, c.completed, c.attempts)
-		}
-		forwarded += got.Requests
-	}
-	r.mu.Unlock()
-
-	if m.Picker.Unroutable != 0 {
-		return nil, fmt.Errorf("%d requests found no serving backend — the fleet lost availability", m.Picker.Unroutable)
-	}
-	wantServing := len(h.backends)
-	if h.killed {
-		wantServing--
-		vi := h.victim.Load()
-		if vi < 0 {
-			return nil, fmt.Errorf("kill was armed but never fired before the run ended")
-		}
-		victim := m.Backends[vi]
-		if victim.State == "serving" {
-			return nil, fmt.Errorf("killed backend %s still marked serving", victim.Name)
-		}
-		if victim.Transitions == 0 {
-			return nil, fmt.Errorf("killed backend %s recorded no lifecycle transitions", victim.Name)
-		}
-	}
-	if m.Fleet.Serving != wantServing {
-		return nil, fmt.Errorf("%d backends serving after the run, want %d", m.Fleet.Serving, wantServing)
-	}
-	if m.Fleet.Reporting != wantServing {
-		return nil, fmt.Errorf("%d backends reported engine metrics, want %d", m.Fleet.Reporting, wantServing)
-	}
-
-	var attempts int64
-	for _, b := range m.Backends {
-		attempts += b.Requests
-	}
-	decisions := m.Picker.Primary + m.Picker.Fallback
-	// Every decision is one forwarding attempt on the sharded routes;
-	// job-affinity routes attempt without a picker decision, and
-	// retries decide again — so attempts ≥ decisions, and the decisions
-	// cover at least the completed sharded traffic.
-	if attempts < decisions {
-		return nil, fmt.Errorf("backends saw %d attempts but the picker decided %d times", attempts, decisions)
-	}
-	if decisions == 0 && forwarded > 0 {
-		return nil, fmt.Errorf("gateway forwarded %d requests with zero picker decisions", forwarded)
-	}
-	if h.killed && m.Picker.Fallback == 0 {
-		return nil, fmt.Errorf("backend killed but the picker never fell back off the dead owner")
-	}
-	if m.Fleet.Engine.Requests == 0 || m.Fleet.Engine.Draws == 0 {
-		return nil, fmt.Errorf("fleet engine aggregate is empty (%d requests, %d draws) after a full soak",
-			m.Fleet.Engine.Requests, m.Fleet.Engine.Draws)
-	}
-	return &m, nil
-}
-
-func decodeJSON(resp *http.Response, dst any) error {
-	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
-		return fmt.Errorf("undecodable gateway metrics: %w", err)
-	}
-	return nil
 }

@@ -1,327 +1,194 @@
-// Command fairrank-soak load-tests a fairrankd server by replaying
-// synthetic scenario corpora (internal/scenario) against it: concurrent
-// clients mixing the single and batch ranking endpoints, with optional
-// client-cancellation injection, recording latency percentiles and
-// throughput as JSON lines in the BENCH artifact format.
+// Command fairrank-soak runs the serving stack's end-to-end drills and
+// appends their numbers to a BENCH artifact. Each drill is one row of
+// the drills table below: the stack it starts, the traffic it sends,
+// the failure it injects, and the checks that must all pass before its
+// lines are written.
 //
-// Point it at a running server:
+//	go build -o fairrankd ./cmd/fairrankd
+//	fairrank-soak -drill all -fairrankd-bin ./fairrankd -out BENCH_pr.json
 //
-//	fairrank-soak -addr http://localhost:8080 -corpus soak -requests 2000 -concurrency 16
+// -drill names one drill or "all" (the default: every row, in order).
+// -fairrankd-bin is the binary the restart drill kills and restarts; a
+// run that includes that drill refuses to start without it. -out is the
+// file the lines are appended to ("-" for stdout). A failed check makes
+// the run exit nonzero, naming the drill and the check; the other
+// drills still run and write their lines.
 //
-// or let it spawn the serving stack in-process (no orchestration — the
-// CI smoke path):
+// The drills:
 //
-//	fairrank-soak -spawn -corpus smoke -requests 200 -out BENCH_pr.json
+//	sync         in-process server; /v1/rank with every 10th request a
+//	             /v1/rank/batch, 5% cancelled client-side mid-flight
+//	jobs         in-process server; async jobs submitted, polled to done,
+//	             verified, and 10% cancelled through DELETE
+//	restart      a fairrankd child on a durable temp job dir, SIGKILLed a
+//	             third of the way through a jobs run and restarted over
+//	             the same store
+//	topk         in-process server over pools of up to 5000 candidates,
+//	             60% of requests asking for a top-k prefix
+//	topk-pl      as topk, every request drawing Plackett–Luce noise
+//	fleet        the gateway over three in-process backends, the busiest
+//	             stopped a third of the way through
+//	noise-sweep  no server: the conformance degradation sweep, every
+//	             registry algorithm's fairness and quality as
+//	             attribute noise rises
 //
-// -mode jobs exercises the async job pipeline instead of the sync
-// endpoints: each logical request submits a batch job
-// (POST /v1/jobs/rank), polls GET /v1/jobs/{id} until it is done,
-// verifies every item, and verifies that deleting the finished job is
-// refused with 409 (results belong to the TTL sweeper, not DELETE) —
-// the recorded latency is the submit→results end-to-end time. With
-// -cancel, a fraction of jobs is cancelled via DELETE right after
-// submission and verified gone.
+// Every load drill sends the built-in corpus it names with 4 clients,
+// top_k 10, batches of 4 and base seed 1: request i carries seed 1+i, so
+// a drill is replayable. The route and draw-path checks compare the
+// server's GET /v1/metrics with the client's own ledger, which holds
+// only because each drill starts a server that serves nothing else.
 //
-// -restart-drill is the durability smoke: the serving stack runs as a
-// real child fairrankd process on a durable -job-dir, gets SIGKILL'd a
-// third of the way through the run, and is restarted over the same
-// store. The clients ride over the dead window on transport retries,
-// the restarted server must resume the interrupted jobs (its
-// /v1/metrics jobs.recovered counter is checked), and every job must
-// still finish with verified items — JobsRecovered in the summary
-// line records that the whole drill held. Requires -mode jobs and
-// -fairrankd-bin:
-//
-//	fairrank-soak -mode jobs -restart-drill -fairrankd-bin ./fairrankd \
-//	  -corpus smoke -requests 120 -out BENCH_pr.json
-//
-// -corpus accepts a built-in corpus name (see internal/scenario) or a
-// JSON corpus file, the same loader cmd/datagen uses. Requests are
-// deterministic: request i carries seed -seed+i, so a soak run is
-// replayable and two runs against correct servers rank identically.
-//
-// With -spawn the run ends with a reconciliation pass: the client's own
-// per-endpoint request counts are checked against the server's
-// GET /v1/metrics route counters, so the observability layer is load-
-// tested too, not just read.
-//
-// -fleet N soaks the fleet topology instead: N in-process fairrankd
-// backends behind an in-process fairrank-gateway, with the clients
-// pointed at the gateway. -kill-backend abruptly stops the busiest
-// backend a third of the way through the run; the gateway's
-// retry/failover must absorb the kill with zero client-visible
-// failures, and the run ends by reconciling the gateway's aggregated
-// /v1/metrics against the client's ledger (FleetReconciled in the
-// summary line):
-//
-//	fairrank-soak -fleet 3 -kill-backend -corpus smoke -requests 300 -out BENCH_pr.json
-//
-// -noise-sweep replaces load testing entirely: the conformance
-// degradation sweep (internal/conformance.RunNoiseSweep) runs
-// in-process over the loaded corpus, measuring every registry
-// algorithm's fairness and quality as attribute noise rises, and its
-// curves are appended as "noise-curve" lines plus one "noise-summary"
-// line. Any violation — including a noiseless anchor that is not
-// bit-identical to the uncorrupted base sweep — fails the run:
-//
-//	fairrank-soak -noise-sweep -corpus noise -noise-draws 40 -out BENCH_pr.json
-//
-// Output is appended to -out as one JSON object per line with
-// "Action": "soak" (one line per endpoint) and "Action": "soak-summary"
-// (one line per run), so the lines coexist with a `go test -json`
-// stream in the same BENCH file.
+// A load drill writes one "soak" line per endpoint and one
+// "soak-summary" line; the sweep writes one "noise-curve" line per
+// algorithm, scenario and noise level, and one "noise-summary" line.
+// Each line is one JSON object, so the lines coexist with a
+// `go test -json` stream in the same file.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	fairrank "repro"
+	"repro/internal/conformance"
+	"repro/internal/gateway"
 	"repro/internal/scenario"
 	"repro/internal/service"
-	"repro/internal/stats"
 )
+
+// The traffic every load drill shares.
+const (
+	clients     = 4
+	topK        = 10
+	batchSize   = 4
+	seed        = 1
+	cancelAfter = 2 * time.Millisecond // longest delay before an injected client cancel
+	fleetSize   = 3
+)
+
+// stack is what a drill runs its traffic against.
+type stack int
+
+const (
+	inProcess stack = iota // one in-process server
+	child                  // a fairrankd child process on a fresh temp job dir
+	fleet                  // the gateway over fleetSize in-process backends
+	sweep                  // no server: the conformance noise sweep
+)
+
+// injection is the failure a drill injects while its traffic runs.
+type injection int
+
+const (
+	none        injection = iota
+	killRestart           // SIGKILL the child at 1/3 once its store holds an unfinished job, then restart it
+	killBackend           // stop the busiest backend at 1/3
+)
+
+// traffic is what a drill sends.
+type traffic struct {
+	corpus     string  // built-in corpus (internal/scenario)
+	maxN       int     // drop specs with more candidates; 0 keeps all
+	requests   int     // logical requests; for the sweep, rankings drawn per point
+	jobs       bool    // submit async jobs of batchSize entries instead of sync requests
+	batchEvery int     // every k-th sync request goes to /v1/rank/batch; 0 sends none
+	cancel     float64 // fraction of requests cancelled by the client
+	fullPct    int     // percent of requests asking for the full ranking instead of top_k
+	noise      string  // noise override; "" takes the server default
+}
+
+// check is one gate of a drill, run on its outcome after the traffic.
+type check struct {
+	name string
+	fn   func(*outcome) error
+}
+
+type drill struct {
+	name    string
+	stack   stack
+	traffic traffic
+	inject  injection
+	checks  []check
+}
+
+// drills is the table the binary runs, in order.
+var drills = []drill{{
+	name:    "sync",
+	stack:   inProcess,
+	traffic: traffic{corpus: "smoke", requests: 300, batchEvery: 10, cancel: 0.05},
+	checks:  []check{zeroFailures, batchCompleted, routesReconcile, drawPathsReconcile},
+}, {
+	name:    "jobs",
+	stack:   inProcess,
+	traffic: traffic{corpus: "smoke", requests: 60, jobs: true, cancel: 0.1},
+	checks:  []check{zeroFailures, jobsVerified, routesReconcile, drawPathsReconcile},
+}, {
+	name:    "restart",
+	stack:   child,
+	traffic: traffic{corpus: "smoke", requests: 120, jobs: true},
+	inject:  killRestart,
+	checks:  []check{zeroFailures, restartFired, jobsRecovered},
+}, {
+	name:    "topk",
+	stack:   inProcess,
+	traffic: traffic{corpus: "topk", maxN: 5000, requests: 120, batchEvery: 10, fullPct: 40},
+	checks:  []check{zeroFailures, routesReconcile, drawPathsReconcile},
+}, {
+	name:    "topk-pl",
+	stack:   inProcess,
+	traffic: traffic{corpus: "topk", maxN: 5000, requests: 120, batchEvery: 10, fullPct: 40, noise: "plackett-luce"},
+	checks:  []check{zeroFailures, routesReconcile, drawPathsReconcile, truncatedOn("plackett-luce")},
+}, {
+	name:    "fleet",
+	stack:   fleet,
+	traffic: traffic{corpus: "smoke", requests: 300, batchEvery: 10},
+	inject:  killBackend,
+	checks:  []check{zeroFailures, routesReconcile, noUnroutable, victimDemoted, fallbackFired, fleetEngineReports},
+}, {
+	name:    "noise-sweep",
+	stack:   sweep,
+	traffic: traffic{corpus: "noise", requests: 40},
+	checks:  []check{noViolations, zeroNoiseIdentity, threeFlipLevels},
+}}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fairrank-soak: ")
-	addr := flag.String("addr", "http://localhost:8080", "base URL of the fairrankd server under test")
-	spawn := flag.Bool("spawn", false, "serve in-process instead of targeting -addr (self-contained smoke runs)")
-	fleet := flag.Int("fleet", 0, "spawn an in-process gateway over this many fairrankd backends and soak through it (overrides -addr; exclusive with -spawn)")
-	killBackend := flag.Bool("kill-backend", false, "with -fleet, abruptly kill the busiest backend a third of the way through the run (failover injection; -mode sync only)")
-	corpus := flag.String("corpus", "soak", "built-in corpus name or JSON corpus file (shared with datagen); see internal/scenario")
-	mode := flag.String("mode", "sync", `"sync" replays /v1/rank(+batch); "jobs" submits async jobs and polls them to completion`)
-	requests := flag.Int("requests", 200, "total requests to send")
-	duration := flag.Duration("duration", 0, "if > 0, keep sending until this much time has passed (overrides -requests)")
-	concurrency := flag.Int("concurrency", 8, "concurrent client goroutines")
-	algorithms := flag.String("algorithms", string(service.Catalog().Defaults.Algorithm), "comma-separated algorithms to rotate through")
-	noise := flag.String("noise", "", "noise mechanism to request (empty uses the server default; algorithms that pin their own mechanism ignore it)")
-	topK := flag.Int("topk", 10, "top_k per request (bounds response size on large pools); 0 requests full rankings")
-	topkFrac := flag.Float64("topk-frac", 1, "fraction of requests carrying -topk; the rest request full rankings, so a mixed run exercises both draw paths")
-	batchEvery := flag.Int("batch-every", 10, "every k-th request goes to /v1/rank/batch (0 disables batches)")
-	batchSize := flag.Int("batch-size", 4, "entries per batch request")
-	restartDrill := flag.Bool("restart-drill", false, "spawn fairrankd as a child process on a durable job dir, SIGKILL it a third of the way through the run, restart it over the same store, and require the resumed jobs to finish (needs -mode jobs and -fairrankd-bin)")
-	fairrankdBin := flag.String("fairrankd-bin", "", "path to the fairrankd binary -restart-drill spawns")
-	jobDir := flag.String("job-dir", "", "durable job directory for -restart-drill (default: a fresh temp dir, removed afterwards)")
-	cancelFrac := flag.Float64("cancel", 0, "fraction of requests cancelled client-side mid-flight (injection)")
-	cancelAfter := flag.Duration("cancel-after", 2*time.Millisecond, "cancellation delay for injected cancels")
-	maxN := flag.Int("max-n", 0, "skip corpus specs with more than this many candidates (0 = no cap)")
-	noiseSweep := flag.Bool("noise-sweep", false, "run the conformance degradation sweep in-process instead of load-testing: per-algorithm fairness/quality curves over the attribute-noise grid, appended as \"noise-curve\" lines (pair with -corpus noise)")
-	noiseDraws := flag.Int("noise-draws", 60, "rankings sampled per sweep point in -noise-sweep mode")
-	seed := flag.Int64("seed", 1, "base seed; request i carries seed+i")
+	var names []string
+	for _, d := range drills {
+		names = append(names, d.name)
+	}
+	name := flag.String("drill", "all", "drill to run: "+strings.Join(names, ", ")+`, or "all"`)
+	bin := flag.String("fairrankd-bin", "", "fairrankd binary the restart drill kills and restarts")
 	out := flag.String("out", "-", `append JSON lines here ("-" for stdout)`)
 	flag.Parse()
 
-	specs, err := scenario.LoadCorpus(*corpus)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *maxN > 0 {
-		kept := specs[:0]
-		for _, s := range specs {
-			if s.N <= *maxN {
-				kept = append(kept, s)
+	selected := drills
+	if *name != "all" {
+		selected = nil
+		for _, d := range drills {
+			if d.name == *name {
+				selected = []drill{d}
 			}
 		}
-		specs = kept
-	}
-	if len(specs) == 0 {
-		log.Fatalf("corpus %q has no usable specs", *corpus)
-	}
-	if *noiseSweep {
-		if *noiseDraws < 1 {
-			log.Fatalf("-noise-draws = %d, want ≥ 1", *noiseDraws)
-		}
-		w := io.Writer(os.Stdout)
-		if *out != "-" {
-			f, err := os.OpenFile(*out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := runNoiseSweepMode(w, specs, *corpus, *noiseDraws, *seed); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("noise sweep held: every curve's noiseless anchor is bit-identical to the uncorrupted base sweep")
-		return
-	}
-	if *concurrency < 1 || *requests < 1 || *batchSize < 1 {
-		log.Fatalf("-concurrency, -requests, and -batch-size must be ≥ 1")
-	}
-	if *cancelFrac < 0 || *cancelFrac > 1 {
-		log.Fatalf("-cancel = %v, want within [0, 1]", *cancelFrac)
-	}
-	if *topkFrac < 0 || *topkFrac > 1 {
-		log.Fatalf("-topk-frac = %v, want within [0, 1]", *topkFrac)
-	}
-	if *cancelAfter < 0 {
-		log.Fatalf("-cancel-after = %v, want ≥ 0", *cancelAfter)
-	}
-	if *mode != "sync" && *mode != "jobs" {
-		log.Fatalf(`-mode = %q, want "sync" or "jobs"`, *mode)
-	}
-	if *fleet < 0 {
-		log.Fatalf("-fleet = %d, want ≥ 0", *fleet)
-	}
-	if *fleet > 0 && *spawn {
-		log.Fatalf("-fleet and -spawn are exclusive: -fleet spawns its own backends")
-	}
-	if *killBackend && *fleet < 2 {
-		log.Fatalf("-kill-backend needs -fleet ≥ 2: a one-backend fleet has nothing to fail over to")
-	}
-	if *killBackend && *mode != "sync" {
-		log.Fatalf("-kill-backend requires -mode sync: a killed backend loses the jobs it holds, so job polls fail by design")
-	}
-	if *restartDrill {
-		if *mode != "jobs" {
-			log.Fatalf("-restart-drill requires -mode jobs: only the async pipeline has durable state to recover")
-		}
-		if *fairrankdBin == "" {
-			log.Fatalf("-restart-drill needs -fairrankd-bin: the drill kills and restarts a real process")
-		}
-		if *spawn || *fleet > 0 {
-			log.Fatalf("-restart-drill is exclusive with -spawn and -fleet: it spawns its own fairrankd child")
+		if selected == nil {
+			log.Fatalf("-drill %q: want one of %s, or all", *name, strings.Join(names, ", "))
 		}
 	}
-
-	// Finished jobs stay stored until the TTL sweep (DELETE on a done
-	// job is a 409), so a jobs-mode run must size the store for its own
-	// job count — every logical request leaves one finished record.
-	svcCfg := service.Config{}
-	if *mode == "jobs" {
-		if *duration > 0 {
-			svcCfg.MaxJobs = 1 << 16
-			svcCfg.JobTTL = 5 * time.Second // open-ended runs recycle instead
-		} else {
-			svcCfg.MaxJobs = *requests + *concurrency + 16
+	for _, d := range selected {
+		if d.stack == child && *bin == "" {
+			log.Fatalf("drill %s needs -fairrankd-bin: it kills and restarts a real fairrankd process", d.name)
 		}
 	}
-
-	base := *addr
-	if *spawn {
-		srv := httptest.NewServer(service.NewHandler(service.New(svcCfg)))
-		defer srv.Close()
-		base = srv.URL
-		log.Printf("spawned in-process server at %s", base)
-	}
-	var fh *fleetHarness
-	if *fleet > 0 {
-		var err error
-		fh, err = startFleetHarness(*fleet, svcCfg)
-		if err != nil {
-			log.Fatalf("fleet spawn: %v", err)
-		}
-		defer fh.Close()
-		base = fh.URL()
-		log.Printf("spawned in-process fleet: gateway at %s over %d backends", base, *fleet)
-	}
-	var ph *procHarness
-	if *restartDrill {
-		dir := *jobDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "fairrank-soak-jobs-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		var err error
-		ph, err = startProcHarness(*fairrankdBin, dir, svcCfg.MaxJobs)
-		if err != nil {
-			log.Fatalf("drill spawn: %v", err)
-		}
-		defer ph.Close()
-		base = ph.URL()
-		log.Printf("spawned fairrankd child (pid %d) at %s with durable jobs in %s", ph.pid(), base, dir)
-	}
-
-	targets, err := buildTargets(specs, strings.Split(*algorithms, ","), *noise, *topK)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run := &soakRun{
-		base:        base,
-		mode:        *mode,
-		client:      &http.Client{Timeout: 5 * time.Minute},
-		targets:     targets,
-		batchEvery:  *batchEvery,
-		batchSize:   *batchSize,
-		cancelFrac:  *cancelFrac,
-		cancelAfter: *cancelAfter,
-		topkFrac:    *topkFrac,
-		seed:        *seed,
-		counts:      map[string]*routeCount{},
-		// The drill's dead window (kill → restarted and healthy) surfaces
-		// as transport errors; the clients bridge it by retrying.
-		retryTransport: *restartDrill,
-	}
-	log.Printf("replaying corpus %q (%d specs) against %s in %s mode: %d workers",
-		*corpus, len(specs), base, *mode, *concurrency)
-	if *killBackend {
-		fh.scheduleKill(run.progress, *requests)
-	}
-	if *restartDrill {
-		ph.scheduleKillRestart(run.progress, *requests)
-	}
-	summary := run.execute(*concurrency, *requests, *duration)
-	if ph != nil {
-		// The drill must have proved something: the kill fired, the
-		// restarted server resumed interrupted jobs from the WAL, and
-		// (checked above through run.execute) every job still finished
-		// with verified items.
-		recovered, err := ph.verifyRecovery(run.client)
-		if err != nil {
-			log.Fatalf("restart drill: %v", err)
-		}
-		summary.JobsRecovered = true
-		log.Printf("restart drill held: SIGKILL mid-run, %d jobs resumed from the WAL, zero client-visible failures", recovered)
-	}
-	if fh != nil {
-		// The gateway's aggregated fleet metrics must reconcile with the
-		// client's ledger — including across the injected backend kill.
-		if _, err := fh.reconcileFleet(run); err != nil {
-			log.Fatalf("fleet reconciliation: %v", err)
-		}
-		summary.FleetReconciled = true
-		log.Printf("gateway fleet metrics reconcile with the client's request counts")
-	}
-	if *spawn {
-		// An exclusive in-process server lets the client hold the
-		// observability layer to account: every request the client
-		// completed must appear in the server's own route counters.
-		m, err := run.reconcileMetrics()
-		if err != nil {
-			log.Fatalf("metrics reconciliation: %v", err)
-		}
-		summary.MetricsReconciled = true
-		log.Printf("server /v1/metrics route counters reconcile with the client's request counts")
-		// Same pact one layer down: the engine's draw-path split must
-		// reconcile with the draws the client's requests imply.
-		if err := run.reconcileDrawPaths(m); err != nil {
-			log.Fatalf("draw-path reconciliation: %v", err)
-		}
-		summary.DrawPathReconciled = true
-		summary.TruncatedByNoise = m.Engine.DrawsTruncatedByNoise
-		log.Printf("engine draw-path counters reconcile: %d full + %d truncated draws (per axis: %v)",
-			m.Engine.DrawsFull, m.Engine.DrawsTruncated, m.Engine.DrawsTruncatedByNoise)
-	}
-
 	w := io.Writer(os.Stdout)
 	if *out != "-" {
 		f, err := os.OpenFile(*out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -331,741 +198,309 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := run.report(w, *corpus, summary); err != nil {
-		log.Fatal(err)
+
+	enc := json.NewEncoder(w)
+	failed := 0
+	for _, d := range selected {
+		start := time.Now()
+		if err := d.run(*bin, enc); err != nil {
+			log.Printf("drill %s FAILED: %v", d.name, err)
+			failed++
+			continue
+		}
+		log.Printf("drill %s passed in %.2fs", d.name, time.Since(start).Seconds())
 	}
-	if summary.Failures > 0 {
-		log.Fatalf("%d requests failed (excluding the %d injected cancellations)", summary.Failures, summary.Cancelled)
+	if failed > 0 {
+		log.Printf("%d of %d drills failed", failed, len(selected))
+		os.Exit(1)
 	}
-	log.Printf("%d requests in %.2fs (%.1f req/s), %d injected cancellations, 0 failures",
-		summary.Requests, summary.WallSeconds, summary.ThroughputRPS, summary.Cancelled)
 }
 
-// target is one pre-encoded (spec, algorithm) request template: the
-// candidates are marshaled once per spec, so the load generator's own
-// JSON encoding cost stays off the measured hot path as far as possible.
-// drawsPerItem and truncNoise come from the fairrank registry and the
-// serving defaults — how many engine draws one ranked item implies and,
-// when the resolved noise mechanism has a truncated top-k draw path,
-// its name — so the client can predict the server's per-noise draw-path
-// counters without hardcoding per-algorithm knowledge.
-type target struct {
-	spec         scenario.Spec
-	algorithm    string
-	noise        string // per-request noise override ("" = server default)
-	candidates   json.RawMessage
-	topK         int
-	drawsPerItem int64
-	truncNoise   string // resolved noise name when its draw path truncates, else ""
+// outcome is what a drill's checks read: the client's ledger and the
+// server's metrics after the traffic, or the sweep's report.
+type outcome struct {
+	run     *soakRun
+	sum     Summary
+	served  map[string]int64 // the server's (or gateway's) route counters
+	metrics *service.MetricsResponse
+	gw      *gateway.MetricsResponse
+	fleet   *fleetHarness
+	proc    *procHarness
+	sweep   *conformance.NoiseReport
 }
 
-// wireRequest mirrors service.RankRequest with pre-encoded candidates.
-type wireRequest struct {
-	Candidates json.RawMessage `json:"candidates"`
-	Algorithm  string          `json:"algorithm,omitempty"`
-	Noise      string          `json:"noise,omitempty"`
-	TopK       *int            `json:"top_k,omitempty"`
-	Seed       int64           `json:"seed"`
-}
-
-type wireBatch struct {
-	Requests []wireRequest `json:"requests"`
-}
-
-func buildTargets(specs []scenario.Spec, algorithms []string, noiseOverride string, topK int) ([]target, error) {
-	defaults := service.Catalog().Defaults
-	if noiseOverride != "" {
-		if _, ok := fairrank.LookupNoise(noiseOverride); !ok {
-			return nil, fmt.Errorf("-noise %q is not a registered mechanism", noiseOverride)
-		}
+// run starts the drill's stack, sends its traffic with its injection
+// armed, and runs its checks. It writes the drill's lines only when
+// every check passed.
+func (d drill) run(bin string, enc *json.Encoder) error {
+	specs, err := scenario.LoadCorpus(d.traffic.corpus)
+	if err != nil {
+		return err
 	}
-	var out []target
-	for _, spec := range specs {
-		pool, err := spec.Generate()
-		if err != nil {
-			return nil, err
-		}
-		cands := make([]service.Candidate, len(pool))
-		for i, c := range pool {
-			cands[i] = service.Candidate{ID: c.ID, Score: c.Score, Group: c.Group, Attrs: c.Attrs}
-		}
-		raw, err := json.Marshal(cands)
-		if err != nil {
-			return nil, err
-		}
-		for _, algo := range algorithms {
-			algo = strings.TrimSpace(algo)
-			if algo == "" {
-				continue
+	if d.traffic.maxN > 0 {
+		kept := specs[:0]
+		for _, s := range specs {
+			if s.N <= d.traffic.maxN {
+				kept = append(kept, s)
 			}
-			tgt := target{spec: spec, algorithm: algo, noise: noiseOverride, candidates: raw, topK: topK}
-			// Registry-driven draw accounting: strategy algorithms draw
-			// nothing, single-sample mechanisms draw once, best-of
-			// mechanisms draw the serving default Samples per item. The
-			// noise resolves like the server does: a pinned mechanism
-			// wins, then the request override, then the serving default;
-			// its registry entry says whether top-k draws truncate.
-			if info, ok := fairrank.LookupAlgorithm(algo); ok && info.Sampling {
-				tgt.drawsPerItem = 1
-				if info.BestOf {
-					tgt.drawsPerItem = int64(defaults.Samples)
-				}
-				noise := string(info.Noise)
-				if noise == "" {
-					noise = noiseOverride
-				}
-				if noise == "" {
-					noise = defaults.Noise
-				}
-				if ni, ok := fairrank.LookupNoise(noise); ok && ni.Truncated {
-					tgt.truncNoise = noise
-				}
-			}
-			out = append(out, tgt)
 		}
+		specs = kept
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no (spec, algorithm) targets — empty -algorithms?")
-	}
-	return out, nil
-}
-
-// sample is one measured request. drawsFull/drawsTrunc are the engine
-// draws the request implies per path if it completes — the client's
-// side of the draw-path ledger (a cancelled or failed request may have
-// contributed anywhere from zero up to that many); truncNoise names the
-// noise axis the truncated draws ran on.
-type sample struct {
-	endpoint   string
-	latency    time.Duration
-	cancelled  bool
-	failure    string // empty on success
-	drawsFull  int64
-	drawsTrunc int64
-	truncNoise string // noise axis of drawsTrunc, "" when drawsTrunc == 0
-}
-
-// routeCount is the client's own ledger for one server route pattern:
-// how many requests it sent and how many round-trips it completed
-// (read a full response, whatever the status). The server's
-// /v1/metrics requests counter for the route must land in
-// [completed, attempts] — below means lost counts, above phantom ones.
-type routeCount struct {
-	attempts  int64
-	completed int64
-}
-
-type soakRun struct {
-	base        string
-	mode        string
-	client      *http.Client
-	targets     []target
-	batchEvery  int
-	batchSize   int
-	cancelFrac  float64
-	cancelAfter time.Duration
-	topkFrac    float64
-	seed        int64
-	// retryTransport makes jobCall retry transport-level failures —
-	// the restart drill's dead window between SIGKILL and the restarted
-	// server passing its health check.
-	retryTransport bool
-
-	mu      sync.Mutex
-	samples []sample
-	counts  map[string]*routeCount // by server route pattern
-}
-
-// Summary is the run-level soak result, serialized as the
-// "soak-summary" line.
-type Summary struct {
-	Action        string  `json:"Action"`
-	Corpus        string  `json:"Corpus"`
-	Mode          string  `json:"Mode"`
-	Target        string  `json:"Target"`
-	Workers       int     `json:"Workers"`
-	Requests      int     `json:"Requests"`
-	Cancelled     int     `json:"Cancelled"`
-	Failures      int     `json:"Failures"`
-	WallSeconds   float64 `json:"WallSeconds"`
-	ThroughputRPS float64 `json:"ThroughputRPS"`
-	// MetricsReconciled reports that the server's /v1/metrics route
-	// counters were checked against the client's ledger (spawned runs
-	// only; a mismatch fails the run before this line is written).
-	MetricsReconciled bool `json:"MetricsReconciled"`
-	// DrawPathReconciled reports that the engine's full/truncated
-	// draw-path split landed inside the bounds implied by the client's
-	// per-request draw ledger (spawned runs only).
-	DrawPathReconciled bool `json:"DrawPathReconciled"`
-	// TruncatedByNoise echoes the server's per-noise truncated-draw
-	// counters after they reconciled with the client's ledger, so a CI
-	// gate can assert that a given noise axis actually exercised its
-	// truncated path (spawned runs only; omitted when no draw
-	// truncated).
-	TruncatedByNoise map[string]int64 `json:"TruncatedByNoise,omitempty"`
-	// FleetReconciled reports that the gateway's aggregated /v1/metrics
-	// — route counters, picker decisions, backend lifecycle states, and
-	// the fleet engine view — reconciled with the client's ledger
-	// (-fleet runs only; a mismatch fails the run before this line is
-	// written). In a -kill-backend run this includes the killed backend
-	// being demoted and the fallback path having fired.
-	FleetReconciled bool `json:"FleetReconciled"`
-	// JobsRecovered reports that the -restart-drill held end to end:
-	// fairrankd was SIGKILL'd mid-run, the restarted process resumed
-	// interrupted jobs from the durable store (jobs.recovered > 0 on its
-	// /v1/metrics), and every job still finished with verified items. A
-	// failed drill aborts the run before this line is written.
-	JobsRecovered bool `json:"JobsRecovered"`
-}
-
-// EndpointReport is the per-endpoint soak result, serialized as one
-// "soak" line each.
-type EndpointReport struct {
-	Action       string  `json:"Action"`
-	Corpus       string  `json:"Corpus"`
-	Endpoint     string  `json:"Endpoint"`
-	Requests     int     `json:"Requests"`
-	Cancelled    int     `json:"Cancelled"`
-	Failures     int     `json:"Failures"`
-	LatencyMsP50 float64 `json:"LatencyMsP50"`
-	LatencyMsP90 float64 `json:"LatencyMsP90"`
-	LatencyMsP99 float64 `json:"LatencyMsP99"`
-	LatencyMsMax float64 `json:"LatencyMsMax"`
-}
-
-func (r *soakRun) execute(workers, requests int, duration time.Duration) Summary {
-	var next atomic.Int64
-	deadline := time.Time{}
-	if duration > 0 {
-		deadline = time.Now().Add(duration)
-		requests = int(^uint(0) >> 1) // duration decides, not the count
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(r.seed + int64(w)*7919))
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= requests || (!deadline.IsZero() && time.Now().After(deadline)) {
-					return
-				}
-				r.record(r.send(i, rng))
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	sum := Summary{Action: "soak-summary", Mode: r.mode, Target: r.base, Workers: workers}
-	for _, s := range r.samples {
-		sum.Requests++
-		if s.cancelled {
-			sum.Cancelled++
-		} else if s.failure != "" {
-			sum.Failures++
-			log.Printf("failure on %s: %s", s.endpoint, s.failure)
+	o := &outcome{}
+	var lines []any
+	if d.stack == sweep {
+		o.sweep, err = conformance.RunNoiseSweep(context.Background(), conformance.Config{
+			Draws: d.traffic.requests, Seed: seed, Scenarios: specs,
+		}, nil)
+		if err == nil {
+			log.Print(o.sweep.Summary())
+			lines = sweepLines(d, o.sweep)
 		}
-	}
-	sum.WallSeconds = wall.Seconds()
-	if wall > 0 {
-		sum.ThroughputRPS = float64(sum.Requests) / wall.Seconds()
-	}
-	return sum
-}
-
-func (r *soakRun) record(s sample) {
-	r.mu.Lock()
-	r.samples = append(r.samples, s)
-	r.mu.Unlock()
-}
-
-// progress reports how many requests have completed so far — the
-// fleet harness's trigger for the mid-run backend kill.
-func (r *soakRun) progress() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// countAttempt/countDone maintain the per-route reconciliation ledger.
-func (r *soakRun) countAttempt(route string) {
-	r.mu.Lock()
-	c := r.counts[route]
-	if c == nil {
-		c = &routeCount{}
-		r.counts[route] = c
-	}
-	c.attempts++
-	r.mu.Unlock()
-}
-
-func (r *soakRun) countDone(route string) {
-	r.mu.Lock()
-	r.counts[route].completed++
-	r.mu.Unlock()
-}
-
-// pickTopK decides whether logical request i carries the TopK cap: an
-// i-based slice (not an RNG roll), so the topk/full mix of a run is
-// deterministic and the client can bound the server's draw-path
-// counters exactly.
-func (r *soakRun) pickTopK(tgt target, i int) int {
-	if tgt.topK <= 0 {
-		return 0
-	}
-	if i%100 < int(r.topkFrac*100+0.5) {
-		return tgt.topK
-	}
-	return 0
-}
-
-// send issues request i in the run's mode and stamps the sample with
-// the draws it implies, split by path: the engine truncates exactly
-// when the resolved noise has a truncated sampler and runs under a
-// true prefix (k < n — the server clamps k ≥ n to a full ranking).
-func (r *soakRun) send(i int, rng *rand.Rand) sample {
-	tgt := r.targets[i%len(r.targets)]
-	k := r.pickTopK(tgt, i)
-	var s sample
-	items := 1
-	if r.mode == "jobs" {
-		items = r.batchSize
-		s = r.sendJob(i, rng, tgt, k)
 	} else {
-		if r.batchEvery > 0 && i%r.batchEvery == r.batchEvery-1 {
-			items = r.batchSize
-		}
-		s = r.sendSync(i, rng, tgt, k)
+		lines, err = d.load(specs, bin, o)
 	}
-	draws := int64(items) * tgt.drawsPerItem
-	if tgt.truncNoise != "" && k > 0 && k < tgt.spec.N {
-		s.drawsTrunc = draws
-		s.truncNoise = tgt.truncNoise
-	} else {
-		s.drawsFull = draws
-	}
-	return s
-}
-
-// sendSync issues request i: a batch when i hits the batch cadence, a
-// single rank otherwise, optionally with an injected client-side
-// cancellation.
-func (r *soakRun) sendSync(i int, rng *rand.Rand, tgt target, k int) sample {
-	endpoint, body := "/v1/rank", r.singleBody(tgt, i, k)
-	isBatch := r.batchEvery > 0 && i%r.batchEvery == r.batchEvery-1
-	if isBatch {
-		endpoint, body = "/v1/rank/batch", r.batchBody(tgt, i, k)
-	}
-	route := http.MethodPost + " " + endpoint
-	ctx := context.Background()
-	injected := r.cancelFrac > 0 && rng.Float64() < r.cancelFrac
-	if injected {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Int63n(int64(r.cancelAfter)+1)))
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+endpoint, bytes.NewReader(body))
 	if err != nil {
-		return sample{endpoint: endpoint, failure: err.Error()}
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	r.countAttempt(route)
-	start := time.Now()
-	resp, err := r.client.Do(req)
-	latency := time.Since(start)
-	if err != nil {
-		if injected && ctx.Err() != nil {
-			return sample{endpoint: endpoint, latency: latency, cancelled: true}
-		}
-		return sample{endpoint: endpoint, latency: latency, failure: err.Error()}
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if injected && ctx.Err() != nil {
-			return sample{endpoint: endpoint, latency: latency, cancelled: true}
-		}
-		return sample{endpoint: endpoint, latency: latency, failure: err.Error()}
-	}
-	r.countDone(route)
-	if injected && (resp.StatusCode == 499 || ctx.Err() != nil) {
-		return sample{endpoint: endpoint, latency: latency, cancelled: true}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return sample{endpoint: endpoint, latency: latency, failure: fmt.Sprintf("status %d: %s", resp.StatusCode, truncate(payload))}
-	}
-	if msg := checkPayload(isBatch, payload, tgt, k, r.batchSize); msg != "" {
-		return sample{endpoint: endpoint, latency: latency, failure: msg}
-	}
-	return sample{endpoint: endpoint, latency: latency}
-}
-
-// jobCall is one counted round-trip of the job lifecycle (no
-// cancellation injection on the control-plane calls — jobs mode
-// exercises cancellation through DELETE instead). Under retryTransport
-// a transport-level failure is retried for up to ~10s: the restart
-// drill's dead window must read as latency, not as failures. Retrying
-// the submit POST can double-submit a job the dying server already
-// persisted; the orphan is resumed and finishes on its own, and the
-// client simply tracks the job its retried submit returned.
-func (r *soakRun) jobCall(method, path, route string, body []byte) (int, []byte, error) {
-	status, payload, err := r.jobCallOnce(method, path, route, body)
-	if err == nil || !r.retryTransport {
-		return status, payload, err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-		if status, payload, err = r.jobCallOnce(method, path, route, body); err == nil {
-			return status, payload, nil
+	for _, c := range d.checks {
+		if err := c.fn(o); err != nil {
+			return fmt.Errorf("check %q: %w", c.name, err)
 		}
 	}
-	return 0, nil, fmt.Errorf("no recovery within the retry budget: %w", err)
-}
-
-func (r *soakRun) jobCallOnce(method, path, route string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, r.base+path, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	r.countAttempt(route)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	r.countDone(route)
-	return resp.StatusCode, payload, nil
-}
-
-// sendJob drives one full async-job lifecycle: submit the batch, poll
-// until done, verify every item, delete the job. The recorded latency
-// is submit→results end to end. A cancelFrac roll instead cancels the
-// job right after submission and verifies it is gone.
-func (r *soakRun) sendJob(i int, rng *rand.Rand, tgt target, k int) sample {
-	const endpoint = "/v1/jobs/rank"
-	start := time.Now()
-	status, payload, err := r.jobCall(http.MethodPost, endpoint, "POST /v1/jobs/rank", r.batchBody(tgt, i, k))
-	if err != nil {
-		return sample{endpoint: endpoint, latency: time.Since(start), failure: err.Error()}
-	}
-	if status != http.StatusAccepted {
-		return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("submit status %d: %s", status, truncate(payload))}
-	}
-	var sub service.JobSubmitResponse
-	if err := json.Unmarshal(payload, &sub); err != nil {
-		return sample{endpoint: endpoint, latency: time.Since(start), failure: "undecodable submit response: " + err.Error()}
-	}
-	if sub.ID == "" || sub.Total != r.batchSize {
-		return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("submit response %s: id %q, total %d want %d", truncate(payload), sub.ID, sub.Total, r.batchSize)}
-	}
-	jobPath := "/v1/jobs/" + sub.ID
-
-	if r.cancelFrac > 0 && rng.Float64() < r.cancelFrac {
-		if status, payload, err = r.jobCall(http.MethodDelete, jobPath, "DELETE /v1/jobs/{id}", nil); err != nil {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: err.Error()}
-		}
-		switch status {
-		case http.StatusNoContent:
-			if status, payload, err = r.jobCall(http.MethodGet, jobPath, "GET /v1/jobs/{id}", nil); err != nil {
-				return sample{endpoint: endpoint, latency: time.Since(start), failure: err.Error()}
-			}
-			if status != http.StatusNotFound {
-				return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("cancelled job still pollable: status %d: %s", status, truncate(payload))}
-			}
-			return sample{endpoint: endpoint, latency: time.Since(start), cancelled: true}
-		case http.StatusConflict:
-			// The job outran the cancel and already finished; its result
-			// is immutable now. Verify it like an uncancelled job.
-		default:
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("cancel status %d: %s", status, truncate(payload))}
-		}
-	}
-
-	// Poll until terminal; the job layer owes progress monotonicity but
-	// no latency bound beyond the corpus item cost, so the budget is
-	// generous and the cadence short.
-	deadline := time.Now().Add(2 * time.Minute)
-	var st service.JobStatusResponse
-	for {
-		if time.Now().After(deadline) {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("job %s not done after 2m (last state %q, %d/%d)", sub.ID, st.State, st.Completed, st.Total)}
-		}
-		if status, payload, err = r.jobCall(http.MethodGet, jobPath, "GET /v1/jobs/{id}", nil); err != nil {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: err.Error()}
-		}
-		if status != http.StatusOK {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("poll status %d: %s", status, truncate(payload))}
-		}
-		if err := json.Unmarshal(payload, &st); err != nil {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: "undecodable status: " + err.Error()}
-		}
-		if st.Completed < 0 || st.Completed > st.Total {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: fmt.Sprintf("progress out of range: %d/%d", st.Completed, st.Total)}
-		}
-		if st.State == service.JobStateDone {
-			break
-		}
-		if st.State == service.JobStateCancelled {
-			return sample{endpoint: endpoint, latency: time.Since(start), failure: "job cancelled without a client cancel"}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	latency := time.Since(start)
-	if msg := checkJobItems(&st, tgt, k, r.batchSize); msg != "" {
-		return sample{endpoint: endpoint, latency: latency, failure: msg}
-	}
-	// A finished job is not deletable — eviction belongs to the TTL
-	// sweeper. The soak pins the 409 on every job, so a regression to
-	// the old silently-deleting behavior fails the run.
-	if status, payload, err = r.jobCall(http.MethodDelete, jobPath, "DELETE /v1/jobs/{id}", nil); err != nil {
-		return sample{endpoint: endpoint, latency: latency, failure: err.Error()}
-	}
-	if status != http.StatusConflict {
-		return sample{endpoint: endpoint, latency: latency, failure: fmt.Sprintf("delete of a finished job answered %d, want 409: %s", status, truncate(payload))}
-	}
-	return sample{endpoint: endpoint, latency: latency}
-}
-
-// checkJobItems sanity-checks a done job's results: zero dropped items,
-// zero item errors, full rankings.
-func checkJobItems(st *service.JobStatusResponse, tgt target, k, batchSize int) string {
-	wantLen := tgt.spec.N
-	if k > 0 && k < wantLen {
-		wantLen = k
-	}
-	if len(st.Items) != batchSize || st.Completed != batchSize {
-		return fmt.Sprintf("job returned %d items (%d completed), want %d", len(st.Items), st.Completed, batchSize)
-	}
-	if st.Failed != 0 {
-		return fmt.Sprintf("job reported %d failed items", st.Failed)
-	}
-	for i, item := range st.Items {
-		if item.Error != "" {
-			return fmt.Sprintf("item %d error: %s", i, item.Error)
-		}
-		if item.Response == nil || len(item.Response.Ranking) != wantLen {
-			got := -1
-			if item.Response != nil {
-				got = len(item.Response.Ranking)
-			}
-			return fmt.Sprintf("item %d ranked %d candidates, want %d", i, got, wantLen)
-		}
-	}
-	return ""
-}
-
-// reconcileMetrics fetches the server's /v1/metrics and checks every
-// route the client used against its own ledger: the server's requests
-// counter must land in [completed, attempts]. The decoded snapshot is
-// returned for further reconciliation passes.
-func (r *soakRun) reconcileMetrics() (*service.MetricsResponse, error) {
-	resp, err := r.client.Get(r.base + "/v1/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /v1/metrics: status %d", resp.StatusCode)
-	}
-	var m service.MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("undecodable metrics: %v", err)
-	}
-	byRoute := map[string]service.RouteMetrics{}
-	for _, rt := range m.Routes {
-		byRoute[rt.Route] = rt
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for route, c := range r.counts {
-		got, ok := byRoute[route]
-		if !ok {
-			return nil, fmt.Errorf("route %q missing from /v1/metrics", route)
-		}
-		if got.Requests < c.completed || got.Requests > c.attempts {
-			return nil, fmt.Errorf("route %q: server counted %d requests, client ledger wants [%d, %d]",
-				route, got.Requests, c.completed, c.attempts)
-		}
-	}
-	return &m, nil
-}
-
-// reconcileDrawPaths holds the engine's draw-path counters to account:
-// per path, completed requests give the floor and attempted requests
-// the ceiling (a cancelled or failed request contributes between zero
-// and all of its draws, but never draws on the other path), and the
-// split must sum to the total. The truncated side is additionally held
-// per noise axis: each DrawsTruncatedByNoise counter must land inside
-// the ledger's bounds for that mechanism, and the axes must sum to
-// DrawsTruncated. Valid against an exclusive in-process server whose
-// ranker cache saw no eviction — both are true of spawned smoke runs.
-func (r *soakRun) reconcileDrawPaths(m *service.MetricsResponse) error {
-	var okFull, attFull, okTrunc, attTrunc int64
-	okTruncBy := map[string]int64{}
-	attTruncBy := map[string]int64{}
-	r.mu.Lock()
-	for _, s := range r.samples {
-		attFull += s.drawsFull
-		attTrunc += s.drawsTrunc
-		if s.drawsTrunc > 0 {
-			attTruncBy[s.truncNoise] += s.drawsTrunc
-		}
-		if !s.cancelled && s.failure == "" {
-			okFull += s.drawsFull
-			okTrunc += s.drawsTrunc
-			if s.drawsTrunc > 0 {
-				okTruncBy[s.truncNoise] += s.drawsTrunc
-			}
-		}
-	}
-	r.mu.Unlock()
-	e := m.Engine
-	if e.DrawsFull+e.DrawsTruncated != e.Draws {
-		return fmt.Errorf("draw-path split %d full + %d truncated does not sum to %d draws",
-			e.DrawsFull, e.DrawsTruncated, e.Draws)
-	}
-	if e.DrawsFull < okFull || e.DrawsFull > attFull {
-		return fmt.Errorf("server counted %d full-path draws, client ledger wants [%d, %d]",
-			e.DrawsFull, okFull, attFull)
-	}
-	if e.DrawsTruncated < okTrunc || e.DrawsTruncated > attTrunc {
-		return fmt.Errorf("server counted %d truncated draws, client ledger wants [%d, %d]",
-			e.DrawsTruncated, okTrunc, attTrunc)
-	}
-	var axesSum int64
-	for noise, c := range e.DrawsTruncatedByNoise {
-		axesSum += c
-		if c < okTruncBy[noise] || c > attTruncBy[noise] {
-			return fmt.Errorf("server counted %d truncated draws on %q, client ledger wants [%d, %d]",
-				c, noise, okTruncBy[noise], attTruncBy[noise])
-		}
-	}
-	if axesSum != e.DrawsTruncated {
-		return fmt.Errorf("per-noise truncation axes sum to %d, total is %d", axesSum, e.DrawsTruncated)
-	}
-	for noise, ok := range okTruncBy {
-		if ok > 0 && e.DrawsTruncatedByNoise[noise] == 0 {
-			return fmt.Errorf("client completed %d truncated draws on %q, server counted none", ok, noise)
+	for _, l := range lines {
+		if err := enc.Encode(l); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (r *soakRun) singleBody(tgt target, i, k int) []byte {
-	w := wireRequest{Candidates: tgt.candidates, Algorithm: tgt.algorithm, Noise: tgt.noise, Seed: r.seed + int64(i)}
-	if k > 0 {
-		w.TopK = &k
+// load runs a load drill: its stack, traffic and injection, then a read
+// of the server's metrics into o.
+func (d drill) load(specs []scenario.Spec, bin string, o *outcome) ([]any, error) {
+	// Finished jobs stay stored until the TTL sweep (DELETE on a done
+	// job is a 409), so a jobs drill sizes the store for every job it
+	// sends.
+	cfg := service.Config{}
+	if d.traffic.jobs {
+		cfg.MaxJobs = d.traffic.requests + clients + 16
 	}
-	b, _ := json.Marshal(w)
-	return b
+	var base string
+	switch d.stack {
+	case inProcess:
+		svc := service.New(cfg)
+		defer svc.Close()
+		srv := httptest.NewServer(service.NewHandler(svc))
+		defer srv.Close()
+		base = srv.URL
+	case child:
+		dir, err := os.MkdirTemp("", "fairrank-soak-jobs-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		if o.proc, err = startProcHarness(bin, dir, cfg.MaxJobs); err != nil {
+			return nil, err
+		}
+		defer o.proc.Close()
+		base = o.proc.URL()
+	case fleet:
+		var err error
+		if o.fleet, err = startFleetHarness(fleetSize, cfg); err != nil {
+			return nil, err
+		}
+		defer o.fleet.Close()
+		base = o.fleet.URL()
+	}
+	run, err := newSoakRun(base, d.traffic, specs)
+	if err != nil {
+		return nil, err
+	}
+	o.run = run
+	switch d.inject {
+	case killRestart:
+		// The dead window (kill → restarted and healthy) surfaces as
+		// transport errors; the clients bridge it by retrying.
+		run.retryTransport = true
+		o.proc.scheduleKillRestart(run.progress, d.traffic.requests)
+	case killBackend:
+		o.fleet.scheduleKill(run.progress, d.traffic.requests)
+	}
+	log.Printf("drill %s: %d requests of corpus %q (%d specs) against %s", d.name, d.traffic.requests, d.traffic.corpus, len(specs), base)
+	o.sum = run.execute()
+	o.sum.Drill = d.name
+
+	o.served = map[string]int64{}
+	if d.stack == fleet {
+		o.gw = &gateway.MetricsResponse{}
+		err = getJSON(run.client, base+"/v1/metrics", o.gw)
+		for _, rt := range o.gw.Routes {
+			o.served[rt.Route] = rt.Requests
+		}
+	} else {
+		o.metrics = &service.MetricsResponse{}
+		err = getJSON(run.client, base+"/v1/metrics", o.metrics)
+		for _, rt := range o.metrics.Routes {
+			o.served[rt.Route] = rt.Requests
+		}
+		if d.stack == inProcess {
+			o.sum.TruncatedByNoise = o.metrics.Engine.DrawsTruncatedByNoise
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return run.report(o.sum), nil
 }
 
-func (r *soakRun) batchBody(tgt target, i, k int) []byte {
-	batch := wireBatch{Requests: make([]wireRequest, r.batchSize)}
-	for j := range batch.Requests {
-		w := wireRequest{Candidates: tgt.candidates, Algorithm: tgt.algorithm, Noise: tgt.noise, Seed: r.seed + int64(i)*1000 + int64(j)}
-		if k > 0 {
-			w.TopK = &k
-		}
-		batch.Requests[j] = w
+// getJSON decodes the 200 answer to GET url into dst.
+func getJSON(client *http.Client, url string, dst any) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
 	}
-	b, _ := json.Marshal(batch)
-	return b
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
+	}
+	return nil
 }
 
-// checkPayload sanity-checks a 200 response: a soak run that happily
-// measures the latency of garbage is worse than none.
-func checkPayload(isBatch bool, payload []byte, tgt target, k, batchSize int) string {
-	wantLen := tgt.spec.N
-	if k > 0 && k < wantLen {
-		wantLen = k
-	}
-	if isBatch {
-		var b service.BatchResponse
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return "undecodable batch response: " + err.Error()
+// The checks the table names. Each returns nil when its gate holds.
+var (
+	zeroFailures = check{"zero failures", func(o *outcome) error {
+		if o.sum.Failures > 0 {
+			return fmt.Errorf("%d of %d requests failed (excluding %d injected cancellations)", o.sum.Failures, o.sum.Requests, o.sum.Cancelled)
 		}
-		if len(b.Items) != batchSize {
-			return fmt.Sprintf("batch returned %d items, want %d", len(b.Items), batchSize)
+		return nil
+	}}
+	batchCompleted = check{"a batch completed", func(o *outcome) error {
+		if c := o.run.counts["POST /v1/rank/batch"]; c == nil || c.completed == 0 {
+			return errors.New("no /v1/rank/batch request completed")
 		}
-		for _, item := range b.Items {
-			if item.Error != "" {
-				return "batch item error: " + item.Error
+		return nil
+	}}
+	// jobsVerified holds the drill to having proved something: a job
+	// counts only once all its items checked out and its DELETE after
+	// done answered 409 (anything else is a failure).
+	jobsVerified = check{"jobs verified", func(o *outcome) error {
+		if o.sum.Requests-o.sum.Cancelled-o.sum.Failures == 0 {
+			return errors.New("no job finished and verified; every one was cancelled or failed")
+		}
+		return nil
+	}}
+	routesReconcile = check{"routes reconcile", func(o *outcome) error {
+		return reconcileRoutes(o.run.counts, o.served)
+	}}
+	drawPathsReconcile = check{"draw paths reconcile", func(o *outcome) error {
+		return o.run.reconcileDrawPaths(&o.metrics.Engine)
+	}}
+	restartFired = check{"restart fired", func(o *outcome) error {
+		return o.proc.restarted()
+	}}
+	jobsRecovered = check{"jobs recovered", func(o *outcome) error {
+		if o.metrics.Jobs.Recovered == 0 {
+			return errors.New("the restarted server resumed no job from its store")
+		}
+		return nil
+	}}
+	noUnroutable = check{"no unroutable request", func(o *outcome) error {
+		if n := o.gw.Picker.Unroutable; n != 0 {
+			return fmt.Errorf("%d requests found no serving backend", n)
+		}
+		return nil
+	}}
+	victimDemoted = check{"victim demoted", func(o *outcome) error {
+		vi := o.fleet.victim.Load()
+		if vi < 0 {
+			return errors.New("the kill never fired before the run ended")
+		}
+		if v := o.gw.Backends[vi]; v.State == "serving" || v.Transitions == 0 {
+			return fmt.Errorf("killed backend %s is %s after %d lifecycle transitions", v.Name, v.State, v.Transitions)
+		}
+		if f := o.gw.Fleet; f.Serving != fleetSize-1 || f.Reporting != fleetSize-1 {
+			return fmt.Errorf("%d backends serving and %d reporting after the kill, want %d", f.Serving, f.Reporting, fleetSize-1)
+		}
+		return nil
+	}}
+	// fallbackFired: every picker decision is one forwarding attempt on
+	// the sharded routes, and retries decide again, so backend attempts
+	// cover the decisions; the killed owner's keys must have fallen back.
+	fallbackFired = check{"fallback fired", func(o *outcome) error {
+		var attempts int64
+		for _, b := range o.gw.Backends {
+			attempts += b.Requests
+		}
+		p := o.gw.Picker
+		if decisions := p.Primary + p.Fallback; decisions == 0 || attempts < decisions {
+			return fmt.Errorf("backends saw %d attempts for %d picker decisions", attempts, decisions)
+		}
+		if p.Fallback == 0 {
+			return errors.New("the picker never fell back off the killed owner")
+		}
+		return nil
+	}}
+	fleetEngineReports = check{"fleet engine reports", func(o *outcome) error {
+		if e := o.gw.Fleet.Engine; e.Requests == 0 || e.Draws == 0 {
+			return fmt.Errorf("fleet engine aggregate is empty (%d requests, %d draws)", e.Requests, e.Draws)
+		}
+		return nil
+	}}
+	noViolations = check{"no violations", func(o *outcome) error {
+		if v := o.sweep.Violations; len(v) > 0 {
+			return fmt.Errorf("%d violations, the first: %s", len(v), v[0])
+		}
+		return nil
+	}}
+	zeroNoiseIdentity = check{"zero-noise identity", func(o *outcome) error {
+		for _, c := range o.sweep.Curves {
+			if !c.ZeroNoiseIdentical {
+				return fmt.Errorf("%s on %s: the noiseless anchor differs from the uncorrupted sweep", c.Algorithm, c.Scenario)
 			}
-			if len(item.Response.Ranking) != wantLen {
-				return fmt.Sprintf("batch item ranked %d candidates, want %d", len(item.Response.Ranking), wantLen)
+		}
+		return nil
+	}}
+	threeFlipLevels = check{"three flip levels", func(o *outcome) error {
+		flips := map[float64]bool{}
+		for _, c := range o.sweep.Curves {
+			for _, pt := range c.Points {
+				flips[pt.Flip] = true
 			}
 		}
-		return ""
-	}
-	var resp service.RankResponse
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return "undecodable response: " + err.Error()
-	}
-	if len(resp.Ranking) != wantLen {
-		return fmt.Sprintf("ranked %d candidates, want %d", len(resp.Ranking), wantLen)
-	}
-	return ""
+		if len(flips) < 3 {
+			return fmt.Errorf("the curves cover %d flip levels, want at least 3", len(flips))
+		}
+		return nil
+	}}
+)
+
+// truncatedOn requires the engine to have served truncated top-k draws
+// on the noise axis.
+func truncatedOn(noise string) check {
+	return check{"truncated draws on " + noise, func(o *outcome) error {
+		if o.metrics.Engine.DrawsTruncatedByNoise[noise] == 0 {
+			return fmt.Errorf("draws_truncated_by_noise[%q] is 0", noise)
+		}
+		return nil
+	}}
 }
 
-// report appends the per-endpoint lines and the summary line to w.
-func (r *soakRun) report(w io.Writer, corpus string, sum Summary) error {
-	sum.Corpus = corpus
-	enc := json.NewEncoder(w)
-	byEndpoint := map[string][]sample{}
-	for _, s := range r.samples {
-		byEndpoint[s.endpoint] = append(byEndpoint[s.endpoint], s)
-	}
-	for _, endpoint := range []string{"/v1/rank", "/v1/rank/batch", "/v1/jobs/rank"} {
-		ss := byEndpoint[endpoint]
-		if len(ss) == 0 {
-			continue
+// reconcileRoutes holds a server's route counters to the client's
+// ledger: a route's counter must land in [completed, attempted] —
+// below means lost counts, above phantom ones.
+func reconcileRoutes(ledger map[string]*routeCount, served map[string]int64) error {
+	for route, c := range ledger {
+		got, ok := served[route]
+		if !ok {
+			return fmt.Errorf("route %q missing from /v1/metrics", route)
 		}
-		rep := EndpointReport{Action: "soak", Corpus: corpus, Endpoint: endpoint}
-		var lat []float64
-		for _, s := range ss {
-			rep.Requests++
-			switch {
-			case s.cancelled:
-				rep.Cancelled++
-			case s.failure != "":
-				rep.Failures++
-			default:
-				lat = append(lat, float64(s.latency)/float64(time.Millisecond))
-			}
-		}
-		if len(lat) > 0 {
-			rep.LatencyMsP50 = stats.Quantile(lat, 0.50)
-			rep.LatencyMsP90 = stats.Quantile(lat, 0.90)
-			rep.LatencyMsP99 = stats.Quantile(lat, 0.99)
-			rep.LatencyMsMax = stats.Max(lat)
-		}
-		if err := enc.Encode(rep); err != nil {
-			return err
+		if got < c.completed || got > c.attempts {
+			return fmt.Errorf("route %q: server counted %d requests, client ledger wants [%d, %d]",
+				route, got, c.completed, c.attempts)
 		}
 	}
-	return enc.Encode(sum)
-}
-
-func truncate(b []byte) string {
-	const max = 200
-	if len(b) > max {
-		return string(b[:max]) + "…"
-	}
-	return string(b)
+	return nil
 }

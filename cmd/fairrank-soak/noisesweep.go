@@ -1,24 +1,10 @@
 package main
 
-// The -noise-sweep mode: instead of load-testing a server, run the
-// conformance degradation sweep in-process (internal/conformance
-// .RunNoiseSweep) and append its curves to the BENCH stream — one
-// "noise-curve" JSON line per algorithm × scenario × level, plus one
-// "noise-summary" line for the run. The mode fails loudly (non-zero
-// exit) on any sweep violation, including a noiseless anchor that is
-// not bit-identical to the uncorrupted base sweep, so a CI step can
-// gate on the exit code and grep the emitted lines.
+// The noise-sweep drill's lines: the conformance degradation sweep
+// (internal/conformance.RunNoiseSweep) as one "noise-curve" line per
+// algorithm × scenario × level, plus one "noise-summary" line.
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"log"
-
-	"repro/internal/conformance"
-	"repro/internal/scenario"
-)
+import "repro/internal/conformance"
 
 // NoiseCurveLine is one degradation-curve point in the BENCH artifact
 // format.
@@ -37,50 +23,27 @@ type NoiseCurveLine struct {
 	MeanNDCG           float64 `json:"MeanNDCG"`
 }
 
-// NoiseSummaryLine is the run-level degradation-sweep result.
+// NoiseSummaryLine is the sweep's run-level result.
 type NoiseSummaryLine struct {
 	Action     string `json:"Action"` // "noise-summary"
+	Drill      string `json:"Drill"`
 	Corpus     string `json:"Corpus"`
 	Algorithms int    `json:"Algorithms"`
 	Curves     int    `json:"Curves"`
 	Levels     int    `json:"Levels"`
 	Draws      int    `json:"Draws"`
-	// ZeroNoiseIdentical reports that every curve's noiseless anchor
-	// reproduced the uncorrupted base sweep bit for bit; a false value
-	// never reaches the artifact — the run fails first.
-	ZeroNoiseIdentical bool `json:"ZeroNoiseIdentical"`
-	Violations         int  `json:"Violations"`
+	Violations int    `json:"Violations"`
 }
 
-// runNoiseSweepMode executes the sweep over the loaded corpus and
-// appends its lines to w. It returns an error on setup failure, any
-// violation, or a lost zero-noise identity.
-func runNoiseSweepMode(w io.Writer, specs []scenario.Spec, corpus string, draws int, seed int64) error {
-	rep, err := conformance.RunNoiseSweep(context.Background(), conformance.Config{
-		Draws:     draws,
-		Seed:      seed,
-		Scenarios: specs,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	log.Print(rep.Summary())
-	for _, v := range rep.Violations {
-		log.Printf("violation: %s", v)
-	}
-	if rep.Failed() {
-		return fmt.Errorf("noise sweep found %d violations", len(rep.Violations))
-	}
+func sweepLines(d drill, rep *conformance.NoiseReport) []any {
+	var lines []any
 	algos := map[string]bool{}
-	identical := true
-	enc := json.NewEncoder(w)
 	for _, c := range rep.Curves {
 		algos[c.Algorithm] = true
-		identical = identical && c.ZeroNoiseIdentical
 		for _, pt := range c.Points {
-			line := NoiseCurveLine{
+			lines = append(lines, NoiseCurveLine{
 				Action:             "noise-curve",
-				Corpus:             corpus,
+				Corpus:             d.traffic.corpus,
 				Algorithm:          c.Algorithm,
 				Noise:              c.Noise,
 				Scenario:           c.Scenario,
@@ -91,25 +54,17 @@ func runNoiseSweepMode(w io.Writer, specs []scenario.Spec, corpus string, draws 
 				MeanPPfairTrue:     pt.MeanPPfairTrue,
 				MeanExpectedPPfair: pt.MeanExpectedPPfair,
 				MeanNDCG:           pt.MeanNDCG,
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	if !identical {
-		// Unreachable while the identity check reports violations, but
-		// the artifact's headline claim is re-derived, not assumed.
-		return fmt.Errorf("noise sweep lost zero-noise identity without a violation — report inconsistent")
-	}
-	return enc.Encode(NoiseSummaryLine{
-		Action:             "noise-summary",
-		Corpus:             corpus,
-		Algorithms:         len(algos),
-		Curves:             len(rep.Curves),
-		Levels:             len(rep.Levels),
-		Draws:              rep.Draws,
-		ZeroNoiseIdentical: identical,
-		Violations:         len(rep.Violations),
+	return append(lines, NoiseSummaryLine{
+		Action:     "noise-summary",
+		Drill:      d.name,
+		Corpus:     d.traffic.corpus,
+		Algorithms: len(algos),
+		Curves:     len(rep.Curves),
+		Levels:     len(rep.Levels),
+		Draws:      rep.Draws,
+		Violations: len(rep.Violations),
 	})
 }

@@ -1,16 +1,17 @@
 package main
 
-// The -restart-drill topology: one real fairrankd child process with a
+// The restart drill's stack: one real fairrankd child process with a
 // durable -job-dir, killed with SIGKILL a third of the way through the
-// run and restarted over the same store. SIGKILL — not SIGTERM — is
-// the point: no drain, no suspend, no goodbye; whatever the WAL holds
-// at that instant is all the restarted process gets, and the drill
-// holds only if every interrupted job still finishes with verified
-// items. The graceful-drain half of the durability story is covered by
-// the in-package service tests; this is the half only a dead process
-// can prove.
+// run and restarted over the same store. SIGKILL, not SIGTERM, is the
+// point: no drain, no suspend, no goodbye; whatever the WAL holds at
+// that instant is all the restarted process gets, and the drill holds
+// only if every interrupted job still finishes with verified items.
+// The graceful-drain half of the durability story is covered by the
+// in-package service tests; this is the half only a dead process can
+// prove.
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -19,7 +20,6 @@ import (
 	"os/exec"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/service"
@@ -32,7 +32,8 @@ type procHarness struct {
 
 	mu       sync.Mutex
 	cmd      *exec.Cmd
-	restarts atomic.Int32
+	restarts int
+	err      error // why the kill and restart failed, if it did
 }
 
 // startProcHarness picks a port, starts the fairrankd child on it, and
@@ -125,18 +126,33 @@ func (h *procHarness) scheduleKillRestart(progress func() int, total int) {
 		h.mu.Lock()
 		cmd := h.cmd
 		h.mu.Unlock()
-		log.Printf("SIGKILL fairrankd (pid %d) mid-run — durability injection", cmd.Process.Pid)
+		log.Printf("SIGKILL fairrankd (pid %d) mid-run", cmd.Process.Pid)
 		cmd.Process.Kill()
 		cmd.Wait()
-		if err := h.start(); err != nil {
-			log.Fatalf("drill restart: %v", err)
+		err := h.start()
+		if err == nil {
+			err = h.waitHealthy(15 * time.Second)
 		}
-		if err := h.waitHealthy(15 * time.Second); err != nil {
-			log.Fatalf("drill restart: %v", err)
-		}
-		h.restarts.Add(1)
+		h.mu.Lock()
+		h.restarts++
+		h.err = err
+		h.mu.Unlock()
 		log.Printf("restarted fairrankd (pid %d) over the same job dir", h.pid())
 	}()
+}
+
+// restarted reports whether the kill and restart fired and the
+// restarted process came up healthy.
+func (h *procHarness) restarted() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.restarts == 0 {
+		return errors.New("the SIGKILL and restart never fired before the run ended")
+	}
+	if h.err != nil {
+		return fmt.Errorf("restart: %w", h.err)
+	}
+	return nil
 }
 
 // hasUnfinished reports whether the child's job store currently holds
@@ -145,45 +161,9 @@ func (h *procHarness) scheduleKillRestart(progress func() int, total int) {
 // window between "unfinished job observed" and "SIGKILL delivered" down
 // to a syscall.
 func (h *procHarness) hasUnfinished(client *http.Client) bool {
-	resp, err := client.Get(h.URL() + "/v1/jobs?state=pending&state=running")
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
 	var page service.JobListResponse
-	if err := decodeJSON(resp, &page); err != nil {
-		return false
-	}
-	return len(page.Jobs) > 0
-}
-
-// verifyRecovery checks, after the run, that the drill actually proved
-// durability: the kill+restart fired, and the restarted server resumed
-// at least one interrupted job from the WAL (its /v1/metrics
-// jobs.recovered counter). Returns the recovered count.
-func (h *procHarness) verifyRecovery(client *http.Client) (int64, error) {
-	if h.restarts.Load() == 0 {
-		return 0, fmt.Errorf("the kill+restart never fired before the run ended")
-	}
-	resp, err := client.Get(h.URL() + "/v1/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /v1/metrics: status %d", resp.StatusCode)
-	}
-	var m service.MetricsResponse
-	if err := decodeJSON(resp, &m); err != nil {
-		return 0, err
-	}
-	if m.Jobs.Recovered == 0 {
-		return 0, fmt.Errorf("restarted server resumed no jobs — the drill proved nothing about recovery")
-	}
-	return m.Jobs.Recovered, nil
+	err := getJSON(client, h.URL()+"/v1/jobs?state=pending&state=running", &page)
+	return err == nil && len(page.Jobs) > 0
 }
 
 func (h *procHarness) Close() {

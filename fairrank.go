@@ -13,20 +13,21 @@ import (
 	"repro/internal/rankers"
 )
 
-// Candidate is one item to rank.
+// Candidate is one item to rank. The JSON tags are the wire form
+// fairrankd accepts (service.Candidate is this type).
 type Candidate struct {
 	// ID identifies the candidate; must be unique and nonempty.
-	ID string
+	ID string `json:"id"`
 	// Score is the quality/relevance score (higher ranks first).
-	Score float64
+	Score float64 `json:"score"`
 	// Group is the protected attribute value used for fairness
 	// constraints. All candidates must carry a nonempty Group when a
 	// constraint-based algorithm runs; the Mallows algorithms never read
 	// it.
-	Group string
+	Group string `json:"group"`
 	// Attrs carries additional attribute values for evaluation, e.g.
 	// attributes withheld from the ranking algorithms (see PPfairByAttr).
-	Attrs map[string]string
+	Attrs map[string]string `json:"attrs,omitempty"`
 	// Membership optionally states a probability distribution over group
 	// names — the probabilistic protected attribute of Mehrotra & Vishnoi.
 	// Keys extend the group universe; values must be finite, lie in
@@ -35,7 +36,7 @@ type Candidate struct {
 	// without Membership is treated as one-hot at its Group. Ranking
 	// algorithms consume the hard Group; Membership feeds the expected
 	// (probabilistic) fairness diagnostics.
-	Membership map[string]float64
+	Membership map[string]float64 `json:"membership,omitempty"`
 }
 
 // Algorithm selects the post-processing method by its registered name.

@@ -159,42 +159,3 @@ func (b *Bounds) Clamp() {
 		}
 	}
 }
-
-// FeasibleForSizes reports whether a ranking of all items can satisfy the
-// table given per-group pool sizes: for every prefix length ell the lower
-// bounds must be jointly coverable (Σ lower ≤ ell), the upper bounds must
-// jointly admit ell items (Σ min(upper, size) ≥ ell), and no group's
-// lower bound may exceed its pool.
-//
-// These conditions are necessary; they are also sufficient for bound
-// tables derived from Constraints because ⌊α·ℓ⌋/⌈β·ℓ⌉ grow by at most one
-// per step, but arbitrary perturbed tables may pass this check and still
-// be infeasible (the DP ranker detects that exactly).
-func (b *Bounds) FeasibleForSizes(sizes []int) error {
-	if len(sizes) != b.NumGroups() && b.K() > 0 {
-		return fmt.Errorf("fairness: %d sizes vs %d groups", len(sizes), b.NumGroups())
-	}
-	for i := range b.Lower {
-		ell := i + 1
-		sumLo, sumHi := 0, 0
-		for g := range b.Lower[i] {
-			if b.Lower[i][g] > sizes[g] {
-				return fmt.Errorf("fairness: prefix %d needs %d of group %d but pool has %d",
-					ell, b.Lower[i][g], g, sizes[g])
-			}
-			sumLo += b.Lower[i][g]
-			hi := b.Upper[i][g]
-			if hi > sizes[g] {
-				hi = sizes[g]
-			}
-			sumHi += hi
-		}
-		if sumLo > ell {
-			return fmt.Errorf("fairness: prefix %d lower bounds sum to %d > %d", ell, sumLo, ell)
-		}
-		if sumHi < ell {
-			return fmt.Errorf("fairness: prefix %d upper bounds admit only %d < %d items", ell, sumHi, ell)
-		}
-	}
-	return nil
-}

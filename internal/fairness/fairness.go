@@ -87,24 +87,3 @@ func (gr *Groups) Shares() []float64 {
 	}
 	return shares
 }
-
-// Subset returns a Groups over a reduced ground set: items[i] of the
-// original set becomes item i of the new one. Used when ranking the top-N
-// candidates of a larger pool. Duplicate indices are rejected — a
-// repeated item would silently double-count its group's mass in every
-// downstream share, size, and prefix-count computation.
-func (gr *Groups) Subset(items []int) (*Groups, error) {
-	assign := make([]int, len(items))
-	seen := make(map[int]bool, len(items))
-	for i, item := range items {
-		if item < 0 || item >= len(gr.assign) {
-			return nil, fmt.Errorf("fairness: subset item %d outside ground set of %d", item, len(gr.assign))
-		}
-		if seen[item] {
-			return nil, fmt.Errorf("fairness: subset repeats item %d", item)
-		}
-		seen[item] = true
-		assign[i] = gr.assign[item]
-	}
-	return &Groups{assign: assign, g: gr.g}, nil
-}

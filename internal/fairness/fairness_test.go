@@ -46,32 +46,6 @@ func TestGroupsAccessors(t *testing.T) {
 	}
 }
 
-func TestGroupsSubset(t *testing.T) {
-	gr := MustGroups([]int{0, 1, 0, 1}, 2)
-	sub, err := gr.Subset([]int{3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumItems() != 2 || sub.Of(0) != 1 || sub.Of(1) != 0 {
-		t.Fatalf("Subset wrong: %+v", sub)
-	}
-	if _, err := gr.Subset([]int{4}); err == nil {
-		t.Error("Subset accepted out-of-range item")
-	}
-}
-
-func TestGroupsSubsetRejectsDuplicates(t *testing.T) {
-	gr := MustGroups([]int{0, 1, 0, 1}, 2)
-	_, err := gr.Subset([]int{1, 2, 1})
-	if err == nil {
-		t.Fatal("Subset accepted a duplicate item index — its group mass would be double-counted downstream")
-	}
-	want := "fairness: subset repeats item 1"
-	if err.Error() != want {
-		t.Fatalf("Subset duplicate error = %q, want %q", err, want)
-	}
-}
-
 func TestNewConstraintsValidation(t *testing.T) {
 	if _, err := NewConstraints([]float64{0.3, 0.2}, []float64{0.6, 0.9}); err != nil {
 		t.Fatal(err)
@@ -162,20 +136,6 @@ func TestBoundsCloneAndClamp(t *testing.T) {
 	cl.Clamp()
 	if cl.Lower[0][0] != 1 || cl.Upper[0][0] != 1 {
 		t.Fatalf("Clamp gave lo=%d hi=%d", cl.Lower[0][0], cl.Upper[0][0])
-	}
-}
-
-func TestFeasibleForSizes(t *testing.T) {
-	c, _ := NewConstraints([]float64{0.5, 0.5}, []float64{0.5, 0.5})
-	b := c.Table(4)
-	if err := b.FeasibleForSizes([]int{2, 2}); err != nil {
-		t.Fatalf("balanced pools should be feasible: %v", err)
-	}
-	if err := b.FeasibleForSizes([]int{4, 0}); err == nil {
-		t.Fatal("accepted pool that cannot meet group-1 lower bounds")
-	}
-	if err := b.FeasibleForSizes([]int{2}); err == nil {
-		t.Fatal("accepted wrong sizes length")
 	}
 }
 

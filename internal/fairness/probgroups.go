@@ -95,42 +95,6 @@ func (pg *ProbGroups) Row(item int) []float64 {
 	return append([]float64(nil), pg.dist[item]...)
 }
 
-// IsOneHot reports whether every row puts all its mass on one group —
-// the regime where ProbGroups reduces exactly to Groups.
-func (pg *ProbGroups) IsOneHot() bool {
-	for _, row := range pg.dist {
-		for _, p := range row {
-			if p != 0 && p != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Harden collapses a one-hot ProbGroups back into Groups; ok is false
-// when any row carries fractional mass.
-func (pg *ProbGroups) Harden() (*Groups, bool) {
-	assign := make([]int, len(pg.dist))
-	for i, row := range pg.dist {
-		hot := -1
-		for g, p := range row {
-			switch p {
-			case 1:
-				hot = g
-			case 0:
-			default:
-				return nil, false
-			}
-		}
-		if hot < 0 {
-			return nil, false
-		}
-		assign[i] = hot
-	}
-	return &Groups{assign: assign, g: pg.g}, true
-}
-
 // ExpectedSizes returns the expected number of items per group:
 // Σ_items P(item ∈ g).
 func (pg *ProbGroups) ExpectedSizes() []float64 {
@@ -155,26 +119,6 @@ func (pg *ProbGroups) ExpectedShares() []float64 {
 		shares[g] /= float64(len(pg.dist))
 	}
 	return shares
-}
-
-// Subset returns a ProbGroups over a reduced ground set: items[i] of
-// the original set becomes item i of the new one. Like Groups.Subset it
-// rejects out-of-range and duplicate indices — a repeated item would
-// double-count its membership mass in every downstream expectation.
-func (pg *ProbGroups) Subset(items []int) (*ProbGroups, error) {
-	dist := make([][]float64, len(items))
-	seen := make(map[int]bool, len(items))
-	for i, item := range items {
-		if item < 0 || item >= len(pg.dist) {
-			return nil, fmt.Errorf("fairness: subset item %d outside ground set of %d", item, len(pg.dist))
-		}
-		if seen[item] {
-			return nil, fmt.Errorf("fairness: subset repeats item %d", item)
-		}
-		seen[item] = true
-		dist[i] = append([]float64(nil), pg.dist[item]...)
-	}
-	return &ProbGroups{dist: dist, g: pg.g}, nil
 }
 
 // ProportionalProb builds proportional constraints centred on the

@@ -33,47 +33,6 @@ func TestNewProbGroupsValidation(t *testing.T) {
 	}
 }
 
-func TestProbGroupsOneHotRoundTrip(t *testing.T) {
-	gr := MustGroups([]int{0, 2, 1, 2, 0}, 3)
-	pg := OneHot(gr)
-	if !pg.IsOneHot() {
-		t.Fatal("one-hot lift not reported one-hot")
-	}
-	back, ok := pg.Harden()
-	if !ok {
-		t.Fatal("one-hot lift did not harden")
-	}
-	for i := 0; i < gr.NumItems(); i++ {
-		if back.Of(i) != gr.Of(i) {
-			t.Fatalf("round trip changed item %d: %d vs %d", i, back.Of(i), gr.Of(i))
-		}
-	}
-	soft := MustProbGroups([][]float64{{0.5, 0.5}}, 2)
-	if soft.IsOneHot() {
-		t.Error("fractional row reported one-hot")
-	}
-	if _, ok := soft.Harden(); ok {
-		t.Error("fractional row hardened")
-	}
-}
-
-func TestProbGroupsSubset(t *testing.T) {
-	pg := MustProbGroups([][]float64{{1, 0}, {0.25, 0.75}, {0, 1}}, 2)
-	sub, err := pg.Subset([]int{2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumItems() != 2 || sub.P(0, 1) != 1 || sub.P(1, 0) != 0.25 {
-		t.Fatalf("subset wrong: %+v", sub)
-	}
-	if _, err := pg.Subset([]int{3}); err == nil {
-		t.Error("Subset accepted out-of-range item")
-	}
-	if _, err := pg.Subset([]int{1, 1}); err == nil {
-		t.Error("Subset accepted a duplicate item index")
-	}
-}
-
 // randomGroups draws a random deterministic Groups for the equivalence
 // trials.
 func randomGroups(rng *rand.Rand) *Groups {

@@ -5,9 +5,9 @@
 // (algorithm, central, weak_k, sigma) tuple that keys the backends'
 // reusable-engine cache — so every request needing one engine
 // configuration lands on the same backend and that backend's Mallows
-// (n, θ) table cache stays hot for its shard. Backend selection sits
-// behind one Choose-style Picker interface (consistent-hash primary,
-// least-loaded fallback when the shard owner is unhealthy), each
+// (n, θ) table cache stays hot for its shard. A request goes to the
+// shard's owner while it is routable and to the least-loaded routable
+// backend when it is not (see pick); each
 // backend runs a supervised probe lifecycle (probing → serving →
 // degraded → draining, driven by periodic /healthz + /readyz polls),
 // and the forwarding path retries with backoff — honoring Retry-After
@@ -19,7 +19,7 @@
 // transitions) plus an aggregated fleet view summing the backends'
 // engine metrics, and a GET /readyz that is ready iff at least one
 // backend is serving. cmd/fairrank-gateway exposes it over HTTP;
-// fairrank-soak's -fleet mode spawns it in-process around real
+// fairrank-soak's fleet drill runs it in-process around real
 // service.Server backends.
 package gateway
 
@@ -70,10 +70,6 @@ type Config struct {
 	// MaxBodyBytes bounds inbound request bodies. Default 32 MiB.
 	MaxBodyBytes int64
 
-	// Picker overrides the backend selection policy. Default: the
-	// consistent-hash primary with least-loaded fallback
-	// (NewDefaultPicker).
-	Picker Picker
 	// Client overrides the upstream HTTP client (tests). Default: a
 	// keep-alive transport sized for fleet fan-out, with no overall
 	// timeout — AttemptTimeout bounds attempts.

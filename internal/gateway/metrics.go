@@ -95,7 +95,7 @@ type BackendMetrics struct {
 	ProbeFailures  int64 `json:"probe_failures"`
 	Transitions    int64 `json:"transitions"`
 	// ReportedInFlight/ReportedQueued/ReportedJobs echo the backend's
-	// last /readyz load snapshot — the least-loaded picker's input.
+	// last /readyz load snapshot — the least-loaded fallback's input.
 	ReportedInFlight int64 `json:"reported_in_flight"`
 	ReportedQueued   int64 `json:"reported_queued"`
 	ReportedJobs     int   `json:"reported_jobs"`
@@ -129,7 +129,7 @@ type FleetMetrics struct {
 func (g *Gateway) Metrics(ctx context.Context) *MetricsResponse {
 	resp := &MetricsResponse{
 		Picker: PickerMetrics{
-			Policy:     g.picker.Name(),
+			Policy:     policy,
 			Primary:    g.metrics.pickPrimary.Load(),
 			Fallback:   g.metrics.pickFallback.Load(),
 			Unroutable: g.metrics.unroutable.Load(),

@@ -1,143 +1,31 @@
 package gateway
 
-import (
-	"math/rand"
-	"sync"
-)
+// policy names the gateway's routing policy in its metrics.
+const policy = "hash+least-loaded"
 
-// Picker chooses which backend receives a shard-keyed request — the
-// one pluggable decision point of the routing path (the same shape as
-// allocator strategies behind a single Choose interface). pool holds
-// the currently routable candidates: serving backends the forwarding
-// loop has not already tried for this request. Choose returns nil to
-// decline (empty pool); it must not mutate pool.
-//
-// Implementations must be safe for concurrent use — probes flip
-// backend states while Choose runs.
-type Picker interface {
-	// Name identifies the policy in metrics and flags.
-	Name() string
-	// Choose picks one backend from pool for the shard key.
-	Choose(key string, pool []*Backend) *Backend
-}
-
-// HashPicker routes by consistent hash: the first pool member in ring
-// order from the key's owner. With the owner routable this pins every
-// shard to one backend (hot engine caches); with it excluded the walk
-// yields the deterministic failover order — the backend that would
-// inherit the shard if the owner were removed from the ring.
-type HashPicker struct {
-	ring     *Ring
-	backends []*Backend
-}
-
-// NewHashPicker builds the ring picker over the fleet's backends.
-func NewHashPicker(ring *Ring, backends []*Backend) *HashPicker {
-	return &HashPicker{ring: ring, backends: backends}
-}
-
-// Name implements Picker.
-func (p *HashPicker) Name() string { return "hash" }
-
-// Choose implements Picker: the first pool member in ring order.
-func (p *HashPicker) Choose(key string, pool []*Backend) *Backend {
-	for _, i := range p.ring.Sequence(key) {
-		b := p.backends[i]
-		for _, cand := range pool {
-			if cand == b {
-				return b
-			}
-		}
-	}
-	return nil
-}
-
-// Owner returns the shard's owner of record — the ring's choice over
-// the whole fleet, health ignored. The routing metrics compare the
-// actual choice against it to count primary vs fallback decisions.
-func (p *HashPicker) Owner(key string) *Backend {
-	i := p.ring.Owner(key)
-	if i < 0 {
-		return nil
-	}
-	return p.backends[i]
-}
-
-// LeastLoadedPicker ignores the key and picks the pool member with the
-// lowest load score (backend-reported in-flight + queued work from its
-// last readiness probe, plus this gateway's own in-flight count), ties
-// broken by name so equal-load choices stay deterministic.
-type LeastLoadedPicker struct{}
-
-// Name implements Picker.
-func (LeastLoadedPicker) Name() string { return "least-loaded" }
-
-// Choose implements Picker.
-func (LeastLoadedPicker) Choose(_ string, pool []*Backend) *Backend {
+// pick chooses the backend for one forwarding attempt. pool holds the
+// routable candidates: serving backends the forwarding loop has not
+// already tried for this request. The choice is the shard's
+// consistent-hash owner while it is in the pool, which pins every shard
+// to one backend and keeps its engine caches hot. Otherwise it is the
+// pool member with the lowest load score (backend-reported in-flight +
+// queued work from its last readiness probe, plus this gateway's own
+// in-flight count), ties broken by name so equal-load choices stay
+// deterministic. Falling back by load rather than by ring successor
+// keeps an unhealthy owner's whole shard from dogpiling onto one
+// neighbor. pick returns nil for an empty pool and never mutates it;
+// it is safe while probes flip backend states.
+func pick(owner *Backend, pool []*Backend) *Backend {
 	var best *Backend
 	var bestScore int64
 	for _, b := range pool {
+		if b == owner {
+			return b
+		}
 		score := b.LoadScore()
 		if best == nil || score < bestScore || (score == bestScore && b.name < best.name) {
 			best, bestScore = b, score
 		}
 	}
 	return best
-}
-
-// RandomPicker spreads load uniformly at random — the baseline policy
-// for workloads whose engine configurations are too diverse to shard.
-type RandomPicker struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewRandomPicker seeds the picker; equal seeds give equal pick
-// sequences, which keeps tests replayable.
-func NewRandomPicker(seed int64) *RandomPicker {
-	return &RandomPicker{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Name implements Picker.
-func (p *RandomPicker) Name() string { return "random" }
-
-// Choose implements Picker.
-func (p *RandomPicker) Choose(_ string, pool []*Backend) *Backend {
-	if len(pool) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	i := p.rng.Intn(len(pool))
-	p.mu.Unlock()
-	return pool[i]
-}
-
-// FailoverPicker is the default policy: the consistent-hash owner
-// while it is routable, the least-loaded routable backend when it is
-// not. Falling back by load rather than by ring successor keeps an
-// unhealthy owner's whole shard from dogpiling onto one neighbor.
-type FailoverPicker struct {
-	Primary  *HashPicker
-	Fallback Picker
-}
-
-// NewDefaultPicker wires the hash-primary/least-loaded-fallback
-// composite over the fleet.
-func NewDefaultPicker(ring *Ring, backends []*Backend) *FailoverPicker {
-	return &FailoverPicker{Primary: NewHashPicker(ring, backends), Fallback: LeastLoadedPicker{}}
-}
-
-// Name implements Picker.
-func (p *FailoverPicker) Name() string { return "hash+least-loaded" }
-
-// Choose implements Picker: the shard owner if it is in the pool, the
-// fallback's choice otherwise.
-func (p *FailoverPicker) Choose(key string, pool []*Backend) *Backend {
-	owner := p.Primary.Owner(key)
-	for _, cand := range pool {
-		if cand == owner {
-			return owner
-		}
-	}
-	return p.Fallback.Choose(key, pool)
 }

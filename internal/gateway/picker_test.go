@@ -9,7 +9,7 @@ import (
 )
 
 // testFleet builds n backends (all serving unless told otherwise) with
-// the ring/pickers wired the way New does, without any HTTP.
+// the ring wired the way New does, without any HTTP.
 func testFleet(n int) ([]*Backend, *Ring) {
 	backends := make([]*Backend, n)
 	names := make([]string, n)
@@ -31,40 +31,14 @@ func poolOf(backends []*Backend, except map[*Backend]bool) []*Backend {
 	return pool
 }
 
-// TestHashPickerFailoverOrdering pins that excluding backends from the
-// pool walks the ring in its deterministic failover order: the choice
-// with k backends excluded is the (k+1)-th entry of the key's ring
-// sequence.
-func TestHashPickerFailoverOrdering(t *testing.T) {
-	backends, ring := testFleet(5)
-	p := NewHashPicker(ring, backends)
-	for _, key := range ringKeys(200) {
-		seq := ring.Sequence(key)
-		excluded := map[*Backend]bool{}
-		for step := 0; step < len(seq); step++ {
-			got := p.Choose(key, poolOf(backends, excluded))
-			want := backends[seq[step]]
-			if got != want {
-				t.Fatalf("key %q step %d: chose %s, ring order wants %s", key, step, got.Name(), want.Name())
-			}
-			excluded[got] = true
-		}
-		if got := p.Choose(key, nil); got != nil {
-			t.Fatalf("key %q: empty pool chose %s, want nil", key, got.Name())
-		}
-	}
-}
-
-// TestFailoverPickerPrimaryAndFallback pins the composite policy: the
+// TestFailoverPickerPrimaryAndFallback pins the routing policy: the
 // shard owner while it is in the pool, the least-loaded member once it
 // is not.
 func TestFailoverPickerPrimaryAndFallback(t *testing.T) {
 	backends, ring := testFleet(4)
-	p := NewDefaultPicker(ring, backends)
-	key := "mallows-best|weak|10|0"
-	owner := p.Primary.Owner(key)
+	owner := backends[ring.Owner("mallows-best|weak|10|0")]
 
-	if got := p.Choose(key, poolOf(backends, nil)); got != owner {
+	if got := pick(owner, poolOf(backends, nil)); got != owner {
 		t.Fatalf("healthy owner: chose %s, want owner %s", got.Name(), owner.Name())
 	}
 
@@ -81,7 +55,7 @@ func TestFailoverPickerPrimaryAndFallback(t *testing.T) {
 		}
 	}
 	lightest.inflight.Store(1)
-	got := p.Choose(key, poolOf(backends, map[*Backend]bool{owner: true}))
+	got := pick(owner, poolOf(backends, map[*Backend]bool{owner: true}))
 	if got != lightest {
 		t.Fatalf("unhealthy owner: chose %s (load %d), want least-loaded %s", got.Name(), got.LoadScore(), lightest.Name())
 	}
@@ -90,16 +64,18 @@ func TestFailoverPickerPrimaryAndFallback(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedPicker pins the load scoring: the backend-reported
-// readyz snapshot plus the gateway's own in-flight count, ties broken
-// by name for determinism.
+// TestLeastLoadedPicker pins the fallback's load scoring with the owner
+// out of the pool: the backend-reported readyz snapshot plus the
+// gateway's own in-flight count, ties broken by name for determinism.
 func TestLeastLoadedPicker(t *testing.T) {
 	backends, _ := testFleet(3)
-	p := LeastLoadedPicker{}
 	pool := poolOf(backends, nil)
+	if got := pick(nil, nil); got != nil {
+		t.Fatalf("empty pool chose %s, want nil", got.Name())
+	}
 
 	// All idle: the name tie-break keeps the choice deterministic.
-	if got := p.Choose("", pool); got != backends[0] {
+	if got := pick(nil, pool); got != backends[0] {
 		t.Fatalf("idle fleet: chose %s, want b0 by tie-break", got.Name())
 	}
 
@@ -108,46 +84,23 @@ func TestLeastLoadedPicker(t *testing.T) {
 	backends[0].reported = service.ReadyzQueue{InFlight: 4, Queued: 3}
 	backends[0].mu.Unlock()
 	backends[1].inflight.Store(2)
-	if got := p.Choose("", pool); got != backends[2] {
+	if got := pick(nil, pool); got != backends[2] {
 		t.Fatalf("loaded fleet: chose %s, want idle b2", got.Name())
 	}
 
 	// Gateway-side in-flight covers the staleness between probes.
 	backends[2].inflight.Store(9)
-	if got := p.Choose("", pool); got != backends[1] {
+	if got := pick(nil, pool); got != backends[1] {
 		t.Fatalf("stale-probe fleet: chose %s, want b1 (score 2)", got.Name())
 	}
 }
 
-// TestRandomPickerSeeded pins that equal seeds give equal pick
-// sequences and that picks stay inside the pool.
-func TestRandomPickerSeeded(t *testing.T) {
-	backends, _ := testFleet(4)
-	pool := poolOf(backends, nil)
-	a, b := NewRandomPicker(7), NewRandomPicker(7)
-	for i := 0; i < 100; i++ {
-		ga, gb := a.Choose("", pool), b.Choose("", pool)
-		if ga != gb {
-			t.Fatalf("pick %d: %s vs %s under equal seeds", i, ga.Name(), gb.Name())
-		}
-	}
-	if got := a.Choose("", nil); got != nil {
-		t.Fatalf("empty pool chose %s, want nil", got.Name())
-	}
-}
-
-// TestPickerRaceUnderStateFlips stresses every picker while probe-like
+// TestPickerRaceUnderStateFlips stresses pick while probe-like
 // goroutines flip backend states and load reports concurrently — the
 // routing path must stay race-free (run under -race) and always return
 // a pool member.
 func TestPickerRaceUnderStateFlips(t *testing.T) {
 	backends, ring := testFleet(6)
-	pickers := []Picker{
-		NewHashPicker(ring, backends),
-		LeastLoadedPicker{},
-		NewRandomPicker(1),
-		NewDefaultPicker(ring, backends),
-	}
 	stop := make(chan struct{})
 	var flippers sync.WaitGroup
 	for _, b := range backends {
@@ -186,10 +139,9 @@ func TestPickerRaceUnderStateFlips(t *testing.T) {
 				if len(pool) == 0 {
 					continue
 				}
-				p := pickers[i%len(pickers)]
-				got := p.Choose(key, pool)
+				got := pick(backends[ring.Owner(key)], pool)
 				if got == nil {
-					t.Errorf("%s.Choose returned nil for a non-empty pool", p.Name())
+					t.Error("pick returned nil for a non-empty pool")
 					return
 				}
 				found := false
@@ -200,7 +152,7 @@ func TestPickerRaceUnderStateFlips(t *testing.T) {
 					}
 				}
 				if !found {
-					t.Errorf("%s.Choose returned %s, not a pool member", p.Name(), got.Name())
+					t.Errorf("pick returned %s, not a pool member", got.Name())
 					return
 				}
 			}

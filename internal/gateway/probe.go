@@ -92,7 +92,7 @@ func (b *Backend) URL() string { return b.url }
 // State is the backend's current lifecycle state.
 func (b *Backend) State() State { return State(b.state.Load()) }
 
-// LoadScore ranks backends for the least-loaded picker: the in-flight
+// LoadScore ranks backends for the least-loaded fallback: the in-flight
 // plus queued work the backend reported on its last readiness probe
 // (the /readyz snapshot exists precisely so this needs no /v1/metrics
 // scrape), plus the requests this gateway currently has in flight to

@@ -35,8 +35,6 @@ type Gateway struct {
 	backends []*Backend
 	byName   map[string]*Backend
 	ring     *Ring
-	hash     *HashPicker // owner-of-record, for the primary/fallback split
-	picker   Picker
 	metrics  *metrics
 	probers  []*prober
 }
@@ -63,11 +61,6 @@ func New(cfg Config) (*Gateway, error) {
 		names[i] = b.name
 	}
 	g.ring = NewRing(names, cfg.VirtualNodes)
-	g.hash = NewHashPicker(g.ring, g.backends)
-	g.picker = cfg.Picker
-	if g.picker == nil {
-		g.picker = NewDefaultPicker(g.ring, g.backends)
-	}
 	return g, nil
 }
 
@@ -266,7 +259,7 @@ func (g *Gateway) forwardSharded(w http.ResponseWriter, r *http.Request, singleF
 }
 
 // forward runs the retrying forwarding loop: pick a backend (shard
-// owner first, fallback when it is unroutable), attempt with a
+// owner first, least loaded when it is unroutable), attempt with a
 // per-attempt timeout, and on a retryable failure back off and try the
 // next backend — excluding every backend already tried, so a dying
 // backend is never hammered twice for one request. Retries honor
@@ -275,7 +268,7 @@ func (g *Gateway) forwardSharded(w http.ResponseWriter, r *http.Request, singleF
 // reached a backend (a dial failure) or the backend provably refused
 // it (429/503); any other failure is reported rather than resent.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte, singleFlight bool, tf transform) {
-	owner := g.hash.Owner(key)
+	owner := g.backends[g.ring.Owner(key)]
 	tried := make(map[*Backend]bool)
 	backoff := g.cfg.RetryBackoff
 	var last *upstreamResult
@@ -284,10 +277,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, p
 		if len(pool) == 0 {
 			break
 		}
-		b := g.picker.Choose(key, pool)
-		if b == nil {
-			break
-		}
+		b := pick(owner, pool)
 		if b == owner {
 			g.metrics.pickPrimary.Add(1)
 		} else {

@@ -21,9 +21,8 @@ import (
 //     assignments (and therefore the backends' hot Mallows table
 //     caches) are untouched.
 //
-// The ring is immutable after New; health is not its concern. Callers
-// overlay liveness by walking Sequence until a routable backend
-// appears.
+// The ring is immutable after New; health is not its concern: the
+// gateway routes past an unroutable owner by load (see pick).
 type Ring struct {
 	points []ringPoint // sorted by hash
 	n      int         // distinct backends
@@ -61,26 +60,6 @@ func (r *Ring) Owner(key string) int {
 		return -1
 	}
 	return r.points[r.at(key)].backend
-}
-
-// Sequence returns every backend index in ring order starting from
-// key's owner — the deterministic failover preference: the owner first,
-// then the backends that would inherit the shard if the ones before
-// them disappeared.
-func (r *Ring) Sequence(key string) []int {
-	if len(r.points) == 0 {
-		return nil
-	}
-	seq := make([]int, 0, r.n)
-	seen := make([]bool, r.n)
-	for i, start := 0, r.at(key); i < len(r.points) && len(seq) < r.n; i++ {
-		b := r.points[(start+i)%len(r.points)].backend
-		if !seen[b] {
-			seen[b] = true
-			seq = append(seq, b)
-		}
-	}
-	return seq
 }
 
 // at locates the first point at or clockwise of key's hash.

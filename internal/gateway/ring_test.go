@@ -23,46 +23,15 @@ func ringKeys(n int) []string {
 }
 
 // TestRingDeterminism pins that the ring is a pure function of its
-// inputs: two rings built from the same names agree on every owner and
-// every failover sequence — the property that lets any number of
-// gateway replicas route identically with no coordination.
+// inputs: two rings built from the same names agree on every owner —
+// the property that lets any number of gateway replicas route
+// identically with no coordination.
 func TestRingDeterminism(t *testing.T) {
 	a := NewRing(ringNames(8), 128)
 	b := NewRing(ringNames(8), 128)
 	for _, key := range ringKeys(2000) {
 		if ao, bo := a.Owner(key), b.Owner(key); ao != bo {
 			t.Fatalf("owner(%q): ring A says %d, ring B says %d", key, ao, bo)
-		}
-		as, bs := a.Sequence(key), b.Sequence(key)
-		if len(as) != len(bs) {
-			t.Fatalf("sequence(%q): lengths %d vs %d", key, len(as), len(bs))
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				t.Fatalf("sequence(%q)[%d]: %d vs %d", key, i, as[i], bs[i])
-			}
-		}
-	}
-}
-
-// TestRingSequence pins the failover-order contract: the sequence
-// starts at the owner and enumerates every backend exactly once.
-func TestRingSequence(t *testing.T) {
-	r := NewRing(ringNames(6), 64)
-	for _, key := range ringKeys(500) {
-		seq := r.Sequence(key)
-		if len(seq) != 6 {
-			t.Fatalf("sequence(%q) has %d entries, want 6", key, len(seq))
-		}
-		if seq[0] != r.Owner(key) {
-			t.Fatalf("sequence(%q) starts at %d, owner is %d", key, seq[0], r.Owner(key))
-		}
-		seen := make(map[int]bool)
-		for _, b := range seq {
-			if seen[b] {
-				t.Fatalf("sequence(%q) repeats backend %d", key, b)
-			}
-			seen[b] = true
 		}
 	}
 }
@@ -129,8 +98,5 @@ func TestRingEmpty(t *testing.T) {
 	r := NewRing(nil, 128)
 	if got := r.Owner("key"); got != -1 {
 		t.Fatalf("empty ring owner = %d, want -1", got)
-	}
-	if got := r.Sequence("key"); got != nil {
-		t.Fatalf("empty ring sequence = %v, want nil", got)
 	}
 }

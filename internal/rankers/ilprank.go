@@ -7,17 +7,14 @@ import (
 
 	"repro/internal/fairdp"
 	"repro/internal/fairness"
-	"repro/internal/ilp"
 	"repro/internal/perm"
-	"repro/internal/quality"
 )
 
-// ILPRanker computes the DCG-optimal (α,β)-fair ranking of §IV-B. The
-// default backend is the exact dynamic program of internal/fairdp, which
-// provably solves the same integer program in polynomial time for a
-// constant number of groups; Backend: SimplexBB switches to the general
-// branch-and-bound ILP solver (useful for cross-checking and for
-// constraint structures the DP does not model).
+// ILPRanker computes the DCG-optimal (α,β)-fair ranking of §IV-B with
+// the exact dynamic program of internal/fairdp, which provably solves
+// the paper's integer program in polynomial time for a constant number
+// of groups (fairdp's tests check it against the branch-and-bound
+// solver of internal/ilp).
 //
 // Sigma > 0 reproduces §V-C: each side of every group-prefix constraint
 // is relaxed by an independent |N(0,σ)| sample,
@@ -27,20 +24,8 @@ import (
 // which (as the paper notes) keeps noisy instances feasible rather than
 // tightening them into infeasibility.
 type ILPRanker struct {
-	Sigma   float64
-	Backend ILPBackend
+	Sigma float64
 }
-
-// ILPBackend selects the solver behind ILPRanker.
-type ILPBackend int
-
-const (
-	// DP solves via internal/fairdp (exact, polynomial; the default).
-	DP ILPBackend = iota
-	// SimplexBB solves the explicit x_{ij} integer program with
-	// internal/ilp. Exponential worst case; intended for small k.
-	SimplexBB
-)
 
 // Name implements Ranker.
 func (r ILPRanker) Name() string {
@@ -65,18 +50,11 @@ func (r ILPRanker) Rank(in Instance, rng *rand.Rand) (perm.Perm, error) {
 	if r.Sigma > 0 {
 		b = relaxBounds(in.Bounds, r.Sigma, rng)
 	}
-	switch r.Backend {
-	case DP:
-		p, _, err := fairdp.Solve(in.Scores, in.Groups, b, nil)
-		if err != nil {
-			return nil, fmt.Errorf("rankers: ilp(dp): %w", err)
-		}
-		return p, nil
-	case SimplexBB:
-		return solveSimplex(in, b)
-	default:
-		return nil, fmt.Errorf("rankers: unknown ILP backend %d", r.Backend)
+	p, _, err := fairdp.Solve(in.Scores, in.Groups, b, nil)
+	if err != nil {
+		return nil, fmt.Errorf("rankers: ilp(dp): %w", err)
 	}
+	return p, nil
 }
 
 // relaxBounds widens every (group, prefix) constraint by |N(0,σ)| on
@@ -94,75 +72,4 @@ func relaxBounds(b *fairness.Bounds, sigma float64, rng *rand.Rand) *fairness.Bo
 	}
 	nb.Clamp()
 	return nb
-}
-
-// solveSimplex builds the explicit §IV-B integer program and solves it
-// with the branch-and-bound solver.
-func solveSimplex(in Instance, b *fairness.Bounds) (perm.Perm, error) {
-	d := len(in.Initial)
-	if d == 0 {
-		return perm.Perm{}, nil
-	}
-	obj := make([]float64, d*d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			obj[i*d+j] = in.Scores[i] * quality.LogDiscount(j+1)
-		}
-	}
-	var cons []ilp.Constraint
-	for j := 0; j < d; j++ {
-		c := make([]float64, d*d)
-		for i := 0; i < d; i++ {
-			c[i*d+j] = 1
-		}
-		cons = append(cons, ilp.Constraint{Coeffs: c, Rel: ilp.EQ, RHS: 1})
-	}
-	for i := 0; i < d; i++ {
-		c := make([]float64, d*d)
-		for j := 0; j < d; j++ {
-			c[i*d+j] = 1
-		}
-		cons = append(cons, ilp.Constraint{Coeffs: c, Rel: ilp.LE, RHS: 1})
-	}
-	for ell := 1; ell <= d; ell++ {
-		for p := 0; p < in.Groups.NumGroups(); p++ {
-			c := make([]float64, d*d)
-			for i := 0; i < d; i++ {
-				if in.Groups.Of(i) != p {
-					continue
-				}
-				for j := 0; j < ell; j++ {
-					c[i*d+j] = 1
-				}
-			}
-			cons = append(cons,
-				ilp.Constraint{Coeffs: c, Rel: ilp.GE, RHS: float64(b.Lower[ell-1][p])},
-				ilp.Constraint{Coeffs: append([]float64(nil), c...), Rel: ilp.LE, RHS: float64(b.Upper[ell-1][p])},
-			)
-		}
-	}
-	sol, err := ilp.Solve(ilp.Problem{Objective: obj, Constraints: cons, Integer: ilp.AllInteger(d * d)}, ilp.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("rankers: ilp(simplex): %w", err)
-	}
-	if sol.Status != ilp.Optimal {
-		return nil, fmt.Errorf("rankers: ilp(simplex): %s: %w", sol.Status, ErrInfeasible)
-	}
-	out := make(perm.Perm, d)
-	for j := 0; j < d; j++ {
-		out[j] = -1
-		for i := 0; i < d; i++ {
-			if sol.X[i*d+j] > 0.5 {
-				out[j] = i
-				break
-			}
-		}
-		if out[j] < 0 {
-			return nil, fmt.Errorf("rankers: ilp(simplex): position %d unassigned", j)
-		}
-	}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("rankers: ilp(simplex) produced invalid ranking: %w", err)
-	}
-	return out, nil
 }

@@ -94,15 +94,15 @@ func (e *encoder) rankedCandidate(c *RankedCandidate) {
 }
 
 func (e *encoder) diagnostics(d *Diagnostics) {
-	e.str(`{"algorithm":`, d.Algorithm)
-	e.str(`,"central":`, d.Central)
-	e.str(`,"criterion":`, d.Criterion)
+	e.str(`{"algorithm":`, string(d.Algorithm))
+	e.str(`,"central":`, string(d.Central))
+	e.str(`,"criterion":`, string(d.Criterion))
 	e.float(`,"theta":`, d.Theta)
 	e.int(`,"samples":`, int64(d.Samples))
 	e.float(`,"tolerance":`, d.Tolerance)
 	e.int(`,"seed":`, d.Seed)
 	if d.Noise != "" {
-		e.str(`,"noise":`, d.Noise)
+		e.str(`,"noise":`, string(d.Noise))
 	}
 	e.int(`,"top_k":`, int64(d.TopK))
 	e.float(`,"ndcg":`, d.NDCG)

@@ -13,6 +13,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	fairrank "repro"
 )
 
 // checkEncode compares encoder.encode with json.Encoder on v. When
@@ -72,9 +74,9 @@ func fuzzResponses(text, key string, x, y float64, n int64, shape uint64) (*Rank
 			Algorithm: text,
 			NDCG:      y,
 			Diagnostics: Diagnostics{
-				Algorithm:         key,
-				Central:           text,
-				Criterion:         key + text,
+				Algorithm:         fairrank.Algorithm(key),
+				Central:           fairrank.Central(text),
+				Criterion:         fairrank.Criterion(key + text),
 				Theta:             x,
 				Samples:           int(n),
 				Tolerance:         y,
@@ -88,7 +90,7 @@ func fuzzResponses(text, key string, x, y float64, n int64, shape uint64) (*Rank
 			},
 		}
 		if bits.take(1) == 1 {
-			r.Diagnostics.Noise = text
+			r.Diagnostics.Noise = fairrank.Noise(text)
 		}
 		if bits.take(1) == 1 {
 			r.Diagnostics.Probabilistic = &ProbDiagnostics{
@@ -168,7 +170,7 @@ func TestEncodeNilAndFallback(t *testing.T) {
 		(*BatchResponse)(nil),
 		RankResponse{Algorithm: "by value"},
 		map[string]string{"error": "<boom>"},
-		&JobStatusResponse{ID: "job-000001", Items: []BatchItem{{Error: "x"}}},
+		&JobStatusResponse{ID: "job-000001", Items: []json.RawMessage{[]byte(`{"error":"x"}`)}},
 		Catalog(),
 		nil,
 	} {

@@ -225,12 +225,7 @@ func (s *Service) JobStatus(id string) (*JobStatusResponse, error) {
 		Failed:    j.Failed,
 	}
 	if j.State == jobstore.StateDone {
-		resp.Items = make([]BatchItem, len(j.Items))
-		for i, raw := range j.Items {
-			if raw != nil {
-				_ = json.Unmarshal(raw, &resp.Items[i])
-			}
-		}
+		resp.Items = j.Items
 	}
 	return resp, nil
 }

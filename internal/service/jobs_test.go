@@ -18,6 +18,18 @@ import (
 	"time"
 )
 
+// jobItems decodes the per-item results of a done job.
+func jobItems(t *testing.T, st *JobStatusResponse) []BatchItem {
+	t.Helper()
+	items := make([]BatchItem, len(st.Items))
+	for i, raw := range st.Items {
+		if err := json.Unmarshal(raw, &items[i]); err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	return items
+}
+
 // waitDone polls the job until it reaches a terminal state.
 func waitDone(t *testing.T, s *Service, id string) *JobStatusResponse {
 	t.Helper()
@@ -60,7 +72,7 @@ func TestJobLifecycle(t *testing.T) {
 	if st.Completed != 5 || st.Failed != 0 || len(st.Items) != 5 {
 		t.Fatalf("progress %d/%d failed=%d items=%d", st.Completed, st.Total, st.Failed, len(st.Items))
 	}
-	for i, item := range st.Items {
+	for i, item := range jobItems(t, st) {
 		if item.Error != "" || item.Response == nil {
 			t.Fatalf("item %d: %+v", i, item)
 		}
@@ -97,7 +109,7 @@ func TestJobMatchesSyncBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := waitDone(t, s, sub.ID)
-	if !reflect.DeepEqual(st.Items, sync.Items) {
+	if !reflect.DeepEqual(jobItems(t, st), sync.Items) {
 		t.Fatal("async job items differ from the sync batch items for equal seeds")
 	}
 }
@@ -119,8 +131,8 @@ func TestJobPartialFailure(t *testing.T) {
 	if st.State != JobStateDone || st.Failed != 1 || st.Completed != 3 {
 		t.Fatalf("state %q completed %d failed %d", st.State, st.Completed, st.Failed)
 	}
-	if st.Items[1].Error == "" || st.Items[0].Error != "" || st.Items[2].Error != "" {
-		t.Fatalf("failure not isolated: %+v", st.Items)
+	if items := jobItems(t, st); items[1].Error == "" || items[0].Error != "" || items[2].Error != "" {
+		t.Fatalf("failure not isolated: %+v", items)
 	}
 }
 
@@ -309,7 +321,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if len(st.Items) != 2 || st.Items[0].Response == nil || st.Items[0].Response.Ranking[0].ID != "a" {
+	if items := jobItems(t, &st); len(items) != 2 || items[0].Response == nil || items[0].Response.Ranking[0].ID != "a" {
 		t.Fatalf("done status %+v", st)
 	}
 

@@ -422,12 +422,8 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 	}
 	workers := 1 + s.queue.TryExtra(maxWorkers-1)
 	defer s.queue.ReleaseSlots(workers)
-	cands := make([]fairrank.Candidate, len(req.Candidates))
-	for i, c := range req.Candidates {
-		cands[i] = fairrank.Candidate{ID: c.ID, Score: c.Score, Group: c.Group, Attrs: c.Attrs, Membership: c.Membership}
-	}
 	res, err := ranker.DoParallel(ctx, fairrank.Request{
-		Candidates: cands,
+		Candidates: req.Candidates,
 		Theta:      req.Theta,
 		Samples:    req.Samples,
 		Criterion:  fairrank.Criterion(req.Criterion),
@@ -452,33 +448,10 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 		return nil, err
 	}
 	resp := &RankResponse{
-		Algorithm: string(d.Algorithm),
-		Ranking:   make([]RankedCandidate, len(res.Ranking)),
-		NDCG:      d.NDCG,
-		Diagnostics: Diagnostics{
-			Algorithm:         string(d.Algorithm),
-			Central:           string(d.Central),
-			Criterion:         string(d.Criterion),
-			Theta:             d.Theta,
-			Samples:           d.Samples,
-			Tolerance:         d.Tolerance,
-			Seed:              d.Seed,
-			Noise:             string(d.Noise),
-			TopK:              d.TopK,
-			NDCG:              d.NDCG,
-			DrawsEvaluated:    d.DrawsEvaluated,
-			CentralKendallTau: d.CentralKendallTau,
-			PPfair:            d.PPfair,
-			InfeasibleIndex:   d.InfeasibleIndex,
-		},
-	}
-	if d.Probabilistic != nil {
-		resp.Diagnostics.Probabilistic = &ProbDiagnostics{
-			ExpectedPPfair:            d.Probabilistic.ExpectedPPfair,
-			ExpectedInfeasibleIndex:   d.Probabilistic.ExpectedInfeasibleIndex,
-			ExpectedDisparateExposure: d.Probabilistic.ExpectedDisparateExposure,
-			ExpectedExposureGap:       d.Probabilistic.ExpectedExposureGap,
-		}
+		Algorithm:   string(d.Algorithm),
+		Ranking:     make([]RankedCandidate, len(res.Ranking)),
+		NDCG:        d.NDCG,
+		Diagnostics: d,
 	}
 	for i, c := range res.Ranking {
 		resp.Ranking[i] = RankedCandidate{Rank: i + 1, ID: c.ID, Score: c.Score, Group: c.Group, Attrs: c.Attrs}

@@ -371,7 +371,7 @@ func TestDiagnosticsShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := resp.Diagnostics
-	if d.Algorithm != resp.Algorithm || d.NDCG != resp.NDCG {
+	if string(d.Algorithm) != resp.Algorithm || d.NDCG != resp.NDCG {
 		t.Errorf("diagnostics disagree with top-level fields: %+v", d)
 	}
 	if d.DrawsEvaluated != 7 {

@@ -1,25 +1,18 @@
 package service
 
-import "time"
+import (
+	"encoding/json"
+	"time"
 
-// Candidate is the wire form of one item to rank.
-type Candidate struct {
-	// ID identifies the candidate; must be unique and nonempty.
-	ID string `json:"id"`
-	// Score is the quality/relevance score (higher ranks first).
-	Score float64 `json:"score"`
-	// Group is the protected attribute value; required by the
-	// constraint-based algorithms, ignored by the Mallows algorithms.
-	Group string `json:"group"`
-	// Attrs carries additional attribute values, echoed back unchanged.
-	Attrs map[string]string `json:"attrs,omitempty"`
-	// Membership optionally states a probability distribution over group
-	// names (probabilistic protected attribute). Values must be finite,
-	// in [0, 1], and sum to 1 (±1e-9); keys join the group universe.
-	// When any candidate carries one, the response diagnostics include
-	// the expected-fairness audit.
-	Membership map[string]float64 `json:"membership,omitempty"`
-}
+	fairrank "repro"
+)
+
+// Candidate is the wire form of one item to rank: the library's
+// candidate, whose JSON tags name the wire fields. Membership values
+// must be finite, in [0, 1], and sum to 1 (±1e-9); when any candidate
+// carries one, the response diagnostics include the expected-fairness
+// audit.
+type Candidate = fairrank.Candidate
 
 // RankRequest asks for one fair ranking. Omitted fields take the
 // library's Config defaults; pointer fields distinguish "omitted" from
@@ -92,56 +85,22 @@ type RankResponse struct {
 	Diagnostics Diagnostics `json:"diagnostics"`
 }
 
-// Diagnostics is the wire form of fairrank.Diagnostics: the parameters
-// the request actually ran with after override resolution, and
-// quality/fairness measurements of the returned ranking computed from
-// state the engine already held.
-type Diagnostics struct {
-	// Algorithm, Central, Criterion, Theta, Samples, Tolerance, and
-	// Seed echo the resolved request parameters.
-	Algorithm string  `json:"algorithm"`
-	Central   string  `json:"central"`
-	Criterion string  `json:"criterion"`
-	Theta     float64 `json:"theta"`
-	Samples   int     `json:"samples"`
-	Tolerance float64 `json:"tolerance"`
-	Seed      int64   `json:"seed"`
-	// Noise is the mechanism the request actually drew from; omitted
-	// for the deterministic algorithms, which draw nothing.
-	Noise string `json:"noise,omitempty"`
-	// TopK is the length of the returned ranking.
-	TopK int `json:"top_k"`
-	// NDCG is the full-ranking NDCG of the chosen ranking.
-	NDCG float64 `json:"ndcg"`
-	// DrawsEvaluated counts Mallows samples drawn and scored (0 for the
-	// deterministic algorithms).
-	DrawsEvaluated int `json:"draws_evaluated"`
-	// CentralKendallTau is the Kendall tau distance between the chosen
-	// ranking and the central ranking the noise was centred on.
-	CentralKendallTau int64 `json:"central_kendall_tau"`
-	// PPfair is the percentage of P-fair positions (paper Definition 4)
-	// of the first TopK prefixes under the resolved tolerance.
-	PPfair float64 `json:"ppfair"`
-	// InfeasibleIndex is the Two-Sided Infeasible Index (Definition 3)
-	// over the first TopK prefixes.
-	InfeasibleIndex int `json:"infeasible_index"`
-	// Probabilistic carries the expected-fairness audit; present only
-	// when at least one request candidate stated a membership
-	// distribution, so hard-label responses are byte-identical to
-	// pre-membership servers.
-	Probabilistic *ProbDiagnostics `json:"probabilistic,omitempty"`
-}
+// Diagnostics is the response's diagnostics block: the library's
+// diagnostics, whose JSON tags name the wire fields. It reports the
+// parameters the request actually ran with after override resolution,
+// and quality/fairness measurements of the returned ranking computed
+// from state the engine already held. Probabilistic is present only
+// when at least one request candidate stated a membership
+// distribution, so hard-label responses are byte-identical to
+// pre-membership servers.
+type Diagnostics = fairrank.Diagnostics
 
-// ProbDiagnostics is the wire form of fairrank.ProbDiagnostics: the
-// delivered ranking audited against the candidates' membership
-// distributions, with expected prefix counts in place of hard tallies.
-// One-hot memberships reproduce ppfair/infeasible_index bit for bit.
-type ProbDiagnostics struct {
-	ExpectedPPfair            float64 `json:"expected_ppfair"`
-	ExpectedInfeasibleIndex   int     `json:"expected_infeasible_index"`
-	ExpectedDisparateExposure float64 `json:"expected_disparate_exposure"`
-	ExpectedExposureGap       float64 `json:"expected_exposure_gap"`
-}
+// ProbDiagnostics is the expected-fairness audit of the diagnostics
+// block: the delivered ranking audited against the candidates'
+// membership distributions, with expected prefix counts in place of
+// hard tallies. One-hot memberships reproduce ppfair/infeasible_index
+// bit for bit.
+type ProbDiagnostics = fairrank.ProbDiagnostics
 
 // BatchRequest bundles independent ranking requests to run concurrently.
 type BatchRequest struct {
@@ -190,10 +149,13 @@ type JobStatusResponse struct {
 	Total     int `json:"total"`
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
-	// Items carries the per-entry results, in request order, once the
-	// job reaches "done"; omitted in every other state. Cancelled jobs
-	// never serve items.
-	Items []BatchItem `json:"items,omitempty"`
+	// Items carries the per-entry results, one encoded BatchItem each,
+	// in request order, once the job reaches "done"; omitted in every
+	// other state. Cancelled jobs never serve items. They are the bytes
+	// the job store holds: a done job has every slot filled, since an
+	// item is stored before it counts and a job turns done only while
+	// its context is alive.
+	Items []json.RawMessage `json:"items,omitempty"`
 }
 
 // JobListResponse answers GET /v1/jobs: one page of the job listing,

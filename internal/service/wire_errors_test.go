@@ -187,8 +187,8 @@ func TestWireNonFiniteMetricExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := waitDone(t, s, sub.ID)
-	if st.Failed != 1 || len(st.Items) != 2 || st.Items[0].Error != msg || st.Items[1].Response == nil {
-		t.Errorf("job items = %+v (failed %d), want the first to fail with %q and the second to succeed", st.Items, st.Failed, msg)
+	if items := jobItems(t, st); st.Failed != 1 || len(items) != 2 || items[0].Error != msg || items[1].Response == nil {
+		t.Errorf("job items = %+v (failed %d), want the first to fail with %q and the second to succeed", items, st.Failed, msg)
 	}
 }
 

@@ -74,17 +74,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Min returns the smallest value; +Inf for an empty sample.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest value; −Inf for an empty sample.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -144,26 +133,4 @@ func BootstrapMean(xs []float64, resamples int, confidence float64, rng *rand.Ra
 // BootstrapMedian is Bootstrap with the median (used by Figs. 5 and 6).
 func BootstrapMedian(xs []float64, resamples int, confidence float64, rng *rand.Rand) (Interval, error) {
 	return Bootstrap(xs, Median, resamples, confidence, rng)
-}
-
-// Summary bundles the descriptive statistics reported by the figures.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Median float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    StdDev(xs),
-		Median: Median(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-	}
 }

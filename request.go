@@ -70,25 +70,27 @@ type Result struct {
 
 // Diagnostics reports the resolved request parameters (after override
 // resolution) and quality/fairness measurements of the returned ranking.
+// The JSON tags are the diagnostics block of fairrankd's responses
+// (service.Diagnostics is this type).
 type Diagnostics struct {
 	// Algorithm, Central, Criterion, Theta, Samples, Tolerance, and Seed
 	// are the values the request actually ran with, after applying
 	// Config defaults and Request overrides.
-	Algorithm Algorithm
-	Central   Central
-	Criterion Criterion
-	Theta     float64
-	Samples   int
-	Tolerance float64
-	Seed      int64
+	Algorithm Algorithm `json:"algorithm"`
+	Central   Central   `json:"central"`
+	Criterion Criterion `json:"criterion"`
+	Theta     float64   `json:"theta"`
+	Samples   int       `json:"samples"`
+	Tolerance float64   `json:"tolerance"`
+	Seed      int64     `json:"seed"`
 	// Noise is the randomization mechanism the request actually drew
 	// from (after resolving the algorithm's pinned mechanism and the
 	// request override); empty for the deterministic algorithms, which
 	// draw nothing.
-	Noise Noise
+	Noise Noise `json:"noise,omitempty"`
 	// TopK is the length of Result.Ranking (the pool size when the
 	// request set no truncation).
-	TopK int
+	TopK int `json:"top_k"`
 	// NDCG measures the delivered ranking against the score-ideal order:
 	// the full-ranking NDCG when the request set no truncation, NDCG@TopK
 	// (pool-wide ideal as normalizer) when it did — the truncated draw
@@ -96,30 +98,30 @@ type Diagnostics struct {
 	// every quality measurement is scoped to what was delivered. For the
 	// NDCG selection criterion this is the winning sample's selection
 	// score, reused rather than recomputed.
-	NDCG float64
+	NDCG float64 `json:"ndcg"`
 	// DrawsEvaluated counts Mallows samples drawn and scored: Samples
 	// for mallows-best, 1 for mallows, 0 for the deterministic
 	// algorithms.
-	DrawsEvaluated int
+	DrawsEvaluated int `json:"draws_evaluated"`
 	// CentralKendallTau counts Kendall tau pairs the delivered ranking
 	// orders against the central ranking the noise was centred on: the
 	// full Kendall tau distance when the request set no truncation,
 	// otherwise the discordant pairs within the delivered prefix (for
 	// the KT criterion, the winning sample's selection score, reused).
-	CentralKendallTau int64
+	CentralKendallTau int64 `json:"central_kendall_tau"`
 	// PPfair is the percentage of P-fair positions (Definition 4) of
 	// the first TopK prefixes under the resolved tolerance, audited
 	// against the Group attribute.
-	PPfair float64
+	PPfair float64 `json:"ppfair"`
 	// InfeasibleIndex is the Two-Sided Infeasible Index (Definition 3)
 	// over the first TopK prefixes.
-	InfeasibleIndex int
+	InfeasibleIndex int `json:"infeasible_index"`
 	// Probabilistic carries the expected-fairness audit and is only
 	// present when at least one candidate stated a Membership
 	// distribution; requests with hard labels only are unchanged. When
 	// every Membership is one-hot, its metrics equal the deterministic
 	// PPfair/InfeasibleIndex bit for bit.
-	Probabilistic *ProbDiagnostics
+	Probabilistic *ProbDiagnostics `json:"probabilistic,omitempty"`
 }
 
 // ProbDiagnostics audits the delivered ranking against the candidates'
@@ -128,18 +130,18 @@ type Diagnostics struct {
 type ProbDiagnostics struct {
 	// ExpectedPPfair is PPfair with expected prefix counts in place of
 	// hard counts, over the first TopK prefixes.
-	ExpectedPPfair float64
+	ExpectedPPfair float64 `json:"expected_ppfair"`
 	// ExpectedInfeasibleIndex counts the first TopK prefixes whose
 	// expected counts breach the (α,β) bounds.
-	ExpectedInfeasibleIndex int
+	ExpectedInfeasibleIndex int `json:"expected_infeasible_index"`
 	// ExpectedDisparateExposure is the worst group's expected-exposure
 	// share divided by its expected share of the delivered prefix
 	// (1 = perfectly proportional attention), under the standard
 	// 1/log₂(1+rank) discount.
-	ExpectedDisparateExposure float64
+	ExpectedDisparateExposure float64 `json:"expected_disparate_exposure"`
 	// ExpectedExposureGap is the largest |expected exposure share −
 	// expected prefix share| over groups under the same discount.
-	ExpectedExposureGap float64
+	ExpectedExposureGap float64 `json:"expected_exposure_gap"`
 }
 
 // Do serves one request: it resolves the request's overrides against the
