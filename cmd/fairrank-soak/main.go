@@ -450,7 +450,7 @@ var (
 		return nil
 	}}
 	noViolations = check{"no violations", func(o *outcome) error {
-		if v := o.sweep.Violations; len(v) > 0 {
+		if v := o.sweep.Violations; o.sweep.Failed() {
 			return fmt.Errorf("%d violations, the first: %s", len(v), v[0])
 		}
 		return nil

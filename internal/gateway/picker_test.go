@@ -39,7 +39,7 @@ func TestFailoverPickerPrimaryAndFallback(t *testing.T) {
 	owner := backends[ring.Owner("mallows-best|weak|10|0")]
 
 	if got := pick(owner, poolOf(backends, nil)); got != owner {
-		t.Fatalf("healthy owner: chose %s, want owner %s", got.Name(), owner.Name())
+		t.Fatalf("healthy owner: chose %s, want owner %s", got.name, owner.name)
 	}
 
 	// Load the survivors unevenly; with the owner excluded the fallback
@@ -57,7 +57,7 @@ func TestFailoverPickerPrimaryAndFallback(t *testing.T) {
 	lightest.inflight.Store(1)
 	got := pick(owner, poolOf(backends, map[*Backend]bool{owner: true}))
 	if got != lightest {
-		t.Fatalf("unhealthy owner: chose %s (load %d), want least-loaded %s", got.Name(), got.LoadScore(), lightest.Name())
+		t.Fatalf("unhealthy owner: chose %s (load %d), want least-loaded %s", got.name, got.LoadScore(), lightest.name)
 	}
 	for _, b := range backends {
 		b.inflight.Store(0)
@@ -71,12 +71,12 @@ func TestLeastLoadedPicker(t *testing.T) {
 	backends, _ := testFleet(3)
 	pool := poolOf(backends, nil)
 	if got := pick(nil, nil); got != nil {
-		t.Fatalf("empty pool chose %s, want nil", got.Name())
+		t.Fatalf("empty pool chose %s, want nil", got.name)
 	}
 
 	// All idle: the name tie-break keeps the choice deterministic.
 	if got := pick(nil, pool); got != backends[0] {
-		t.Fatalf("idle fleet: chose %s, want b0 by tie-break", got.Name())
+		t.Fatalf("idle fleet: chose %s, want b0 by tie-break", got.name)
 	}
 
 	// Reported load (from the /readyz snapshot) dominates.
@@ -85,13 +85,13 @@ func TestLeastLoadedPicker(t *testing.T) {
 	backends[0].mu.Unlock()
 	backends[1].inflight.Store(2)
 	if got := pick(nil, pool); got != backends[2] {
-		t.Fatalf("loaded fleet: chose %s, want idle b2", got.Name())
+		t.Fatalf("loaded fleet: chose %s, want idle b2", got.name)
 	}
 
 	// Gateway-side in-flight covers the staleness between probes.
 	backends[2].inflight.Store(9)
 	if got := pick(nil, pool); got != backends[1] {
-		t.Fatalf("stale-probe fleet: chose %s, want b1 (score 2)", got.Name())
+		t.Fatalf("stale-probe fleet: chose %s, want b1 (score 2)", got.name)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestPickerRaceUnderStateFlips(t *testing.T) {
 					}
 				}
 				if !found {
-					t.Errorf("pick returned %s, not a pool member", got.Name())
+					t.Errorf("pick returned %s, not a pool member", got.name)
 					return
 				}
 			}

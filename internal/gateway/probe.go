@@ -83,9 +83,6 @@ type Backend struct {
 	reportedJobs int
 }
 
-// Name is the backend's stable identity ("b0", "b1", …).
-func (b *Backend) Name() string { return b.name }
-
 // URL is the backend's base URL.
 func (b *Backend) URL() string { return b.url }
 

@@ -97,7 +97,7 @@ func waitBackendState(t *testing.T, b *Backend, want State) {
 	deadline := time.Now().Add(10 * time.Second)
 	for b.State() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("backend %s stuck in %s, want %s", b.Name(), b.State(), want)
+			t.Fatalf("backend %s stuck in %s, want %s", b.name, b.State(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -190,7 +190,7 @@ func TestGatewayShardAffinity(t *testing.T) {
 		if delta := after[i] - before[i]; delta > 0 {
 			touched++
 			if delta != sends {
-				t.Fatalf("backend %s took %d of %d equal-key requests; affinity leaked", g.Backends()[i].Name(), delta, sends)
+				t.Fatalf("backend %s took %d of %d equal-key requests; affinity leaked", g.Backends()[i].name, delta, sends)
 			}
 		}
 	}
@@ -415,7 +415,7 @@ func TestGatewayRetryAfterPassthrough(t *testing.T) {
 	}
 	for _, b := range g.Backends() {
 		if got := b.requests.Load(); got != 1 {
-			t.Fatalf("backend %s saw %d attempts, want 1", b.Name(), got)
+			t.Fatalf("backend %s saw %d attempts, want 1", b.name, got)
 		}
 	}
 }
