@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/gateway"
@@ -22,15 +21,14 @@ type fleetHarness struct {
 	backends []*service.Server
 	gw       *gateway.Gateway
 	srv      *httptest.Server
-	victim   atomic.Int32 // config index of the killed backend; -1 until the kill fires
+	victim   int // config index of the killed backend; -1 until the kill fires
 }
 
 // startFleetHarness spawns the fleet and blocks until the gateway's
 // probes have promoted every backend to serving. svcCfg is applied to
 // every backend.
 func startFleetHarness(n int, svcCfg service.Config) (*fleetHarness, error) {
-	h := &fleetHarness{}
-	h.victim.Store(-1)
+	h := &fleetHarness{victim: -1}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		srv, err := service.NewServer(service.ServerConfig{
@@ -77,33 +75,25 @@ func startFleetHarness(n int, svcCfg service.Config) (*fleetHarness, error) {
 // URL is the gateway base URL the soak clients target.
 func (h *fleetHarness) URL() string { return h.srv.URL }
 
-// scheduleKill arms the failover injection: once the run has completed
-// about a third of its requests, the busiest backend is stopped
-// abruptly (open connections included) while the clients keep sending.
-// The busiest backend provably owns live shard keys, so the rest of
-// the run must exercise the gateway's retry/fallback path, not just
-// survive by luck of the hash.
-func (h *fleetHarness) scheduleKill(progress func() int, total int) {
-	threshold := total / 3
-	if threshold < 1 {
-		threshold = 1
+// killBusiest is the failover injection: once the run has completed a
+// third of its requests, the busiest backend is stopped abruptly (open
+// connections included) while the clients keep sending. The busiest
+// backend provably owns live shard keys, so the rest of the run must
+// exercise the gateway's retry/fallback path, not just survive by luck
+// of the hash.
+func (h *fleetHarness) killBusiest(progress func() int, total int) {
+	atThird(progress, total)
+	m := h.gw.Metrics(context.Background())
+	victim := 0
+	for i := range m.Backends {
+		if m.Backends[i].Requests > m.Backends[victim].Requests {
+			victim = i
+		}
 	}
-	go func() {
-		for progress() < threshold {
-			time.Sleep(5 * time.Millisecond)
-		}
-		m := h.gw.Metrics(context.Background())
-		victim := 0
-		for i := range m.Backends {
-			if m.Backends[i].Requests > m.Backends[victim].Requests {
-				victim = i
-			}
-		}
-		h.victim.Store(int32(victim))
-		h.backends[victim].Close()
-		log.Printf("killed backend %s (%s, busiest with %d attempts) mid-run — failover injection",
-			m.Backends[victim].Name, h.backends[victim].URL(), m.Backends[victim].Requests)
-	}()
+	h.victim = victim
+	h.backends[victim].Close()
+	log.Printf("killed backend %s (%s, busiest with %d attempts) mid-run",
+		m.Backends[victim].Name, h.backends[victim].URL(), m.Backends[victim].Requests)
 }
 
 func (h *fleetHarness) Close() {

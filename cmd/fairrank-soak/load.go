@@ -130,6 +130,9 @@ func newSoakRun(base string, t traffic, specs []scenario.Spec) (*soakRun, error)
 		counts:  map[string]*routeCount{},
 	}
 	for _, spec := range specs {
+		if t.maxN > 0 && spec.N > t.maxN {
+			continue
+		}
 		pool, err := spec.Generate()
 		if err != nil {
 			return nil, err

@@ -85,13 +85,13 @@ const (
 	sweep                  // no server: the conformance noise sweep
 )
 
-// injection is the failure a drill injects while its traffic runs.
+// injection is the failure a drill injects while its traffic runs; the
+// zero value injects none.
 type injection int
 
 const (
-	none        injection = iota
-	killRestart           // SIGKILL the child at 1/3 once its store holds an unfinished job, then restart it
-	killBackend           // stop the busiest backend at 1/3
+	killRestart injection = iota + 1 // SIGKILL the child at 1/3 once its store holds an unfinished job, then restart it
+	killBackend                      // stop the busiest backend at 1/3
 )
 
 // traffic is what a drill sends.
@@ -237,15 +237,6 @@ func (d drill) run(bin string, enc *json.Encoder) error {
 	if err != nil {
 		return err
 	}
-	if d.traffic.maxN > 0 {
-		kept := specs[:0]
-		for _, s := range specs {
-			if s.N <= d.traffic.maxN {
-				kept = append(kept, s)
-			}
-		}
-		specs = kept
-	}
 	o := &outcome{}
 	var lines []any
 	if d.stack == sweep {
@@ -317,18 +308,25 @@ func (d drill) load(specs []scenario.Spec, bin string, o *outcome) ([]any, error
 		return nil, err
 	}
 	o.run = run
+	inject := func() {}
 	switch d.inject {
 	case killRestart:
 		// The dead window (kill → restarted and healthy) surfaces as
 		// transport errors; the clients bridge it by retrying.
 		run.retryTransport = true
-		o.proc.scheduleKillRestart(run.progress, d.traffic.requests)
+		inject = func() { o.proc.killRestart(run.progress, d.traffic.requests) }
 	case killBackend:
-		o.fleet.scheduleKill(run.progress, d.traffic.requests)
+		inject = func() { o.fleet.killBusiest(run.progress, d.traffic.requests) }
 	}
-	log.Printf("drill %s: %d requests of corpus %q (%d specs) against %s", d.name, d.traffic.requests, d.traffic.corpus, len(specs), base)
+	injected := make(chan struct{})
+	go func() {
+		defer close(injected)
+		inject()
+	}()
+	log.Printf("drill %s: %d requests of corpus %q (%d specs) against %s", d.name, d.traffic.requests, d.traffic.corpus, len(run.targets), base)
 	o.sum = run.execute()
 	o.sum.Drill = d.name
+	<-injected
 
 	o.served = map[string]int64{}
 	if d.stack == fleet {
@@ -351,6 +349,14 @@ func (d drill) load(specs []scenario.Spec, bin string, o *outcome) ([]any, error
 		return nil, err
 	}
 	return run.report(o.sum), nil
+}
+
+// atThird blocks until a third of the drill's total requests have
+// completed: when the injections fire.
+func atThird(progress func() int, total int) {
+	for progress() < max(total/3, 1) {
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // getJSON decodes the 200 answer to GET url into dst.
@@ -399,7 +405,13 @@ var (
 		return o.run.reconcileDrawPaths(&o.metrics.Engine)
 	}}
 	restartFired = check{"restart fired", func(o *outcome) error {
-		return o.proc.restarted()
+		if !o.proc.restarted {
+			return errors.New("the SIGKILL and restart never fired")
+		}
+		if o.proc.err != nil {
+			return fmt.Errorf("the restarted fairrankd did not come up: %w", o.proc.err)
+		}
+		return nil
 	}}
 	jobsRecovered = check{"jobs recovered", func(o *outcome) error {
 		if o.metrics.Jobs.Recovered == 0 {
@@ -414,9 +426,9 @@ var (
 		return nil
 	}}
 	victimDemoted = check{"victim demoted", func(o *outcome) error {
-		vi := o.fleet.victim.Load()
+		vi := o.fleet.victim
 		if vi < 0 {
-			return errors.New("the kill never fired before the run ended")
+			return errors.New("the kill never fired")
 		}
 		if v := o.gw.Backends[vi]; v.State == "serving" || v.Transitions == 0 {
 			return fmt.Errorf("killed backend %s is %s after %d lifecycle transitions", v.Name, v.State, v.Transitions)

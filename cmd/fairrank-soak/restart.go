@@ -11,7 +11,6 @@ package main
 // prove.
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -30,10 +29,11 @@ type procHarness struct {
 	port     int
 	maxJobs  int
 
-	mu       sync.Mutex
-	cmd      *exec.Cmd
-	restarts int
-	err      error // why the kill and restart failed, if it did
+	mu  sync.Mutex
+	cmd *exec.Cmd
+
+	restarted bool  // the kill and restart ran
+	err       error // why the restart did not come up healthy
 }
 
 // startProcHarness picks a port, starts the fairrankd child on it, and
@@ -103,56 +103,30 @@ func (h *procHarness) waitHealthy(budget time.Duration) error {
 	}
 }
 
-// scheduleKillRestart arms the drill: once the run has completed about
+// killRestart is the durability injection: once the run has completed
 // a third of its requests, the child is killed abruptly and restarted
 // over the same -job-dir while the clients keep sending. The kill is
 // gated on the store provably holding unfinished work at that instant:
 // smoke-corpus jobs finish in single-digit milliseconds, so a blind
 // kill can land in a gap where every submitted job is already done and
 // the restart would prove nothing about recovery.
-func (h *procHarness) scheduleKillRestart(progress func() int, total int) {
-	threshold := total / 3
-	if threshold < 1 {
-		threshold = 1
+func (h *procHarness) killRestart(progress func() int, total int) {
+	atThird(progress, total)
+	client := &http.Client{Timeout: time.Second}
+	deadline := time.Now().Add(10 * time.Second)
+	for !h.hasUnfinished(client) && time.Now().Before(deadline) {
 	}
-	go func() {
-		for progress() < threshold {
-			time.Sleep(5 * time.Millisecond)
-		}
-		client := &http.Client{Timeout: time.Second}
-		deadline := time.Now().Add(10 * time.Second)
-		for !h.hasUnfinished(client) && time.Now().Before(deadline) {
-		}
-		h.mu.Lock()
-		cmd := h.cmd
-		h.mu.Unlock()
-		log.Printf("SIGKILL fairrankd (pid %d) mid-run", cmd.Process.Pid)
-		cmd.Process.Kill()
-		cmd.Wait()
-		err := h.start()
-		if err == nil {
-			err = h.waitHealthy(15 * time.Second)
-		}
-		h.mu.Lock()
-		h.restarts++
-		h.err = err
-		h.mu.Unlock()
-		log.Printf("restarted fairrankd (pid %d) over the same job dir", h.pid())
-	}()
-}
-
-// restarted reports whether the kill and restart fired and the
-// restarted process came up healthy.
-func (h *procHarness) restarted() error {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.restarts == 0 {
-		return errors.New("the SIGKILL and restart never fired before the run ended")
+	cmd := h.cmd
+	h.mu.Unlock()
+	log.Printf("SIGKILL fairrankd (pid %d) mid-run", cmd.Process.Pid)
+	cmd.Process.Kill()
+	cmd.Wait()
+	h.restarted = true
+	if h.err = h.start(); h.err == nil {
+		h.err = h.waitHealthy(15 * time.Second)
 	}
-	if h.err != nil {
-		return fmt.Errorf("restart: %w", h.err)
-	}
-	return nil
+	log.Printf("restarted fairrankd (pid %d) over the same job dir", h.pid())
 }
 
 // hasUnfinished reports whether the child's job store currently holds

@@ -66,8 +66,9 @@ func (e *encoder) fast(v any) bool {
 	return e.ok
 }
 
-// The writers below follow the struct declarations in types.go field by
-// field and leave out the fields tagged omitempty when they are empty,
+// The writers below follow the struct declarations field by field (in
+// types.go, and fairrank.Diagnostics and ProbDiagnostics in the root
+// package) and leave out the fields tagged omitempty when they are empty,
 // as encoding/json does. The scalar writers take the bytes before the
 // value (separator, key and colon) as prefix.
 
