@@ -18,19 +18,19 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/service"
 )
 
+// procHarness owns the child. Only the drill's goroutine and, while the
+// traffic runs, its injection touch it, and the drill waits for the
+// injection before it closes the harness.
 type procHarness struct {
 	bin, dir string
 	port     int
 	maxJobs  int
-
-	mu  sync.Mutex
-	cmd *exec.Cmd
+	cmd      *exec.Cmd
 
 	restarted bool  // the kill and restart ran
 	err       error // why the restart did not come up healthy
@@ -58,15 +58,6 @@ func startProcHarness(bin, dir string, maxJobs int) (*procHarness, error) {
 
 func (h *procHarness) URL() string { return fmt.Sprintf("http://127.0.0.1:%d", h.port) }
 
-func (h *procHarness) pid() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.cmd == nil || h.cmd.Process == nil {
-		return 0
-	}
-	return h.cmd.Process.Pid
-}
-
 func (h *procHarness) start() error {
 	cmd := exec.Command(h.bin,
 		"-addr", fmt.Sprintf("127.0.0.1:%d", h.port),
@@ -79,9 +70,7 @@ func (h *procHarness) start() error {
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("starting %s: %w", h.bin, err)
 	}
-	h.mu.Lock()
 	h.cmd = cmd
-	h.mu.Unlock()
 	return nil
 }
 
@@ -116,17 +105,16 @@ func (h *procHarness) killRestart(progress func() int, total int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for !h.hasUnfinished(client) && time.Now().Before(deadline) {
 	}
-	h.mu.Lock()
-	cmd := h.cmd
-	h.mu.Unlock()
-	log.Printf("SIGKILL fairrankd (pid %d) mid-run", cmd.Process.Pid)
-	cmd.Process.Kill()
-	cmd.Wait()
+	log.Printf("SIGKILL fairrankd (pid %d) mid-run", h.cmd.Process.Pid)
+	h.cmd.Process.Kill()
+	h.cmd.Wait()
 	h.restarted = true
 	if h.err = h.start(); h.err == nil {
 		h.err = h.waitHealthy(15 * time.Second)
 	}
-	log.Printf("restarted fairrankd (pid %d) over the same job dir", h.pid())
+	if h.err == nil {
+		log.Printf("restarted fairrankd (pid %d) over the same job dir", h.cmd.Process.Pid)
+	}
 }
 
 // hasUnfinished reports whether the child's job store currently holds
@@ -141,11 +129,8 @@ func (h *procHarness) hasUnfinished(client *http.Client) bool {
 }
 
 func (h *procHarness) Close() {
-	h.mu.Lock()
-	cmd := h.cmd
-	h.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
+	if h.cmd != nil {
+		h.cmd.Process.Kill()
+		h.cmd.Wait()
 	}
 }
