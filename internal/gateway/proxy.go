@@ -135,7 +135,7 @@ func (g *Gateway) Readyz() (*ReadyzResponse, bool) {
 }
 
 // Handler exposes the gateway over HTTP. The ranking and job-submit
-// routes are shard-routed through the picker; job polls and deletes
+// routes are shard-routed through pick; job polls and deletes
 // follow the backend prefix baked into gateway-issued job IDs; the
 // catalog route goes to any serving backend; metrics, healthz, and
 // readyz are answered by the gateway itself.
