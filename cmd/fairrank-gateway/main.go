@@ -1,11 +1,11 @@
-// Command fairrank-gateway shards fairrankd traffic across a fleet.
+// Command fairrank-gateway spreads fairrankd traffic across a fleet.
 //
 // It is the fleet scale-out layer of the serving stack: an HTTP
 // reverse proxy that routes /v1/rank, /v1/rank/batch, and /v1/jobs/*
-// traffic across N fairrankd backends by consistent hash on the
-// ranker-cache key (algorithm, central, weak_k, sigma), so every
-// request needing one engine configuration lands on the backend whose
-// Mallows table cache is already hot for it.
+// traffic across N fairrankd backends. Each attempt goes to the
+// least-loaded serving backend the request has not yet tried; every
+// backend serves every request configuration from one engine, so the
+// gateway never decodes a request body.
 //
 //	fairrank-gateway -addr :9090 \
 //	  -backends http://10.0.0.1:8080,http://10.0.0.2:8080,http://10.0.0.3:8080
@@ -13,9 +13,8 @@
 // Each backend runs a supervised probe lifecycle (probing → serving →
 // degraded → draining) driven by periodic /healthz + /readyz polls;
 // only serving backends receive new work. The readiness body's queue
-// snapshot feeds the least-loaded fallback: when a shard's hash owner
-// is unhealthy, requests reroute to the least-loaded serving backend
-// instead of dogpiling one ring neighbor. Forwards retry with
+// snapshot, plus the gateway's own in-flight count, is the load the
+// picker compares. Forwards retry with
 // exponential backoff across distinct backends, honoring Retry-After
 // on 429/503; job submissions are single-flight (never resent once
 // they may have reached a backend) and accepted job IDs come back
@@ -63,7 +62,6 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 0, "sleep before the first retry, doubling per retry (0 = default 50ms)")
 	retryBackoffMax := flag.Duration("retry-backoff-max", 0, "cap on backoff and honored Retry-After hints (0 = default 2s)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-attempt forwarding budget (0 = default 60s)")
-	virtualNodes := flag.Int("virtual-nodes", 0, "hash-ring points per backend (0 = default 128)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight forwards on shutdown")
 	flag.Parse()
 
@@ -83,7 +81,6 @@ func main() {
 		RetryBackoff:       *retryBackoff,
 		RetryBackoffMax:    *retryBackoffMax,
 		AttemptTimeout:     *attemptTimeout,
-		VirtualNodes:       *virtualNodes,
 	}
 	g, err := gateway.New(cfg)
 	if err != nil {

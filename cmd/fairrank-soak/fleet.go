@@ -2,12 +2,12 @@ package main
 
 // The fleet drill's stack: in-process fairrankd backends (real
 // listeners on ephemeral ports) behind an in-process gateway, with the
-// clients pointed at the gateway. The injection stops the busiest
-// backend a third of the way through the run; the gateway's
-// retry/failover path must absorb it with zero client-visible failures.
+// clients pointed at the gateway. The injection stops the backend with
+// the most attempts in flight a third of the way through the run; the
+// gateway's retry/failover path must absorb it with zero
+// client-visible failures.
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -76,24 +76,32 @@ func startFleetHarness(n int, svcCfg service.Config) (*fleetHarness, error) {
 func (h *fleetHarness) URL() string { return h.srv.URL }
 
 // killBusiest is the failover injection: once the run has completed a
-// third of its requests, the busiest backend is stopped abruptly (open
-// connections included) while the clients keep sending. The busiest
-// backend provably owns live shard keys, so the rest of the run must
-// exercise the gateway's retry/fallback path, not just survive by luck
-// of the hash.
+// third of its requests, the serving backend with the most of the
+// gateway's forwarding attempts in flight is stopped abruptly (open
+// connections included) while the clients keep sending. Killing it
+// tears at least one attempt mid-flight, so the rest of the run must
+// exercise the gateway's retry path, not just survive because the
+// probes demoted the backend before any request reached it. If no
+// attempt is in flight within 10s, nothing is killed and the drill's
+// checks fail.
 func (h *fleetHarness) killBusiest(progress func() int, total int) {
 	atThird(progress, total)
-	m := h.gw.Metrics(context.Background())
-	victim := 0
-	for i := range m.Backends {
-		if m.Backends[i].Requests > m.Backends[victim].Requests {
-			victim = i
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		victim, most := -1, int64(0)
+		for i, b := range h.gw.Backends() {
+			if n := b.InFlight(); n > most && b.State() == gateway.StateServing {
+				victim, most = i, n
+			}
+		}
+		if victim >= 0 {
+			h.backends[victim].Close()
+			h.victim = victim
+			log.Printf("killed backend b%d (%s, %d attempts in flight) mid-run", victim, h.backends[victim].URL(), most)
+			return
 		}
 	}
-	h.victim = victim
-	h.backends[victim].Close()
-	log.Printf("killed backend %s (%s, busiest with %d attempts) mid-run",
-		m.Backends[victim].Name, h.backends[victim].URL(), m.Backends[victim].Requests)
+	log.Print("no forwarding attempt was in flight within 10s; killed nothing")
 }
 
 func (h *fleetHarness) Close() {

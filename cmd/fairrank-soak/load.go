@@ -468,7 +468,7 @@ func checkJobItems(st *service.JobStatusResponse, tgt target, k int) string {
 // other path), and the split must sum to the total. Every truncated
 // draw is on the run's one truncating noise axis, so the per-noise
 // counters must put all of them there. Valid against an exclusive
-// in-process server whose ranker cache saw no eviction.
+// in-process server.
 func (r *soakRun) reconcileDrawPaths(e *service.EngineMetrics) error {
 	var okFull, attFull, okTrunc, attTrunc int64
 	for _, s := range r.samples {

@@ -26,8 +26,9 @@
 //	topk         in-process server over pools of up to 5000 candidates,
 //	             60% of requests asking for a top-k prefix
 //	topk-pl      as topk, every request drawing Plackett–Luce noise
-//	fleet        the gateway over three in-process backends, the busiest
-//	             stopped a third of the way through
+//	fleet        the gateway over three in-process backends, the one
+//	             with the most attempts in flight stopped a third of
+//	             the way through
 //	noise-sweep  no server: the conformance degradation sweep, every
 //	             registry algorithm's fairness and quality as
 //	             attribute noise rises
@@ -90,8 +91,8 @@ const (
 type injection int
 
 const (
-	killRestart injection = iota + 1 // SIGKILL the child at 1/3 once its store holds an unfinished job, then restart it
-	killBackend                      // stop the busiest backend at 1/3
+	killRestart injection = iota + 1 // SIGKILL the child at 1/3 once its store holds a long job of the drill's own, then restart it
+	killBackend                      // stop the backend with the most attempts in flight at 1/3
 )
 
 // traffic is what a drill sends.
@@ -405,11 +406,11 @@ var (
 		return o.run.reconcileDrawPaths(&o.metrics.Engine)
 	}}
 	restartFired = check{"restart fired", func(o *outcome) error {
+		if o.proc.err != nil {
+			return o.proc.err
+		}
 		if !o.proc.restarted {
 			return errors.New("the SIGKILL and restart never fired")
-		}
-		if o.proc.err != nil {
-			return fmt.Errorf("the restarted fairrankd did not come up: %w", o.proc.err)
 		}
 		return nil
 	}}
@@ -439,8 +440,9 @@ var (
 		return nil
 	}}
 	// fallbackFired: every picker decision is one forwarding attempt on
-	// the sharded routes, and retries decide again, so backend attempts
-	// cover the decisions; the killed owner's keys must have fallen back.
+	// the routed paths, and retries decide again, so backend attempts
+	// cover the decisions; the attempts torn by the kill must have been
+	// retried on another backend.
 	fallbackFired = check{"fallback fired", func(o *outcome) error {
 		var attempts int64
 		for _, b := range o.gw.Backends {
@@ -451,7 +453,7 @@ var (
 			return fmt.Errorf("backends saw %d attempts for %d picker decisions", attempts, decisions)
 		}
 		if p.Fallback == 0 {
-			return errors.New("the picker never fell back off the killed owner")
+			return errors.New("no attempt was retried on another backend after the kill")
 		}
 		return nil
 	}}

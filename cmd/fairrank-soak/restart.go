@@ -11,6 +11,8 @@ package main
 // prove.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -33,7 +35,7 @@ type procHarness struct {
 	cmd      *exec.Cmd
 
 	restarted bool  // the kill and restart ran
-	err       error // why the restart did not come up healthy
+	err       error // why the injection did not fire or the restart did not come up
 }
 
 // startProcHarness picks a port, starts the fairrankd child on it, and
@@ -94,38 +96,75 @@ func (h *procHarness) waitHealthy(budget time.Duration) error {
 
 // killRestart is the durability injection: once the run has completed
 // a third of its requests, the child is killed abruptly and restarted
-// over the same -job-dir while the clients keep sending. The kill is
-// gated on the store provably holding unfinished work at that instant:
-// smoke-corpus jobs finish in single-digit milliseconds, so a blind
-// kill can land in a gap where every submitted job is already done and
-// the restart would prove nothing about recovery.
+// over the same -job-dir while the clients keep sending. The kill lands
+// on unfinished work by construction: smoke-corpus jobs finish in
+// single-digit milliseconds, so the injection submits a job of its own
+// (see anchorJob), far longer than the kill latency, and kills once the
+// store holds it unfinished.
 func (h *procHarness) killRestart(progress func() int, total int) {
 	atThird(progress, total)
-	client := &http.Client{Timeout: time.Second}
-	deadline := time.Now().Add(10 * time.Second)
-	for !h.hasUnfinished(client) && time.Now().Before(deadline) {
+	id, err := h.submitAnchor()
+	if err != nil {
+		h.err = fmt.Errorf("submitting the job the kill interrupts: %w", err)
+		return
 	}
-	log.Printf("SIGKILL fairrankd (pid %d) mid-run", h.cmd.Process.Pid)
+	log.Printf("SIGKILL fairrankd (pid %d) with job %s unfinished", h.cmd.Process.Pid, id)
 	h.cmd.Process.Kill()
 	h.cmd.Wait()
 	h.restarted = true
-	if h.err = h.start(); h.err == nil {
-		h.err = h.waitHealthy(15 * time.Second)
-	}
-	if h.err == nil {
+	if err := h.start(); err != nil {
+		h.err = err
+	} else if err := h.waitHealthy(15 * time.Second); err != nil {
+		h.err = fmt.Errorf("the restarted fairrankd did not come up: %w", err)
+	} else {
 		log.Printf("restarted fairrankd (pid %d) over the same job dir", h.cmd.Process.Pid)
 	}
 }
 
-// hasUnfinished reports whether the child's job store currently holds
-// at least one pending or running job. The drill polls this in a tight
-// loop and pulls the trigger the instant it turns true, keeping the
-// window between "unfinished job observed" and "SIGKILL delivered" down
-// to a syscall.
-func (h *procHarness) hasUnfinished(client *http.Client) bool {
-	var page service.JobListResponse
-	err := getJSON(client, h.URL()+"/v1/jobs?state=pending&state=running", &page)
-	return err == nil && len(page.Jobs) > 0
+// submitAnchor submits anchorJob and returns its ID once the child's
+// store holds it pending or running.
+func (h *procHarness) submitAnchor() (string, error) {
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(h.URL()+"/v1/jobs/rank", "application/json", bytes.NewReader(anchorJob()))
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return "", fmt.Errorf("submit status %d", resp.StatusCode)
+	}
+	var sub service.JobSubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		return "", fmt.Errorf("decoding the submit response: %w", err)
+	}
+	var st service.JobStatusResponse
+	if err := getJSON(client, h.URL()+sub.StatusURL, &st); err != nil {
+		return "", err
+	}
+	if st.State != service.JobStatePending && st.State != service.JobStateRunning {
+		return "", fmt.Errorf("job %s is %s before the kill", sub.ID, st.State)
+	}
+	return sub.ID, nil
+}
+
+// anchorJob is the body of the job the kill interrupts: 8 items of 200
+// candidates and 4,000 best-of draws each, about a second of CPU on a
+// 2-vCPU VM, against a kill latency of one loopback round trip.
+func anchorJob() []byte {
+	cands := make([]service.Candidate, 200)
+	for i := range cands {
+		cands[i] = service.Candidate{ID: "c" + strconv.Itoa(i), Score: float64(i % 97), Group: []string{"a", "b"}[i%2]}
+	}
+	samples := 4000
+	batch := service.BatchRequest{Requests: make([]service.RankRequest, 8)}
+	for i := range batch.Requests {
+		batch.Requests[i] = service.RankRequest{Candidates: cands, Samples: &samples, Seed: int64(i)}
+	}
+	body, err := json.Marshal(&batch)
+	if err != nil {
+		panic(err) // strings and finite numbers always encode
+	}
+	return body
 }
 
 func (h *procHarness) Close() {

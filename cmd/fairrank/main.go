@@ -68,8 +68,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The engine-shaping fields go into the Config; everything tunable
-	// per request rides on the Request, where explicit zeros (θ = 0,
+	// Algorithm, central, weak_k and sigma go into the Config; the
+	// other flags ride on the Request, where explicit zeros (θ = 0,
 	// tolerance = 0) are real values rather than "use the default".
 	ranker, err := fairrank.NewRanker(fairrank.Config{
 		Algorithm: fairrank.Algorithm(*algo),

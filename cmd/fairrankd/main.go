@@ -48,10 +48,10 @@
 //
 // Responses are deterministic: equal requests with equal seeds return
 // equal rankings, sync or async. The server amortizes work across
-// requests through reusable ranking engines (see fairrank.Ranker) —
-// requests differing only in per-request overrides share one engine,
-// and the engine's Mallows tables are keyed by (pool size, θ) so mixed
-// dispersions share the cache. Request contexts flow into the sampling
+// requests through one reusable ranking engine (see fairrank.Ranker)
+// that serves every request field as a per-request override; its
+// Mallows tables are keyed by (pool size, θ), so requests of every
+// configuration share the cache. Request contexts flow into the sampling
 // loops: client disconnects and deadlines abort in-flight work between
 // draws.
 //

@@ -184,7 +184,7 @@ func TestPostProcessMatchesDo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				in, err := buildInstance(cands, r.Config().withDefaults(len(cands)))
+				in, err := buildInstance(cands, r.cfg.withDefaults(len(cands)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -125,9 +125,11 @@ func TestPostProcessZeroThetaIsUniform(t *testing.T) {
 func TestEngineSizeCacheCap(t *testing.T) {
 	var e Engine
 	for n := 2; n < 2+maxSizeStates+10; n++ {
-		if err := e.Warm(NoiseMallows, n, 1); err != nil {
+		p, err := e.Plan(NoiseMallows, perm.Identity(n), 1, n)
+		if err != nil {
 			t.Fatal(err)
 		}
+		p.Release()
 		if got, want := int(e.numStates.Load()), min(n-1, maxSizeStates); got != want {
 			t.Fatalf("after %d sizes the cache holds %d states, want %d", n-1, got, want)
 		}

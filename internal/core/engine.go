@@ -249,25 +249,6 @@ func (e *Engine) Plan(axis Noise, center perm.Perm, theta float64, topK int) (Pl
 	})
 }
 
-// Warm builds the size-state of (n, θ) and axis's tables in it, as a
-// request of pool size n would, moving the one-time construction off
-// the first request. Noise outside the axis table keeps no per-size
-// state, so there is nothing to warm for it.
-func (e *Engine) Warm(axis Noise, n int, theta float64) error {
-	a, ok := Axes[axis]
-	if !ok {
-		return nil
-	}
-	// An empty center builds the size-state's tables and skips the
-	// per-request vectors, which depend on the central ranking.
-	p, err := a.kernel(Plan{theta: theta, st: e.state(n, theta)})
-	if err != nil {
-		return err
-	}
-	p.Release()
-	return nil
-}
-
 // criterionAt returns a maker of sample-selection score functions
 // scoped to the first k ranks — the prefix a truncated request
 // delivers. Scorers accept both full-length draws and lazy top-k

@@ -1,18 +1,15 @@
 // Package gateway is the fleet scale-out layer: an HTTP reverse proxy
-// that shards fairrankd traffic across N backends.
+// that spreads fairrankd traffic across N backends.
 //
-// Routing is a consistent hash on the ranker-cache key — the
-// (algorithm, central, weak_k, sigma) tuple that keys the backends'
-// reusable-engine cache — so every request needing one engine
-// configuration lands on the same backend and that backend's Mallows
-// (n, θ) table cache stays hot for its shard. A request goes to the
-// shard's owner while it is routable and to the least-loaded routable
-// backend when it is not (see pick); each
-// backend runs a supervised probe lifecycle (probing → serving →
-// degraded → draining, driven by periodic /healthz + /readyz polls),
-// and the forwarding path retries with backoff — honoring Retry-After
-// on 429/503, bounding each attempt with its own timeout, and keeping
-// non-idempotent job submissions single-flight.
+// Each forwarding attempt goes to the least-loaded serving backend the
+// request has not yet tried (see pick): every backend serves every
+// request configuration from one engine, so routing needs nothing from
+// the request body. Each backend runs a supervised probe lifecycle
+// (probing → serving → degraded → draining, driven by periodic
+// /healthz + /readyz polls), and the forwarding path retries with
+// backoff — honoring Retry-After on 429/503, bounding each attempt with
+// its own timeout, and keeping non-idempotent job submissions
+// single-flight.
 //
 // The gateway serves its own GET /v1/metrics (per-backend
 // request/error/retry/inflight counters, picker decisions, probe state
@@ -34,8 +31,8 @@ import (
 type Config struct {
 	// Backends lists the fairrankd base URLs (e.g.
 	// "http://10.0.0.1:8080"). Backend i is named "b<i>"; the name
-	// seeds the hash ring and prefixes gateway-issued job IDs, so keep
-	// the order stable across gateway restarts.
+	// breaks load ties and prefixes gateway-issued job IDs, so keep the
+	// order stable across gateway restarts.
 	Backends []string
 
 	// ProbeInterval is the cadence of the per-backend health/readiness
@@ -64,9 +61,6 @@ type Config struct {
 	// request's own context still cancels everything. Default 60s.
 	AttemptTimeout time.Duration
 
-	// VirtualNodes is the number of hash-ring points per backend;
-	// more points spread shards more evenly. Default 128.
-	VirtualNodes int
 	// MaxBodyBytes bounds inbound request bodies. Default 32 MiB.
 	MaxBodyBytes int64
 
@@ -100,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 60 * time.Second
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 128
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20

@@ -16,8 +16,8 @@ import (
 type metrics struct {
 	routes map[string]*routeStats
 
-	pickPrimary  atomic.Int64 // shard owner chosen
-	pickFallback atomic.Int64 // owner unhealthy, fallback chose
+	pickPrimary  atomic.Int64 // first attempts of a request
+	pickFallback atomic.Int64 // attempts after a failed one
 	unroutable   atomic.Int64 // no serving backend at all
 }
 
@@ -95,16 +95,16 @@ type BackendMetrics struct {
 	ProbeFailures  int64 `json:"probe_failures"`
 	Transitions    int64 `json:"transitions"`
 	// ReportedInFlight/ReportedQueued/ReportedJobs echo the backend's
-	// last /readyz load snapshot — the least-loaded fallback's input.
+	// last /readyz load snapshot — the least-loaded picker's input.
 	ReportedInFlight int64 `json:"reported_in_flight"`
 	ReportedQueued   int64 `json:"reported_queued"`
 	ReportedJobs     int   `json:"reported_jobs"`
 }
 
 // PickerMetrics reports the routing policy's decision split: Primary
-// counts decisions that landed on the shard's hash owner, Fallback
-// decisions rerouted off an unroutable owner, Unroutable requests
-// refused because no backend was serving.
+// counts the first forwarding attempt of each request, Fallback the
+// attempts made after a failed one, Unroutable requests refused
+// because no backend was serving.
 type PickerMetrics struct {
 	Policy     string `json:"policy"`
 	Primary    int64  `json:"primary"`

@@ -20,7 +20,7 @@ import (
 //	degraded/draining ──(HealthyThreshold successes)──────────▶ serving
 //	draining ──(UnhealthyThreshold failures)──────────────────▶ degraded
 //
-// Only serving backends receive new shard-routed work. Job-affinity
+// Only serving backends receive new routed work. Job-affinity
 // traffic (GET/DELETE /v1/jobs/{id}) follows its backend regardless of
 // state — a draining backend still owes answers for the jobs it holds.
 type State int32
@@ -89,7 +89,11 @@ func (b *Backend) URL() string { return b.url }
 // State is the backend's current lifecycle state.
 func (b *Backend) State() State { return State(b.state.Load()) }
 
-// LoadScore ranks backends for the least-loaded fallback: the in-flight
+// InFlight is the number of this gateway's forwarding attempts
+// executing against the backend right now.
+func (b *Backend) InFlight() int64 { return b.inflight.Load() }
+
+// LoadScore ranks backends for the least-loaded picker: the in-flight
 // plus queued work the backend reported on its last readiness probe
 // (the /readyz snapshot exists precisely so this needs no /v1/metrics
 // scrape), plus the requests this gateway currently has in flight to

@@ -26,7 +26,7 @@ func errDupBackend(u string) error {
 	return fmt.Errorf("gateway: backend %q listed twice", u)
 }
 
-// Gateway shards fairrankd traffic across a probed backend pool.
+// Gateway spreads fairrankd traffic across a probed backend pool.
 // Construct with New, launch the probe supervisors with Start, expose
 // Handler over HTTP, and Stop when done.
 type Gateway struct {
@@ -34,7 +34,6 @@ type Gateway struct {
 	client   *http.Client
 	backends []*Backend
 	byName   map[string]*Backend
-	ring     *Ring
 	metrics  *metrics
 	probers  []*prober
 }
@@ -53,14 +52,11 @@ func New(cfg Config) (*Gateway, error) {
 		byName:  make(map[string]*Backend, len(cfg.Backends)),
 		metrics: newGatewayMetrics(),
 	}
-	names := make([]string, len(cfg.Backends))
 	for i, u := range cfg.Backends {
 		b := &Backend{name: "b" + strconv.Itoa(i), url: strings.TrimRight(u, "/")}
 		g.backends = append(g.backends, b)
 		g.byName[b.name] = b
-		names[i] = b.name
 	}
-	g.ring = NewRing(names, cfg.VirtualNodes)
 	return g, nil
 }
 
@@ -134,11 +130,10 @@ func (g *Gateway) Readyz() (*ReadyzResponse, bool) {
 	return resp, false
 }
 
-// Handler exposes the gateway over HTTP. The ranking and job-submit
-// routes are shard-routed through pick; job polls and deletes
-// follow the backend prefix baked into gateway-issued job IDs; the
-// catalog route goes to any serving backend; metrics, healthz, and
-// readyz are answered by the gateway itself.
+// Handler exposes the gateway over HTTP. The ranking, job-submit and
+// catalog routes are routed through pick; job polls and deletes follow
+// the backend prefix baked into gateway-issued job IDs; metrics,
+// healthz, and readyz are answered by the gateway itself.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
@@ -151,16 +146,16 @@ func (g *Gateway) Handler() http.Handler {
 		})
 	}
 	route("POST /v1/rank", func(w http.ResponseWriter, r *http.Request) {
-		g.forwardSharded(w, r, false, nil)
+		g.forwardBody(w, r, false, nil)
 	})
 	route("POST /v1/rank/batch", func(w http.ResponseWriter, r *http.Request) {
-		g.forwardSharded(w, r, false, nil)
+		g.forwardBody(w, r, false, nil)
 	})
 	route("POST /v1/jobs/rank", func(w http.ResponseWriter, r *http.Request) {
 		// Job submissions are single-flight, and accepted jobs come
 		// back with the owning backend's name baked into the job ID so
 		// later polls need no gateway-side affinity state.
-		g.forwardSharded(w, r, true, rewriteJobSubmit)
+		g.forwardBody(w, r, true, rewriteJobSubmit)
 	})
 	route("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		// The fleet-wide listing: fan out to every serving backend,
@@ -175,8 +170,8 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	route("GET /v1/algorithms", func(w http.ResponseWriter, r *http.Request) {
 		// The catalog is identical fleet-wide; any serving backend
-		// answers. The empty shard key still hashes deterministically.
-		g.forward(w, r, "", http.MethodGet, "/v1/algorithms", nil, false, nil)
+		// answers.
+		g.forward(w, r, http.MethodGet, "/v1/algorithms", nil, false, nil)
 	})
 	route("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, g.Metrics(r.Context()))
@@ -195,37 +190,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// shardProbe is the minimal decode of a rank request: exactly the
-// fields of the backends' ranker-cache key, so requests sharing one
-// reusable engine land on one backend.
-type shardProbe struct {
-	Algorithm string  `json:"algorithm"`
-	Central   string  `json:"central"`
-	WeakK     int     `json:"weak_k"`
-	Sigma     float64 `json:"sigma"`
-}
-
-type batchShardProbe struct {
-	Requests []shardProbe `json:"requests"`
-}
-
-// shardKey derives the routing key from a request body: the
-// engine-shaping fields of the request (a batch is keyed by its first
-// entry — batches mixing engine configurations still rank correctly,
-// they just cross shards). Undecodable bodies key to the default
-// shard; the owning backend rejects them with the exact 400 a direct
-// client would get.
-func shardKey(body []byte) string {
-	var p shardProbe
-	var b batchShardProbe
-	if err := json.Unmarshal(body, &b); err == nil && len(b.Requests) > 0 {
-		p = b.Requests[0]
-	} else {
-		_ = json.Unmarshal(body, &p)
-	}
-	return p.Algorithm + "|" + p.Central + "|" + strconv.Itoa(p.WeakK) + "|" + strconv.FormatFloat(p.Sigma, 'g', -1, 64)
-}
-
 // upstreamResult is one forwarding attempt's outcome: a transport
 // error, or a fully buffered response. Buffering is what makes retry
 // safe — the client never sees bytes from an attempt that dies
@@ -241,9 +205,10 @@ type upstreamResult struct {
 // prefix); it runs only on the final, non-retried response.
 type transform func(b *Backend, res *upstreamResult)
 
-// forwardSharded reads and bounds the body, derives the shard key, and
-// forwards.
-func (g *Gateway) forwardSharded(w http.ResponseWriter, r *http.Request, singleFlight bool, tf transform) {
+// forwardBody reads and bounds the body and forwards it. The body is
+// relayed as bytes, never decoded: a backend rejects a malformed one
+// with the exact 400 a direct client would get.
+func (g *Gateway) forwardBody(w http.ResponseWriter, r *http.Request, singleFlight bool, tf transform) {
 	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -255,20 +220,19 @@ func (g *Gateway) forwardSharded(w http.ResponseWriter, r *http.Request, singleF
 		writeJSON(w, status, map[string]string{"error": "reading request body: " + err.Error()})
 		return
 	}
-	g.forward(w, r, shardKey(body), r.Method, r.URL.Path, body, singleFlight, tf)
+	g.forward(w, r, r.Method, r.URL.Path, body, singleFlight, tf)
 }
 
-// forward runs the retrying forwarding loop: pick a backend (shard
-// owner first, least loaded when it is unroutable), attempt with a
-// per-attempt timeout, and on a retryable failure back off and try the
-// next backend — excluding every backend already tried, so a dying
-// backend is never hammered twice for one request. Retries honor
-// Retry-After on 429/503 saturation answers. Single-flight requests
-// (job submits) are retried only when the attempt provably never
-// reached a backend (a dial failure) or the backend provably refused
-// it (429/503); any other failure is reported rather than resent.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte, singleFlight bool, tf transform) {
-	owner := g.backends[g.ring.Owner(key)]
+// forward runs the retrying forwarding loop: pick the least-loaded
+// routable backend, attempt with a per-attempt timeout, and on a
+// retryable failure back off and try the next backend — excluding
+// every backend already tried, so a dying backend is never hammered
+// twice for one request. Retries honor Retry-After on 429/503
+// saturation answers. Single-flight requests (job submits) are retried
+// only when the attempt provably never reached a backend (a dial
+// failure) or the backend provably refused it (429/503); any other
+// failure is reported rather than resent.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, method, path string, body []byte, singleFlight bool, tf transform) {
 	tried := make(map[*Backend]bool)
 	backoff := g.cfg.RetryBackoff
 	var last *upstreamResult
@@ -277,8 +241,8 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, p
 		if len(pool) == 0 {
 			break
 		}
-		b := pick(owner, pool)
-		if b == owner {
+		b := pick(pool)
+		if attempt == 0 {
 			g.metrics.pickPrimary.Add(1)
 		} else {
 			g.metrics.pickFallback.Add(1)
@@ -299,18 +263,28 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, p
 				wait = ra
 			}
 		}
-		if wait > g.cfg.RetryBackoffMax {
-			wait = g.cfg.RetryBackoffMax
-		}
-		select {
-		case <-r.Context().Done():
-			writeJSON(w, statusClientClosedRequest, map[string]string{"error": "client cancelled during retry backoff"})
+		if !g.pause(w, r, wait) {
 			return
-		case <-time.After(wait):
 		}
 		backoff *= 2
 	}
 	g.exhausted(w, last, tried)
+}
+
+// pause is the retry loops' backoff: it waits d, capped at
+// RetryBackoffMax, and reports true, unless the client goes away first;
+// then it answers 499 and reports false, so no handler outlives its
+// client by a backoff.
+func (g *Gateway) pause(w http.ResponseWriter, r *http.Request, d time.Duration) bool {
+	timer := time.NewTimer(min(d, g.cfg.RetryBackoffMax))
+	defer timer.Stop()
+	select {
+	case <-r.Context().Done():
+		writeJSON(w, statusClientClosedRequest, map[string]string{"error": "client cancelled during retry backoff"})
+		return false
+	case <-timer.C:
+		return true
+	}
 }
 
 // settle decides one attempt's fate: relay the response (done), or
@@ -436,11 +410,9 @@ func (g *Gateway) forwardJob(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		b.retries.Add(1)
-		wait := backoff
-		if wait > g.cfg.RetryBackoffMax {
-			wait = g.cfg.RetryBackoffMax
+		if !g.pause(w, r, backoff) {
+			return
 		}
-		time.Sleep(wait)
 		backoff *= 2
 	}
 	writeJSON(w, http.StatusBadGateway, map[string]string{

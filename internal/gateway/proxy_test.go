@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +17,7 @@ import (
 )
 
 // rankBody builds a canonical rank request; seed and sigma vary the
-// determinism / shard key under test.
+// configuration under test.
 func rankBody(seed int64, sigma float64) string {
 	return fmt.Sprintf(`{
 		"candidates": [
@@ -162,58 +163,18 @@ func TestGatewayBitIdentity(t *testing.T) {
 	}
 }
 
-// TestGatewayShardAffinity pins that one engine configuration pins to
-// one backend: repeated requests sharing a shard key all land on a
-// single backend, and a different key can land elsewhere — exactly the
-// cache-locality contract the consistent hash exists for.
-func TestGatewayShardAffinity(t *testing.T) {
-	g, gsrv, _ := startFleet(t, 3, nil)
-
-	hits := func() []int64 {
-		counts := make([]int64, len(g.Backends()))
-		for i, b := range g.Backends() {
-			counts[i] = b.requests.Load()
-		}
-		return counts
-	}
-	before := hits()
-	const sends = 6
-	for i := 0; i < sends; i++ {
-		resp, body := do(t, http.MethodPost, gsrv.URL+"/v1/rank", rankBody(int64(i), 0.25))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("send %d: status %d: %s", i, resp.StatusCode, body)
-		}
-	}
-	after := hits()
-	touched := 0
-	for i := range after {
-		if delta := after[i] - before[i]; delta > 0 {
-			touched++
-			if delta != sends {
-				t.Fatalf("backend %s took %d of %d equal-key requests; affinity leaked", g.Backends()[i].name, delta, sends)
-			}
-		}
-	}
-	if touched != 1 {
-		t.Fatalf("%d backends served one shard key, want exactly 1", touched)
-	}
-
-	// Every decision had a healthy owner, so none fell back.
-	if p, f := g.metrics.pickPrimary.Load(), g.metrics.pickFallback.Load(); p < sends || f != 0 {
-		t.Fatalf("picker split primary=%d fallback=%d, want ≥%d/0", p, f, sends)
-	}
-}
-
 // TestGatewayFailoverOnKilledBackend kills one of three backends and
 // pins the availability contract: every subsequent request still
 // succeeds (rerouted via the retry loop), the dead backend is demoted
 // to degraded, and the fallback path shows up in the picker metrics.
 func TestGatewayFailoverOnKilledBackend(t *testing.T) {
-	g, gsrv, backends := startFleet(t, 3, nil)
+	// Probes slow enough that requests, not probes, find the dead
+	// backend first, even on a loaded machine.
+	g, gsrv, backends := startFleet(t, 3, func(cfg *Config) { cfg.ProbeInterval = 200 * time.Millisecond })
 	backends[0].Close()
 
-	// Spread requests over many shard keys so some keys' owner is the
-	// dead backend — those must fail over, the rest route normally.
+	// The idle fleet's name tie-break sends the first request to the
+	// dead b0 before the probes can demote it; it must fail over.
 	for i := 0; i < 30; i++ {
 		resp, body := do(t, http.MethodPost, gsrv.URL+"/v1/rank", rankBody(1, float64(i)/10))
 		if resp.StatusCode != http.StatusOK {
@@ -222,12 +183,12 @@ func TestGatewayFailoverOnKilledBackend(t *testing.T) {
 	}
 	waitBackendState(t, g.Backends()[0], StateDegraded)
 
-	// The dead backend's owned shards were retried elsewhere.
+	// The attempts that reached the dead backend were retried elsewhere.
 	if g.Backends()[0].errors.Load() == 0 {
 		t.Fatal("dead backend recorded no failed attempts; the kill never exercised failover")
 	}
 	if g.metrics.pickFallback.Load() == 0 {
-		t.Fatal("no fallback decisions recorded; all 30 keys avoiding the dead backend is implausible")
+		t.Fatal("no fallback decisions recorded after a failed attempt")
 	}
 
 	// Once degraded it leaves the routable pool entirely.
@@ -417,6 +378,66 @@ func TestGatewayRetryAfterPassthrough(t *testing.T) {
 		if got := b.requests.Load(); got != 1 {
 			t.Fatalf("backend %s saw %d attempts, want 1", b.name, got)
 		}
+	}
+}
+
+// TestGatewayBackoffHonorsClientCancel pins that no retry loop outlives
+// its client: a client that cancels while the gateway backs off before
+// a retry gets a 499 at once, not after the backoff.
+func TestGatewayBackoffHonorsClientCancel(t *testing.T) {
+	minute := func(cfg *Config) { cfg.RetryBackoff, cfg.RetryBackoffMax = time.Minute, time.Minute }
+	saturated, _ := startFakeFleet(t, 1, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "60")
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "saturated"})
+	}, minute)
+	// Job routes retry transport errors on the job's own backend: one
+	// that refuses connections.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	cfg := Config{Backends: []string{dead.URL}}
+	minute(&cfg)
+	unreachable, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, method, path, body string
+		g                        *Gateway
+	}{
+		{"rank", http.MethodPost, "/v1/rank", rankBody(1, 0), saturated},
+		{"job poll", http.MethodGet, "/v1/jobs/b0-job-000001", "", unreachable},
+		{"job cancel", http.MethodDelete, "/v1/jobs/b0-job-000001", "", unreachable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.g.Backends()[0]
+			retries := b.retries.Load()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				tc.g.Handler().ServeHTTP(rec, req)
+			}()
+			// A retry is counted just before its backoff starts.
+			for b.retries.Load() == retries {
+				select {
+				case <-done:
+					t.Fatalf("handler returned %d before any retry: %s", rec.Code, rec.Body.String())
+				case <-time.After(time.Millisecond):
+				}
+			}
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("handler still running 5s after the client cancelled during a 1m backoff")
+			}
+			if rec.Code != statusClientClosedRequest {
+				t.Fatalf("status %d, want %d: %s", rec.Code, statusClientClosedRequest, rec.Body.String())
+			}
+		})
 	}
 }
 

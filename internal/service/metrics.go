@@ -61,10 +61,8 @@ func (m *metrics) route(pattern string) *routeStats {
 
 // Metrics assembles the full observability snapshot served by
 // GET /v1/metrics: per-route transport counters, admission-queue
-// gauges, job-layer gauges, and engine counters aggregated over the
-// currently cached rankers (evicted engines take their counts with
-// them; the engine section describes the live cache, not all of
-// history).
+// gauges, job-layer gauges, and the engine counters of the one Ranker
+// that serves every request.
 func (s *Service) Metrics() *MetricsResponse {
 	resp := &MetricsResponse{
 		Queue:  s.queueGauges(),
@@ -88,26 +86,19 @@ func (s *Service) Metrics() *MetricsResponse {
 			LatencyMsMax: float64(rs.latUsMax.Load()) / 1000,
 		})
 	}
-	s.mu.Lock()
-	resp.Engine.RankersCached = len(s.rankers)
-	for _, r := range s.rankers {
-		st := r.Stats()
-		resp.Engine.Requests += st.Requests
-		resp.Engine.Draws += st.Draws
-		resp.Engine.DrawsFull += st.DrawsFull
-		resp.Engine.DrawsTruncated += st.DrawsTruncated
-		for noise, c := range st.DrawsTruncatedByNoise {
-			if resp.Engine.DrawsTruncatedByNoise == nil {
-				resp.Engine.DrawsTruncatedByNoise = make(map[string]int64)
-			}
-			resp.Engine.DrawsTruncatedByNoise[noise] += c
-		}
-		resp.Engine.PoolGets += int64(st.PoolGets)
-		resp.Engine.PoolMisses += int64(st.PoolMisses)
-		resp.Engine.TableHits += st.TableHits
-		resp.Engine.TableMisses += st.TableMisses
+	st := s.ranker.Stats()
+	resp.Engine = EngineMetrics{
+		RankersCached:         1,
+		Requests:              st.Requests,
+		Draws:                 st.Draws,
+		DrawsFull:             st.DrawsFull,
+		DrawsTruncated:        st.DrawsTruncated,
+		DrawsTruncatedByNoise: st.DrawsTruncatedByNoise,
+		PoolGets:              st.PoolGets,
+		PoolMisses:            st.PoolMisses,
+		TableHits:             st.TableHits,
+		TableMisses:           st.TableMisses,
 	}
-	s.mu.Unlock()
 	return resp
 }
 

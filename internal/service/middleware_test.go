@@ -5,12 +5,11 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	fairrank "repro"
 )
 
 func TestRequestIDInjectedAndPreserved(t *testing.T) {
@@ -96,7 +95,7 @@ func TestRouteMetricsCountsPanics(t *testing.T) {
 
 // TestMetricsEndpointCounts: the /v1/metrics snapshot must agree with
 // the traffic the handler actually served — per-route requests and
-// error classes, engine counters, and the ranker-cache gauge.
+// error classes, and the engine counters.
 func TestMetricsEndpointCounts(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -157,7 +156,7 @@ func TestMetricsEndpointCounts(t *testing.T) {
 	if m.Queue.Admitted != 0 || m.Queue.InFlight != 0 {
 		t.Errorf("queue gauges not idle: %+v", m.Queue)
 	}
-	// One successful rank through the default algorithm: one cached
+	// One successful rank through the default algorithm: the one
 	// engine, one engine request, three draws, one table miss.
 	if m.Engine.RankersCached != 1 || m.Engine.Requests != 1 {
 		t.Errorf("engine gauges %+v", m.Engine)
@@ -181,15 +180,7 @@ func TestRankerStatsDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	if len(s.rankers) != 1 {
-		t.Fatalf("%d cached rankers, want 1", len(s.rankers))
-	}
-	var st fairrank.RankerStats
-	for _, r := range s.rankers {
-		st = r.Stats()
-	}
-	s.mu.Unlock()
+	st := s.ranker.Stats()
 	if st.Requests != 3 || st.Draws != 12 {
 		t.Errorf("requests=%d draws=%d, want 3 and 12", st.Requests, st.Draws)
 	}
@@ -229,5 +220,32 @@ func TestMetricsPerNoiseTruncation(t *testing.T) {
 	}
 	if sum != m.Engine.DrawsTruncated {
 		t.Errorf("per-noise axes sum to %d, total is %d", sum, m.Engine.DrawsTruncated)
+	}
+}
+
+// TestEngineCountersExactAcrossConfigs: requests of many distinct
+// configurations all count — 300 sigma values, more than a bounded
+// per-configuration engine cache would hold without evicting counts.
+func TestEngineCountersExactAcrossConfigs(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	h := NewHandler(s)
+	const requests = 300
+	for i := 0; i < requests; i++ {
+		body := fmt.Sprintf(`{"candidates": [{"id":"a","score":2,"group":"x"},{"id":"b","score":1,"group":"y"}], "samples": 2, "sigma": %g, "seed": %d}`, float64(i)/1000, i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rank", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	var m MetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Engine.Requests != requests || m.Engine.Draws != 2*requests {
+		t.Errorf("engine counted %d requests and %d draws, want %d and %d", m.Engine.Requests, m.Engine.Draws, requests, 2*requests)
 	}
 }

@@ -9,8 +9,8 @@
 //	jobs       → an async job store + supervisor: submit a batch, poll
 //	             progress, fetch results, cancel; items drain through
 //	             the same admission queue as synchronous traffic
-//	engine     → typed DTOs, validation, and a cache of reusable
-//	             fairrank.Ranker engines keyed by base configuration
+//	engine     → typed DTOs, validation, and one reusable
+//	             fairrank.Ranker serving every request's configuration
 //
 // cmd/fairrankd exposes it over HTTP; the package itself is
 // transport-agnostic so other frontends (gRPC, queues) can reuse it.
@@ -144,25 +144,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxCachedRankers caps the configuration → Ranker cache. At the cap an
-// arbitrary entry is evicted rather than refusing the new key, so a
-// burst of junk base configurations (e.g. many distinct sigmas) cannot
-// permanently lock legitimate traffic out of engine reuse.
-const maxCachedRankers = 256
-
-// rankerKey identifies the reusable engine a request needs. Only the
-// fields that shape the engine's construction belong here: theta,
-// samples, criterion, tolerance, top-k, and seed travel per request
-// (fairrank.Request), so requests that differ only in those share one
-// engine — and, through its (n, θ)-keyed table cache, share the
-// amortized Mallows state across dispersions.
-type rankerKey struct {
-	algorithm fairrank.Algorithm
-	central   fairrank.Central
-	weakK     int
-	sigma     float64
-}
-
 // Service ranks requests. Construct with New; safe for concurrent use.
 type Service struct {
 	cfg   Config
@@ -199,8 +180,10 @@ type Service struct {
 	webhookRetries   atomic.Int64
 	webhookExhausted atomic.Int64
 
-	mu      sync.Mutex
-	rankers map[rankerKey]*fairrank.Ranker
+	// ranker serves every request: each wire field travels on the
+	// fairrank.Request, and the engine keys its amortized state by
+	// (pool size, θ) alone.
+	ranker *fairrank.Ranker
 }
 
 // New returns a Service with the given configuration.
@@ -209,6 +192,10 @@ func New(cfg Config) *Service {
 	store := cfg.JobStore
 	if store == nil {
 		store = jobstore.NewMem()
+	}
+	ranker, err := fairrank.NewRanker(fairrank.Config{})
+	if err != nil {
+		panic(err) // the zero Config names only built-ins, so it always validates
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -220,7 +207,7 @@ func New(cfg Config) *Service {
 		jobsCancel:    cancel,
 		running:       make(map[string]context.CancelFunc),
 		webhookClient: &http.Client{Timeout: cfg.WebhookTimeout},
-		rankers:       make(map[rankerKey]*fairrank.Ranker),
+		ranker:        ranker,
 	}
 	s.bgWG.Add(1)
 	go s.sweepLoop()
@@ -408,10 +395,6 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ranker, err := s.ranker(req.key(), req.baseConfig())
-	if err != nil {
-		return nil, err
-	}
 	// Never hold slots the request cannot use: only the best-of-m loop
 	// parallelizes, and at most one goroutine per draw.
 	if p := parallelism(req); p < maxWorkers {
@@ -422,8 +405,16 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 	}
 	workers := 1 + s.queue.TryExtra(maxWorkers-1)
 	defer s.queue.ReleaseSlots(workers)
-	res, err := ranker.DoParallel(ctx, fairrank.Request{
+	var weakK *int
+	if req.WeakK != 0 {
+		weakK = &req.WeakK
+	}
+	res, err := s.ranker.DoParallel(ctx, fairrank.Request{
 		Candidates: req.Candidates,
+		Algorithm:  fairrank.Algorithm(req.Algorithm),
+		Central:    fairrank.Central(req.Central),
+		WeakK:      weakK,
+		Sigma:      &req.Sigma,
 		Theta:      req.Theta,
 		Samples:    req.Samples,
 		Criterion:  fairrank.Criterion(req.Criterion),
@@ -440,7 +431,7 @@ func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bo
 		}
 		// Remaining ranking failures are input-caused (e.g. a constraint
 		// algorithm over groups too small for the tolerance, an unknown
-		// criterion name); report them as such.
+		// algorithm or criterion name); report them as such.
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	d := res.Diagnostics
@@ -555,52 +546,6 @@ func parallelism(req *RankRequest) int {
 		return *req.Samples
 	}
 	return fairrank.DefaultSamples
-}
-
-// key identifies the engine the request needs; see rankerKey for why
-// only these fields participate.
-func (req *RankRequest) key() rankerKey {
-	return rankerKey{
-		algorithm: fairrank.Algorithm(req.Algorithm),
-		central:   fairrank.Central(req.Central),
-		weakK:     req.WeakK,
-		sigma:     req.Sigma,
-	}
-}
-
-// baseConfig maps the engine-shaping wire fields onto the library
-// configuration; everything else rides on the per-request
-// fairrank.Request.
-func (req *RankRequest) baseConfig() fairrank.Config {
-	return fairrank.Config{
-		Algorithm: fairrank.Algorithm(req.Algorithm),
-		Central:   fairrank.Central(req.Central),
-		WeakK:     req.WeakK,
-		Sigma:     req.Sigma,
-	}
-}
-
-// ranker returns the cached reusable engine for the key, building and
-// caching it on first use. Unknown algorithm/central names surface here
-// as ErrInvalid.
-func (s *Service) ranker(key rankerKey, cfg fairrank.Config) (*fairrank.Ranker, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.rankers[key]; ok {
-		return r, nil
-	}
-	r, err := fairrank.NewRanker(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if len(s.rankers) >= maxCachedRankers {
-		for k := range s.rankers {
-			delete(s.rankers, k) // evict one arbitrary entry
-			break
-		}
-	}
-	s.rankers[key] = r
-	return r, nil
 }
 
 // Catalog describes the rankable surface — every algorithm, noise

@@ -272,50 +272,34 @@ func TestExplicitZeroOverrides(t *testing.T) {
 	}
 }
 
-// Requests that differ only in per-request overrides share one cached
-// engine; the overrides must still take full effect per request.
+// Requests that differ in any wire field share the service's one
+// engine; every field must still take full effect per request.
 func TestPerRequestOverridesShareEngine(t *testing.T) {
 	s := New(Config{Workers: 2})
-	thetas := []float64{0.25, 1, 4}
-	for _, th := range thetas {
-		resp, err := s.Rank(context.Background(), &RankRequest{
-			Candidates: pool(30), Theta: ptr(th), Samples: ptr(6), Seed: 11,
-		})
+	reqs := []RankRequest{
+		{Candidates: pool(30), Theta: ptr(0.25), Samples: ptr(6), Seed: 11},
+		{Candidates: pool(30), Theta: ptr(4.0), Samples: ptr(6), Seed: 11},
+		{Candidates: pool(30), Algorithm: "detconstsort", Sigma: 0.5, Seed: 11},
+		{Candidates: pool(30), Central: "fair", Seed: 11},
+	}
+	for _, req := range reqs {
+		resp, err := s.Rank(context.Background(), &req)
 		if err != nil {
-			t.Fatalf("theta %v: %v", th, err)
+			t.Fatalf("%+v: %v", req, err)
 		}
-		if resp.Diagnostics.Theta != th {
-			t.Errorf("theta %v reported as %v", th, resp.Diagnostics.Theta)
+		d := resp.Diagnostics
+		if req.Theta != nil && d.Theta != *req.Theta {
+			t.Errorf("theta %v reported as %v", *req.Theta, d.Theta)
 		}
-	}
-	s.mu.Lock()
-	n := len(s.rankers)
-	s.mu.Unlock()
-	if n != 1 {
-		t.Errorf("%d cached engines for one base configuration, want 1", n)
-	}
-}
-
-// Saturating the engine cache with junk base configurations must not
-// lock later configurations out of caching: the cache stays bounded and
-// keeps admitting new keys by evicting old ones.
-func TestRankerCacheEvictsAtCap(t *testing.T) {
-	s := New(Config{Workers: 1})
-	for i := 0; i <= maxCachedRankers; i++ {
-		req := RankRequest{Sigma: float64(i) * 1e-9, Algorithm: "detconstsort"}
-		if _, err := s.ranker(req.key(), req.baseConfig()); err != nil {
-			t.Fatal(err)
+		if req.Algorithm != "" && string(d.Algorithm) != req.Algorithm {
+			t.Errorf("algorithm %q reported as %q", req.Algorithm, d.Algorithm)
+		}
+		if req.Central != "" && string(d.Central) != req.Central {
+			t.Errorf("central %q reported as %q", req.Central, d.Central)
 		}
 	}
-	s.mu.Lock()
-	n := len(s.rankers)
-	_, lastCached := s.rankers[rankerKey{algorithm: "detconstsort", sigma: float64(maxCachedRankers) * 1e-9}]
-	s.mu.Unlock()
-	if n != maxCachedRankers {
-		t.Errorf("cache holds %d engines, want %d", n, maxCachedRankers)
-	}
-	if !lastCached {
-		t.Error("key past the cap was not admitted to the cache")
+	if st := s.ranker.Stats(); st.Requests != int64(len(reqs)) {
+		t.Errorf("the one engine served %d requests, want %d", st.Requests, len(reqs))
 	}
 }
 

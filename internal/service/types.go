@@ -242,8 +242,8 @@ type MetricsResponse struct {
 	Queue QueueMetrics `json:"queue"`
 	// Jobs reports the async job layer.
 	Jobs JobMetrics `json:"jobs"`
-	// Engine aggregates fairrank.Ranker counters over the currently
-	// cached engines (an evicted engine takes its counts with it).
+	// Engine reports the counters of the fairrank.Ranker that serves
+	// every request.
 	Engine EngineMetrics `json:"engine"`
 	// Panics counts handler panics absorbed by the recovery middleware.
 	Panics int64 `json:"panics"`
@@ -314,17 +314,17 @@ type WebhookMetrics struct {
 	Exhausted int64 `json:"exhausted"`
 }
 
-// EngineMetrics aggregates fairrank.RankerStats over the cached
-// engines, plus the cache's own size. DrawsFull and DrawsTruncated
-// split Draws by draw path — full-length reference draws versus the
-// lazy top-k sampler that materializes only the delivered prefix —
-// and always sum to it. DrawsTruncatedByNoise further splits
-// DrawsTruncated by the noise mechanism that drew them
-// ("mallows", "gmallows", "plackett-luce"); the axes sum to
-// DrawsTruncated and the map is omitted while no truncated draw has
-// happened. PoolGets/PoolMisses count pooled draw-buffer checkouts and
-// the subset that had to allocate; both describe the live ranker cache,
-// so eviction can make them regress between snapshots.
+// EngineMetrics is the fairrank.RankerStats of the service's one
+// Ranker; every counter is cumulative and never decreases. RankersCached
+// is the number of Rankers, always 1 (a gateway's fleet view sums it
+// over its backends). DrawsFull and DrawsTruncated split Draws by draw
+// path — full-length reference draws versus the lazy top-k sampler that
+// materializes only the delivered prefix — and always sum to it.
+// DrawsTruncatedByNoise further splits DrawsTruncated by the noise
+// mechanism that drew them ("mallows", "gmallows", "plackett-luce");
+// the axes sum to DrawsTruncated and the map is omitted while no
+// truncated draw has happened. PoolGets/PoolMisses count pooled
+// draw-buffer checkouts and the subset that had to allocate.
 type EngineMetrics struct {
 	RankersCached         int              `json:"rankers_cached"`
 	Requests              int64            `json:"requests"`

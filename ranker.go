@@ -28,8 +28,8 @@ import (
 type Ranker struct {
 	cfg Config
 	// entry is the registry entry of cfg.Algorithm, captured at
-	// construction: a Ranker's algorithm is fixed, so requests never
-	// touch the global registry (its lock included) on the hot path.
+	// construction, so requests that keep the configured algorithm
+	// never touch the global registry (its lock included).
 	entry algorithmEntry
 	// eng holds the amortized draw state: the per-(n, θ) tables and
 	// scratch pools, the DCG discounts and the pooled RNGs.
@@ -125,12 +125,12 @@ func NewRanker(cfg Config) (*Ranker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if entry.info.Sampling && entry.info.BestOf {
-		switch probe.Criterion {
-		case CriterionNDCG, CriterionKT:
-		default:
-			return nil, fmt.Errorf("fairrank: unknown criterion %q", probe.Criterion)
-		}
+	// Criterion, like Noise and Central, is validated whatever the
+	// algorithm: a request may name another algorithm that reads it.
+	switch probe.Criterion {
+	case CriterionNDCG, CriterionKT:
+	default:
+		return nil, fmt.Errorf("fairrank: unknown criterion %q", probe.Criterion)
 	}
 	if entry.factory != nil {
 		// Let the factory validate the configuration now rather than on
@@ -167,29 +167,6 @@ func NewRanker(cfg Config) (*Ranker, error) {
 		r.truncDraws[Noise(noise)] = new(atomic.Int64)
 	}
 	return r, nil
-}
-
-// Config returns the configuration the Ranker was built from.
-func (r *Ranker) Config() Config { return r.cfg }
-
-// Warm pre-builds the per-size caches for the given candidate-pool
-// sizes, moving the one-time table construction off the first request.
-// It prepares the kernel of the noise axis the Ranker's configuration
-// resolves to (the algorithm's pinned mechanism, else Config.Noise) as a
-// request of each size would; registered mechanisms without a kernel
-// keep no per-size state, so there is nothing to warm for them.
-func (r *Ranker) Warm(sizes ...int) error {
-	for _, n := range sizes {
-		cfg := r.cfg.withDefaults(n)
-		noise := r.entry.info.Noise
-		if noise == "" {
-			noise = cfg.Noise
-		}
-		if err := r.eng.Warm(core.Noise(noise), n, cfg.Theta); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Rank post-processes candidates into a fair ranking, best first. It is

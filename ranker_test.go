@@ -180,20 +180,6 @@ func TestNewRankerRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestRankerWarm(t *testing.T) {
-	r, err := NewRanker(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Warm(10, 100, 1000); err != nil {
-		t.Fatal(err)
-	}
-	pool := germanPool(t, 100)
-	if _, err := r.Rank(pool, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Past the engine's size-state cap (64 distinct (n, θ) keys; the cap
 // itself is pinned in internal/core) ranking stays equivalent to Rank —
 // a burst of junk keys cannot lock later traffic out of the
@@ -203,18 +189,20 @@ func TestRankerSizeCacheCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const sizes = 100
-	for n := 2; n < 2+sizes; n++ {
-		if err := r.Warm(n); err != nil {
+	const keys = 100
+	junk := germanPool(t, 40)
+	for i := 0; i < keys; i++ {
+		theta := 2 + float64(i)/10
+		if _, err := r.Do(context.Background(), Request{Candidates: junk, Theta: &theta}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := r.Stats(); st.TableMisses != sizes {
-		t.Fatalf("warming %d sizes missed the cache %d times", sizes, st.TableMisses)
+	if st := r.Stats(); st.TableMisses != keys {
+		t.Fatalf("%d distinct (n, θ) keys missed the cache %d times", keys, st.TableMisses)
 	}
 	// A fresh size past the cap must rank correctly, evicting rather
 	// than growing.
-	pool := germanPool(t, sizes+10)
+	pool := germanPool(t, keys+10)
 	want, err := Rank(pool, Config{Theta: 1, Samples: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -220,9 +220,8 @@ var registry = struct {
 // by name through NewRanker/Rank, servable by internal/service and
 // fairrankd, and visible in the GET /v1/algorithms catalog and the CLI
 // usage text. Safe for concurrent use, including concurrently with
-// Ranker.Do; registrations are visible to Rankers constructed before
-// them only at their next NewRanker — an existing Ranker's algorithm is
-// fixed.
+// Ranker.Do; a Ranker constructed before a registration serves the new
+// algorithm to requests that name it in Request.Algorithm.
 //
 // Non-sampling algorithms require a factory. Sampling entries (the
 // engine-managed best-of-m family) take no factory: their behavior is

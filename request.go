@@ -23,13 +23,25 @@ import (
 // default convention cannot express. A nil override inherits the
 // Config value (after Config's own defaulting).
 //
-// Per-request Theta is cheap: the Ranker's amortized Mallows tables are
-// keyed by (pool size, θ), so requests with different dispersions share
-// the cache instead of invalidating it.
+// Every override is cheap: the Ranker's amortized draw state is keyed
+// by (pool size, θ) alone, so one Ranker serves requests of any
+// algorithm, central ranking or dispersion, and they share its cache
+// instead of invalidating it.
 type Request struct {
 	// Candidates is the pool to rank; must be nonempty with unique,
 	// nonempty IDs, nonempty Groups, and non-NaN scores.
 	Candidates []Candidate
+	// Algorithm overrides Config.Algorithm when nonempty: any name in
+	// the registry.
+	Algorithm Algorithm
+	// Central overrides Config.Central when nonempty.
+	Central Central
+	// WeakK overrides Config.WeakK, the prefix length of the weakly
+	// fair central, which requires 1 ≤ WeakK ≤ pool size.
+	WeakK *int
+	// Sigma overrides Config.Sigma (constraint noise of the
+	// attribute-aware algorithms); must be ≥ 0.
+	Sigma *float64
 	// Theta overrides Config.Theta (Mallows dispersion); must be finite
 	// and ≥ 0.
 	// 0 draws uniformly random permutations.
@@ -175,7 +187,7 @@ func (r *Ranker) DoParallel(ctx context.Context, req Request, workers int) (*Res
 // stream) and DoParallel (workers ≥ 1, per-draw derived streams).
 func (r *Ranker) do(ctx context.Context, req Request, workers int) (*Result, error) {
 	r.statRequests.Add(1)
-	cfg, topK, err := r.resolve(req)
+	cfg, entry, topK, err := r.resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +198,10 @@ func (r *Ranker) do(ctx context.Context, req Request, workers int) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if err := r.entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
+	if err := entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
 		return nil, err
 	}
-	out, score, scored, draws, noise, err := r.rankInstance(ctx, in, cfg, topK, workers)
+	out, score, scored, draws, noise, err := r.rankInstance(ctx, entry, in, cfg, topK, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -203,16 +215,15 @@ func (r *Ranker) do(ctx context.Context, req Request, workers int) (*Result, err
 	}, nil
 }
 
-// rankInstance ranks one assembled instance under a resolved
-// configuration — the per-draw core shared by do and the multi-draw
-// Sample hook, which builds the instance once and calls this per draw.
-// It returns the chosen ranking — full-length, or just the delivered
-// prefix when the truncated draw path served a TopK request — the
-// winning selection score (when a best-of criterion ran), the draw
-// count, and the noise mechanism actually drawn from (empty for
-// non-sampling algorithms).
-func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Config, topK, workers int) (perm.Perm, float64, bool, int, Noise, error) {
-	entry := r.entry
+// rankInstance ranks one assembled instance with the resolved
+// algorithm entry and configuration — the per-draw core shared by do
+// and the multi-draw Sample hook, which builds the instance once and
+// calls this per draw. It returns the chosen ranking — full-length, or
+// just the delivered prefix when the truncated draw path served a TopK
+// request — the winning selection score (when a best-of criterion
+// ran), the draw count, and the noise mechanism actually drawn from
+// (empty for non-sampling algorithms).
+func (r *Ranker) rankInstance(ctx context.Context, entry algorithmEntry, in rankers.Instance, cfg Config, topK, workers int) (perm.Perm, float64, bool, int, Noise, error) {
 	var (
 		out    perm.Perm
 		score  float64
@@ -288,23 +299,55 @@ func (r *Ranker) rankInstance(ctx context.Context, in rankers.Instance, cfg Conf
 
 // resolve merges the Ranker's Config (with its defaults applied for the
 // request's pool size) and the request's overrides, validating each
-// override. The resolution order is: Request field if set, else Config
-// field if nonzero, else the built-in default.
-func (r *Ranker) resolve(req Request) (Config, int, error) {
+// override, and returns the registry entry of the resolved algorithm.
+// The resolution order is: Request field if set, else Config field if
+// nonzero, else the built-in default.
+func (r *Ranker) resolve(req Request) (Config, algorithmEntry, int, error) {
 	n := len(req.Candidates)
 	cfg := r.cfg.withDefaults(n)
+	entry := r.entry
+	fail := func(err error) (Config, algorithmEntry, int, error) {
+		return Config{}, algorithmEntry{}, 0, err
+	}
+	if req.Algorithm != "" && req.Algorithm != cfg.Algorithm {
+		// Only a request naming another algorithm touches the registry
+		// (and its lock); the Ranker's own entry was captured at
+		// construction.
+		var err error
+		if entry, err = lookupEntry(req.Algorithm); err != nil {
+			return fail(err)
+		}
+		cfg.Algorithm = req.Algorithm
+	}
+	if req.Central != "" {
+		switch req.Central {
+		case CentralWeaklyFair, CentralFairDCG, CentralScoreOrder:
+		default:
+			return fail(fmt.Errorf("fairrank: unknown central ranking %q", req.Central))
+		}
+		cfg.Central = req.Central
+	}
+	if req.WeakK != nil {
+		cfg.WeakK = *req.WeakK
+	}
+	if req.Sigma != nil {
+		if math.IsNaN(*req.Sigma) || *req.Sigma < 0 {
+			return fail(fmt.Errorf("fairrank: constraint noise σ = %v, want ≥ 0", *req.Sigma))
+		}
+		cfg.Sigma = *req.Sigma
+	}
 	if req.Theta != nil {
 		if math.IsNaN(*req.Theta) || *req.Theta < 0 {
-			return Config{}, 0, fmt.Errorf("fairrank: request dispersion θ = %v, want ≥ 0", *req.Theta)
+			return fail(fmt.Errorf("fairrank: request dispersion θ = %v, want ≥ 0", *req.Theta))
 		}
 		if math.IsInf(*req.Theta, 1) {
-			return Config{}, 0, fmt.Errorf("fairrank: request dispersion θ = %v, want finite", *req.Theta)
+			return fail(fmt.Errorf("fairrank: request dispersion θ = %v, want finite", *req.Theta))
 		}
 		cfg.Theta = *req.Theta
 	}
 	if req.Samples != nil {
 		if *req.Samples < 1 {
-			return Config{}, 0, fmt.Errorf("fairrank: request samples = %d, want ≥ 1", *req.Samples)
+			return fail(fmt.Errorf("fairrank: request samples = %d, want ≥ 1", *req.Samples))
 		}
 		cfg.Samples = *req.Samples
 	}
@@ -312,19 +355,19 @@ func (r *Ranker) resolve(req Request) (Config, int, error) {
 		switch req.Criterion {
 		case CriterionNDCG, CriterionKT:
 		default:
-			return Config{}, 0, fmt.Errorf("fairrank: unknown criterion %q", req.Criterion)
+			return fail(fmt.Errorf("fairrank: unknown criterion %q", req.Criterion))
 		}
 		cfg.Criterion = req.Criterion
 	}
 	if req.Noise != "" {
 		if _, ok := LookupNoise(string(req.Noise)); !ok {
-			return Config{}, 0, fmt.Errorf("%w %q", ErrUnknownNoise, req.Noise)
+			return fail(fmt.Errorf("%w %q", ErrUnknownNoise, req.Noise))
 		}
 		cfg.Noise = req.Noise
 	}
 	if req.Tolerance != nil {
 		if math.IsNaN(*req.Tolerance) || *req.Tolerance < 0 {
-			return Config{}, 0, fmt.Errorf("fairrank: request tolerance %v, want ≥ 0", *req.Tolerance)
+			return fail(fmt.Errorf("fairrank: request tolerance %v, want ≥ 0", *req.Tolerance))
 		}
 		cfg.Tolerance = *req.Tolerance
 	}
@@ -334,13 +377,13 @@ func (r *Ranker) resolve(req Request) (Config, int, error) {
 	topK := n
 	if req.TopK != nil {
 		if *req.TopK < 1 {
-			return Config{}, 0, fmt.Errorf("fairrank: request top-k = %d, want ≥ 1", *req.TopK)
+			return fail(fmt.Errorf("fairrank: request top-k = %d, want ≥ 1", *req.TopK))
 		}
 		if *req.TopK < topK {
 			topK = *req.TopK
 		}
 	}
-	return cfg, topK, nil
+	return cfg, entry, topK, nil
 }
 
 // plan prepares one request's draws from noise: through core's kernel

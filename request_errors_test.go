@@ -23,6 +23,7 @@ func TestNewRankerRejectsExact(t *testing.T) {
 		{"unknown noise", Config{Noise: "fog"}, `fairrank: unknown noise "fog"`, ErrUnknownNoise},
 		{"unknown central", Config{Central: "median"}, `fairrank: unknown central ranking "median"`, nil},
 		{"unknown criterion", Config{Criterion: "vibes"}, `fairrank: unknown criterion "vibes"`, nil},
+		{"unknown criterion, deterministic algorithm", Config{Algorithm: AlgorithmDetConstSort, Criterion: "vibes"}, `fairrank: unknown criterion "vibes"`, nil},
 		{"negative theta", Config{Theta: -1}, "fairrank: dispersion θ = -1, want ≥ 0", nil},
 		{"NaN theta", Config{Theta: math.NaN()}, "fairrank: dispersion θ = NaN, want ≥ 0", nil},
 		{"+Inf theta", Config{Theta: math.Inf(1)}, "fairrank: dispersion θ = +Inf, want finite", nil},
@@ -60,6 +61,11 @@ func TestRequestRejectsExact(t *testing.T) {
 		want string
 		is   error
 	}{
+		{"unknown algorithm", Request{Candidates: ok, Algorithm: "quicksort"}, `fairrank: unknown algorithm "quicksort"`, ErrUnknownAlgorithm},
+		{"unknown central", Request{Candidates: ok, Central: "median"}, `fairrank: unknown central ranking "median"`, nil},
+		{"negative sigma", Request{Candidates: ok, Sigma: fptr(-0.5)}, "fairrank: constraint noise σ = -0.5, want ≥ 0", nil},
+		{"NaN sigma", Request{Candidates: ok, Sigma: fptr(math.NaN())}, "fairrank: constraint noise σ = NaN, want ≥ 0", nil},
+		{"zero weak-k", Request{Candidates: ok, WeakK: iptr(0)}, "fairrank: building central ranking: fairness: k = 0 outside [1,6]", nil},
 		{"negative theta", Request{Candidates: ok, Theta: fptr(-1)}, "fairrank: request dispersion θ = -1, want ≥ 0", nil},
 		{"NaN theta", Request{Candidates: ok, Theta: fptr(math.NaN())}, "fairrank: request dispersion θ = NaN, want ≥ 0", nil},
 		{"+Inf theta", Request{Candidates: ok, Theta: fptr(math.Inf(1))}, "fairrank: request dispersion θ = +Inf, want finite", nil},

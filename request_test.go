@@ -95,6 +95,26 @@ func TestDoOverridesMatchMergedConfig(t *testing.T) {
 			Request{Candidates: cands, Tolerance: fptr(0.05), Seed: sptr(7)},
 			Config{Algorithm: AlgorithmMallowsBest, Theta: 2, Samples: 4, Tolerance: 0.05, Seed: 7},
 		},
+		{
+			"algorithm+sigma",
+			Request{Candidates: cands, Algorithm: AlgorithmDetConstSort, Sigma: fptr(0.3), Seed: sptr(9)},
+			Config{Algorithm: AlgorithmDetConstSort, Theta: 2, Samples: 4, Tolerance: 0.2, Sigma: 0.3, Seed: 9},
+		},
+		{
+			"pinned-noise algorithm",
+			Request{Candidates: cands, Algorithm: AlgorithmPlackettLuce, Seed: sptr(4)},
+			Config{Algorithm: AlgorithmPlackettLuce, Theta: 2, Samples: 4, Tolerance: 0.2, Seed: 4},
+		},
+		{
+			"central",
+			Request{Candidates: cands, Central: CentralFairDCG, Seed: sptr(6)},
+			Config{Algorithm: AlgorithmMallowsBest, Central: CentralFairDCG, Theta: 2, Samples: 4, Tolerance: 0.2, Seed: 6},
+		},
+		{
+			"weak_k",
+			Request{Candidates: cands, WeakK: iptr(4), Seed: sptr(8)},
+			Config{Algorithm: AlgorithmMallowsBest, Theta: 2, Samples: 4, Tolerance: 0.2, WeakK: 4, Seed: 8},
+		},
 	}
 	// Interleave: run all cases twice so later requests exercise caches
 	// warmed by earlier, differently-overridden requests.

@@ -35,7 +35,7 @@ func (r *Ranker) Sample(ctx context.Context, req Request, draws int, observe fun
 	if observe == nil {
 		return fmt.Errorf("fairrank: nil observe func")
 	}
-	cfg, topK, err := r.resolve(req)
+	cfg, entry, topK, err := r.resolve(req)
 	if err != nil {
 		return err
 	}
@@ -43,7 +43,7 @@ func (r *Ranker) Sample(ctx context.Context, req Request, draws int, observe fun
 	if err != nil {
 		return err
 	}
-	if err := r.entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
+	if err := entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
 		return err
 	}
 	base := cfg.Seed
@@ -52,7 +52,7 @@ func (r *Ranker) Sample(ctx context.Context, req Request, draws int, observe fun
 			return err
 		}
 		cfg.Seed = SampleSeed(base, i)
-		out, score, scored, n, noise, err := r.rankInstance(ctx, in, cfg, topK, 0)
+		out, score, scored, n, noise, err := r.rankInstance(ctx, entry, in, cfg, topK, 0)
 		if err != nil {
 			return fmt.Errorf("fairrank: sample draw %d (seed %d): %w", i, cfg.Seed, err)
 		}
