@@ -657,7 +657,7 @@ func BenchmarkPlackettLuceBest(b *testing.B) {
 	})
 }
 
-// BenchmarkNoiseAxis compares the registered mechanisms through the one
+// BenchmarkNoiseAxis compares the noise mechanisms through the one
 // engine loop that serves them all (mallows-best with the per-request
 // noise override), so regressions in any mechanism's serving path
 // surface here.

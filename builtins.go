@@ -3,7 +3,6 @@ package fairrank
 import (
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/rankers"
 )
 
@@ -21,20 +20,6 @@ func (s internalStrategy) Rank(in *Instance, rng *rand.Rand) ([]int, error) {
 }
 
 func init() {
-	// Noise mechanisms first: sampling algorithms may pin one.
-	MustRegisterNoise(NoiseInfo{
-		Name:        string(NoiseMallows),
-		Description: "Mallows model M(central, θ) — the paper's mechanism (repeated-insertion sampling, amortized tables)",
-	}, core.Axes[core.NoiseMallows].Reference)
-	MustRegisterNoise(NoiseInfo{
-		Name:        string(NoiseGMallows),
-		Description: "generalized Mallows (Fligner–Verducci) with per-position dispersion θ·0.97^j: the head stays close to the central, the tail mixes more",
-	}, core.Axes[core.NoiseGMallows].Reference)
-	MustRegisterNoise(NoiseInfo{
-		Name:        string(NoisePlackettLuce),
-		Description: "Plackett–Luce with weights e^{−θ·rank} (Gumbel-max sampling); θ = 0 is uniform, large θ concentrates on the central",
-	}, core.Axes[core.NoisePlackettLuce].Reference)
-
 	samplingTunables := []string{"central", "theta", "noise", "tolerance", "weak_k", "seed"}
 	bestOfTunables := []string{"central", "criterion", "theta", "noise", "samples", "tolerance", "weak_k", "seed"}
 	plTunables := []string{"central", "criterion", "theta", "samples", "tolerance", "weak_k", "seed"}

@@ -74,9 +74,10 @@ type soakRun struct {
 	client  *http.Client
 	targets []target
 	// perItem is the engine draws one ranked item implies and
-	// truncNoise the noise whose top-k draws truncate ("" when they do
-	// not), both from the registry and the serving defaults, so the
-	// client can predict the server's draw-path counters.
+	// truncNoise the noise a sampling algorithm draws from ("" when the
+	// algorithm draws nothing; every noise truncates its top-k draws),
+	// both from the registry and the serving defaults, so the client can
+	// predict the server's draw-path counters.
 	perItem    int64
 	truncNoise string
 	// retryTransport makes jobCall retry transport-level failures: the
@@ -163,9 +164,7 @@ func newSoakRun(base string, t traffic, specs []scenario.Spec) (*soakRun, error)
 		if noise == "" {
 			noise = defaults.Noise
 		}
-		if ni, ok := fairrank.LookupNoise(noise); ok && ni.Truncated {
-			r.truncNoise = noise
-		}
+		r.truncNoise = noise
 	}
 	return r, nil
 }

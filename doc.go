@@ -76,13 +76,13 @@
 // (GET /v1/algorithms), and listed in the CLI usage — no dispatch table
 // to edit anywhere. See ExampleRegister.
 //
-// The randomization mechanism of the sampling algorithms is likewise a
-// registry axis (§VI of the paper proposes mechanisms beyond Mallows):
-// Config.Noise / Request.Noise select among the registered mechanisms —
-// built-ins "mallows", "gmallows", "plackett-luce" — and RegisterNoise
-// adds more. AlgorithmPlackettLuce ("pl-best") pins the Plackett–Luce
-// mechanism as a first-class algorithm. Unknown names fail with errors
-// wrapping ErrUnknownAlgorithm / ErrUnknownNoise.
+// The randomization mechanism of the sampling algorithms is a second
+// axis of choice (§VI of the paper proposes mechanisms beyond Mallows):
+// Config.Noise / Request.Noise select among "mallows", "gmallows" and
+// "plackett-luce", the entries of the engine's noise table, which
+// Noises lists. AlgorithmPlackettLuce ("pl-best") pins the
+// Plackett–Luce mechanism as a first-class algorithm. Unknown names
+// fail with errors wrapping ErrUnknownAlgorithm / ErrUnknownNoise.
 //
 // Implementation lives under internal/; see README.md for install,
 // configuration tables, and command usage, and docs/ARCHITECTURE.md for

@@ -81,12 +81,13 @@ const (
 const DefaultAlgorithm = AlgorithmMallowsBest
 
 // Noise selects the randomization mechanism the sampling algorithms
-// (the Algorithm-1 family) draw from, by its registered name. The
-// paper's §VI proposes exploring mechanisms beyond Mallows; the
-// built-ins below cover that direction, and RegisterNoise adds more.
+// (the Algorithm-1 family) draw from, by name. The paper's §VI proposes
+// exploring mechanisms beyond Mallows; the mechanisms below cover that
+// direction.
 type Noise string
 
-// The built-in noise mechanisms. Each self-registers in builtins.go.
+// The noise mechanisms, the entries of the engine's noise table (see
+// Noises).
 const (
 	// NoiseMallows draws from the Mallows model M(central, θ) — the
 	// paper's mechanism and the default. It is served by the engine's
@@ -168,7 +169,7 @@ type Config struct {
 	// Theta is the noise dispersion/concentration (default 1): the
 	// Mallows dispersion under the default mechanism, the base
 	// per-position dispersion for gmallows, the weight-decay strength
-	// for plackett-luce — every registered mechanism receives it. It
+	// for plackett-luce — every mechanism receives it. It
 	// must be finite and ≥ 0. Zero is read as "unset"; use
 	// Request.Theta for an explicit θ = 0 (uniform noise).
 	Theta float64
@@ -275,10 +276,7 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 		if c.Group == "" {
 			return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q has empty Group", c.ID)
 		}
-		if _, ok := groupIDs[c.Group]; !ok {
-			groupIDs[c.Group] = 0
-			groupNames = append(groupNames, c.Group)
-		}
+		groupNames = addLabel(groupIDs, groupNames, c.Group)
 		if c.Membership != nil {
 			var sum float64
 			for name, p := range c.Membership {
@@ -289,10 +287,7 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 					return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q membership for group %q is %v, want in [0,1]", c.ID, name, p)
 				}
 				sum += p
-				if _, ok := groupIDs[name]; !ok {
-					groupIDs[name] = 0
-					groupNames = append(groupNames, name)
-				}
+				groupNames = addLabel(groupIDs, groupNames, name)
 			}
 			// Probabilities are taken as stated, never renormalized: a
 			// wrong sum is a caller bug, not a scaling choice.
@@ -301,10 +296,7 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 			}
 		}
 	}
-	sort.Strings(groupNames)
-	for i, name := range groupNames {
-		groupIDs[name] = i
-	}
+	numberLabels(groupIDs, groupNames)
 	assign := make([]int, len(candidates))
 	scores := make(quality.Scores, len(candidates))
 	for i, c := range candidates {
@@ -315,26 +307,13 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 	if err != nil {
 		return rankers.Instance{}, err
 	}
-	// Lift hard labels plus any stated memberships into a distribution
-	// per item. Nil unless some candidate carries a Membership: the
-	// probabilistic diagnostics are opt-in, and requests without the
-	// field keep their exact historical outputs.
+	// Nil unless some candidate carries a Membership: the probabilistic
+	// diagnostics are opt-in, and requests without the field keep their
+	// exact historical outputs.
 	var prob *fairness.ProbGroups
 	for _, c := range candidates {
 		if c.Membership != nil {
-			dist := make([][]float64, len(candidates))
-			for i, c := range candidates {
-				row := make([]float64, len(groupNames))
-				if c.Membership == nil {
-					row[groupIDs[c.Group]] = 1
-				} else {
-					for name, p := range c.Membership {
-						row[groupIDs[name]] = p
-					}
-				}
-				dist[i] = row
-			}
-			prob, err = fairness.NewProbGroups(dist, len(groupNames))
+			prob, err = membershipRows(candidates, groupIDs, len(groupNames))
 			if err != nil {
 				return rankers.Instance{}, fmt.Errorf("fairrank: building membership distribution: %w", err)
 			}
@@ -442,44 +421,22 @@ func ExpectedPPfairTopK(ranked []Candidate, k int, tol float64) (float64, error)
 	if len(ranked) == 0 {
 		return 0, fmt.Errorf("fairrank: empty ranking")
 	}
-	seen := map[string]bool{}
+	ids := map[string]int{}
 	var names []string
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
 	for i, c := range ranked {
 		if c.Group == "" {
 			return 0, fmt.Errorf("fairrank: candidate %d has empty group", i)
 		}
-		add(c.Group)
+		names = addLabel(ids, names, c.Group)
 		for name := range c.Membership {
 			if name == "" {
 				return 0, fmt.Errorf("fairrank: candidate %q membership names an empty group", c.ID)
 			}
-			add(name)
+			names = addLabel(ids, names, name)
 		}
 	}
-	sort.Strings(names)
-	ids := make(map[string]int, len(names))
-	for i, n := range names {
-		ids[n] = i
-	}
-	dist := make([][]float64, len(ranked))
-	for i, c := range ranked {
-		row := make([]float64, len(names))
-		if c.Membership == nil {
-			row[ids[c.Group]] = 1
-		} else {
-			for name, p := range c.Membership {
-				row[ids[name]] = p
-			}
-		}
-		dist[i] = row
-	}
-	pg, err := fairness.NewProbGroups(dist, len(names))
+	numberLabels(ids, names)
+	pg, err := membershipRows(ranked, ids, len(names))
 	if err != nil {
 		return 0, err
 	}
@@ -537,15 +494,9 @@ func groupsAndConstraints(groups []string, tol float64) (*fairness.Groups, *fair
 		if g == "" {
 			return nil, nil, fmt.Errorf("fairrank: candidate %d has empty group", i)
 		}
-		if _, ok := ids[g]; !ok {
-			ids[g] = 0
-			names = append(names, g)
-		}
+		names = addLabel(ids, names, g)
 	}
-	sort.Strings(names)
-	for i, n := range names {
-		ids[n] = i
-	}
+	numberLabels(ids, names)
 	assign := make([]int, len(groups))
 	for i, g := range groups {
 		assign[i] = ids[g]
@@ -559,4 +510,44 @@ func groupsAndConstraints(groups []string, tol float64) (*fairness.Groups, *fair
 		return nil, nil, err
 	}
 	return gr, cons, nil
+}
+
+// addLabel records one occurrence of a group label: the first time it
+// sees the label it enters it in ids and appends it to names, which it
+// returns. numberLabels then assigns the ids.
+func addLabel(ids map[string]int, names []string, name string) []string {
+	if _, ok := ids[name]; !ok {
+		ids[name] = 0
+		names = append(names, name)
+	}
+	return names
+}
+
+// numberLabels sorts the distinct labels addLabel collected and numbers
+// them 0, 1, … in that order, so equal label sets get equal ids
+// whatever order the candidates arrive in.
+func numberLabels(ids map[string]int, names []string) {
+	sort.Strings(names)
+	for i, name := range names {
+		ids[name] = i
+	}
+}
+
+// membershipRows lifts each candidate's group information into a
+// probability row over the groups numbered in ids: its stated
+// Membership, or one-hot at its Group when it states none.
+func membershipRows(candidates []Candidate, ids map[string]int, groups int) (*fairness.ProbGroups, error) {
+	dist := make([][]float64, len(candidates))
+	for i, c := range candidates {
+		row := make([]float64, groups)
+		if c.Membership == nil {
+			row[ids[c.Group]] = 1
+		} else {
+			for name, p := range c.Membership {
+				row[ids[name]] = p
+			}
+		}
+		dist[i] = row
+	}
+	return fairness.NewProbGroups(dist, groups)
 }

@@ -2,8 +2,12 @@ package fairrank
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // pool builds n candidates in two groups where group "a" holds the top
@@ -332,5 +336,29 @@ func TestHighThetaPreservesQuality(t *testing.T) {
 	}
 	if v < 0.98 {
 		t.Fatalf("θ=25 NDCG = %v, want ≈ 1", v)
+	}
+}
+
+// The noise catalog is the engine's axis table: Noises lists exactly
+// its names, sorted, each with its description, and LookupNoise finds
+// each entry Noises lists.
+func TestNoisesListAxisTable(t *testing.T) {
+	var want []string
+	for name := range core.Axes {
+		want = append(want, string(name))
+	}
+	slices.Sort(want)
+	var got []string
+	for _, n := range Noises() {
+		got = append(got, n.Name)
+		if d := core.Axes[core.Noise(n.Name)].Description; n.Description != d {
+			t.Errorf("noise %q: description %q, axis table says %q", n.Name, n.Description, d)
+		}
+		if info, ok := LookupNoise(n.Name); !ok || info != n {
+			t.Errorf("LookupNoise(%q) = %+v, %v; Noises lists %+v", n.Name, info, ok, n)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Noises() names %v, want the axis table's %v", got, want)
 	}
 }

@@ -76,9 +76,6 @@ type Config struct {
 	// prefix (the convention for throwaway strategies registered by
 	// negative tests, which are verified by explicit Config only).
 	Algorithms []fairrank.AlgorithmInfo
-	// Noises restricts the noise axis; nil enumerates the registry,
-	// with the same "test:" convention.
-	Noises []fairrank.NoiseInfo
 }
 
 func (c Config) withDefaults() Config {
@@ -134,14 +131,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}
 	}
-	noises := cfg.Noises
-	if noises == nil {
-		for _, n := range fairrank.Noises() {
-			if !strings.HasPrefix(n.Name, testPrefix) {
-				noises = append(noises, n)
-			}
-		}
-	}
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("conformance: no algorithms to verify")
 	}
@@ -159,6 +148,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		AuditTopK:  cfg.AuditTopK,
 		Seed:       cfg.Seed,
 	}
+	noises := fairrank.Noises()
 	for _, info := range algos {
 		for _, noise := range pairNoises(info, noises) {
 			pair := PairReport{Algorithm: info.Name, Noise: noise.pair}
@@ -192,7 +182,7 @@ type pairNoise struct {
 }
 
 // pairNoises derives an algorithm's noise axes from its capability
-// flags: the full registry cross for sampling entries with a free noise
+// flags: every noise mechanism for sampling entries with a free noise
 // axis, the pinned mechanism alone for pinned entries, and a single
 // empty axis for algorithms that draw nothing.
 func pairNoises(info fairrank.AlgorithmInfo, noises []fairrank.NoiseInfo) []pairNoise {
@@ -406,7 +396,7 @@ func runSweep(ctx context.Context, ranker *fairrank.Ranker, req fairrank.Request
 // finding means the flag (or the mechanism) is wrong.
 func checkDeterminismFlag(ctx context.Context, cfg Config, info fairrank.AlgorithmInfo, noise pairNoise, ranker *fairrank.Ranker, pool []fairrank.Candidate, auditK int, baseSeed int64, violate func(Violation)) {
 	// The probe must draw from the pair's mechanism, not the ranker's
-	// default, or a defective registered noise would pass vacuously.
+	// default, or a defective noise would pass vacuously.
 	// Full rankings: seed variation anywhere in the ranking counts.
 	req := fairrank.Request{Candidates: pool, Noise: fairrank.Noise(noise.request)}
 	if info.Sampling {
@@ -457,10 +447,7 @@ func checkNoiseShape(ctx context.Context, cfg Config, sr *ScenarioReport, ranker
 	}
 
 	// Uniform limit: θ = 0 single draws must look uniform over
-	// permutations. Mean KT of a uniform permutation is n(n−1)/4 with
-	// variance n(n−1)(2n+5)/72; six standard errors of slack makes a
-	// false alarm negligible while still catching any mechanism whose
-	// θ = 0 is not uniform (e.g. a constant or biased sampler).
+	// permutations.
 	zero := 0.0
 	one := 1
 	uniformSeed := baseSeed + 2
@@ -473,15 +460,31 @@ func checkNoiseShape(ctx context.Context, cfg Config, sr *ScenarioReport, ranker
 		violate(Violation{Check: CheckDrawError, Detail: fmt.Sprintf("θ=0 uniform-limit sweep failed: %v", err)})
 		return
 	}
-	mean := stats.Mean(uni.kt)
+	mean, v := uniformLimit(uni.kt, spec.N)
 	sr.UniformLimitKT = mean
-	sd := math.Sqrt(n * (n - 1) * (2*n + 5) / 72)
-	margin := 6*sd/math.Sqrt(float64(draws)) + 0.5
-	if diff := math.Abs(mean - uniformMean); diff > margin {
-		violate(Violation{Check: CheckUniformLimit, Observed: mean, Bound: uniformMean, Detail: fmt.Sprintf(
-			"mean Kendall tau to the central at θ=0 over %d draws is %.1f, but a uniform mechanism gives %.1f ± %.1f — θ=0 must mean uniform (NoiseSampler contract); check the mechanism's zero-dispersion branch",
-			draws, mean, uniformMean, margin)})
+	if v != nil {
+		violate(*v)
 	}
+}
+
+// uniformLimit judges the θ = 0 uniform limit from the Kendall tau
+// distances to the central of a sweep of single draws over n items, and
+// returns their mean. The mean KT of a uniform permutation is n(n−1)/4
+// with variance n(n−1)(2n+5)/72; six standard errors of slack makes a
+// false alarm negligible while still catching any mechanism whose θ = 0
+// is not uniform (e.g. a constant or biased sampler).
+func uniformLimit(kt []float64, n int) (float64, *Violation) {
+	nf := float64(n)
+	uniformMean := nf * (nf - 1) / 4
+	mean := stats.Mean(kt)
+	sd := math.Sqrt(nf * (nf - 1) * (2*nf + 5) / 72)
+	margin := 6*sd/math.Sqrt(float64(len(kt))) + 0.5
+	if diff := math.Abs(mean - uniformMean); diff <= margin {
+		return mean, nil
+	}
+	return mean, &Violation{Check: CheckUniformLimit, Observed: mean, Bound: uniformMean, Detail: fmt.Sprintf(
+		"mean Kendall tau to the central at θ=0 over %d draws is %.1f, but a uniform mechanism gives %.1f ± %.1f — θ=0 must mean uniform; check the zero-dispersion branch of the mechanism's kernel and reference sampler (internal/core Axes)",
+		len(kt), mean, uniformMean, margin)}
 }
 
 // mustCI bootstraps the mean CI; the inputs are non-empty by

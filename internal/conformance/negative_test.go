@@ -1,9 +1,10 @@
 package conformance
 
-// The negative suite: deliberately defective strategies and mechanisms,
-// registered under the "test:" prefix (so registry-derived runs skip
-// them), must be flagged with actionable violation reports. This is the
-// proof that a green conformance run means something.
+// The negative suite: deliberately defective strategies, registered
+// under the "test:" prefix (so registry-derived runs skip them), and a
+// defective noise mechanism's measurements must be flagged with
+// actionable violation reports. This is the proof that a green
+// conformance run means something.
 
 import (
 	"context"
@@ -62,16 +63,6 @@ func brokenInfos(t *testing.T) map[string]fairrank.AlgorithmInfo {
 			return fairrank.StrategyFunc(func(in *fairrank.Instance, rng *rand.Rand) ([]int, error) {
 				return make([]int, in.N()), nil
 			}), nil
-		})
-		// A noise mechanism whose θ = 0 is not uniform (it always
-		// returns the central): the uniform-limit check must trip.
-		fairrank.MustRegisterNoise(fairrank.NoiseInfo{
-			Name:        "test:broken-constant-noise",
-			Description: "negative-test mechanism: ignores θ and returns the central unchanged",
-		}, func(central []int, theta float64) (func(*rand.Rand) []int, error) {
-			return func(rng *rand.Rand) []int {
-				return append([]int(nil), central...)
-			}, nil
 		})
 	})
 	out := map[string]fairrank.AlgorithmInfo{}
@@ -169,35 +160,33 @@ func TestBrokenOutputIsFlagged(t *testing.T) {
 	}
 }
 
+// A noise mechanism whose θ = 0 is not uniform must trip the
+// uniform-limit check. One that always returns the central measures a
+// Kendall tau of 0 to it on every draw; a uniform one averages
+// n(n−1)/4, which must pass.
 func TestBrokenNoiseFailsUniformLimit(t *testing.T) {
-	brokenInfos(t) // ensure the noise is registered
-	info, ok := fairrank.LookupAlgorithm(string(fairrank.AlgorithmMallows))
-	if !ok {
-		t.Skip("mallows not registered")
-	}
-	noise, ok := fairrank.LookupNoise("test:broken-constant-noise")
-	if !ok {
-		t.Fatal("negative-suite noise not registered")
-	}
 	specs, err := scenario.Corpus("conformance")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(context.Background(), Config{
-		Draws:      40,
-		Algorithms: []fairrank.AlgorithmInfo{info},
-		Noises:     []fairrank.NoiseInfo{noise},
-		Scenarios:  specs[:1],
-	})
-	if err != nil {
-		t.Fatal(err)
+	n := specs[0].N
+	constant := make([]float64, 40)
+	mean, v := uniformLimit(constant, n)
+	if v == nil {
+		t.Fatalf("a constant mechanism (mean Kendall tau %v at n = %d) passed the θ=0 uniform-limit check", mean, n)
 	}
-	by := violationsBy(rep)
-	if len(by[CheckUniformLimit]) == 0 {
-		t.Fatalf("a constant 'noise' mechanism passed the θ=0 uniform-limit check; violations: %v", rep.Violations)
+	if v.Check != CheckUniformLimit || v.Observed != 0 || v.Bound != float64(n*(n-1))/4 {
+		t.Errorf("uniform-limit violation %+v", *v)
 	}
-	if d := by[CheckUniformLimit][0].Detail; !strings.Contains(d, "θ=0") {
-		t.Errorf("uniform-limit detail is not actionable: %q", d)
+	if !strings.Contains(v.Detail, "θ=0") || !strings.Contains(v.Detail, "zero-dispersion branch") {
+		t.Errorf("uniform-limit detail is not actionable: %q", v.Detail)
+	}
+	uniform := make([]float64, 40)
+	for i := range uniform {
+		uniform[i] = float64(n*(n-1)) / 4
+	}
+	if _, v := uniformLimit(uniform, n); v != nil {
+		t.Errorf("a series at the uniform mean failed the uniform-limit check: %+v", *v)
 	}
 }
 
@@ -215,7 +204,7 @@ func TestRegistryDerivedRunsSkipTestEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range rep.Pairs {
-		if strings.HasPrefix(p.Algorithm, testPrefix) || strings.HasPrefix(p.Noise, testPrefix) {
+		if strings.HasPrefix(p.Algorithm, testPrefix) {
 			t.Errorf("registry-derived run picked up test entry %s×%s", p.Algorithm, p.Noise)
 		}
 	}

@@ -131,14 +131,7 @@ func RunNoiseSweep(ctx context.Context, cfg Config, levels []scenario.NoiseSpec)
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("conformance: no algorithms to sweep")
 	}
-	noises := cfg.Noises
-	if noises == nil {
-		for _, n := range fairrank.Noises() {
-			if !strings.HasPrefix(n.Name, testPrefix) {
-				noises = append(noises, n)
-			}
-		}
-	}
+	noises := fairrank.Noises()
 	pools := make(map[string][]fairrank.Candidate, len(cfg.Scenarios))
 	for _, spec := range cfg.Scenarios {
 		pool, err := spec.Generate()
@@ -171,16 +164,13 @@ func RunNoiseSweep(ctx context.Context, cfg Config, levels []scenario.NoiseSpec)
 
 // sweepNoise picks one noise axis per algorithm — a degradation curve
 // is per algorithm, not per algorithm×noise pair, so a free sampling
-// axis resolves to the first registered mechanism.
+// axis resolves to the first mechanism by name.
 func sweepNoise(info fairrank.AlgorithmInfo, noises []fairrank.NoiseInfo) pairNoise {
 	if !info.Sampling {
 		return pairNoise{}
 	}
 	if info.Noise != "" {
 		return pairNoise{pair: string(info.Noise)}
-	}
-	if len(noises) == 0 {
-		return pairNoise{}
 	}
 	return pairNoise{request: noises[0].Name, pair: noises[0].Name}
 }

@@ -9,12 +9,12 @@
 // protected attribute: the fairness it buys is robust to attributes that
 // are unknown at ranking time, which is the paper's central claim.
 //
-// The package holds the one implementation of the algorithm: the table
-// of built-in noise axes (Mallows, as in the paper, plus the
-// generalized Mallows and Plackett–Luce mechanisms of its §VI
-// direction), each with a reference sampler and an amortized kernel;
-// the Engine state the kernels draw from; the prefix-scoped selection
-// criteria; and the sequential and parallel best-of loops. The serving
+// The package holds the one implementation of the algorithm: the noise
+// registry Axes (Mallows, as in the paper, plus the generalized Mallows
+// and Plackett–Luce mechanisms of its §VI direction), each axis with a
+// description, a reference sampler and an amortized kernel; the Engine
+// state the kernels draw from; the prefix-scoped selection criteria;
+// and the best-of loop, run on one stream or fanned out over workers. The serving
 // engine (package fairrank) draws through an Engine per Ranker, and the
 // paper experiments (internal/rankers) through PostProcess.
 package core

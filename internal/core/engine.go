@@ -19,7 +19,7 @@ import (
 //     (n, θ) — the e^{−θ} and q^j evaluations behind every displacement
 //     draw;
 //   - the DCG discount table behind the NDCG selection criterion,
-//     cached per n;
+//     cached with them;
 //   - permutation scratch buffers and per-request float vectors, pooled
 //     per (n, θ) so the best-of-m loop allocates nothing on the steady
 //     state;
@@ -32,9 +32,6 @@ type Engine struct {
 	states    sync.Map   // sizeKey → *sizeState
 	stateMu   sync.Mutex // serializes insert/evict; Load stays lock-free
 	numStates atomic.Int32
-	discMu    sync.Mutex // serializes discount insert/evict
-	discounts sync.Map   // n → []float64
-	numDiscs  atomic.Int32
 	rngs      sync.Pool
 
 	tableHits   atomic.Int64
@@ -93,13 +90,11 @@ type sizeKey struct {
 }
 
 // sizeState is the draw-path state reusable across requests of one pool
-// size and dispersion: the shared permutation scratch pool plus, per
-// noise axis, lazily built displacement tables and sampler scratch. The
-// axes build on first use — PL-only traffic never pays for Mallows
-// tables and vice versa — and each builds at most once per state. The
-// DCG discount table lives in its own n-keyed cache (discountsFor):
-// every axis and criterion shares it, and sampler-plan traffic with
-// varied θ must not evict warm tables it never samples from.
+// size and dispersion: the shared permutation scratch pool, the DCG
+// discount table and, per noise axis, lazily built displacement tables
+// and sampler scratch. Each table builds on first use — PL-only traffic
+// never pays for Mallows tables and vice versa, KT-only traffic never
+// for discounts — and at most once per state.
 type sizeState struct {
 	key     sizeKey
 	scratch *perm.Pool
@@ -118,6 +113,9 @@ type sizeState struct {
 	gmOnce sync.Once
 	gmTab  *mallows.GeneralizedTables
 	gmErr  error
+
+	discOnce sync.Once
+	disc     []float64
 }
 
 func newSizeState(key sizeKey) *sizeState {
@@ -146,6 +144,18 @@ func (st *sizeState) gtables() (*mallows.GeneralizedTables, error) {
 		st.gmTab, st.gmErr = mallows.NewGeneralizedTables(gmallowsThetas(st.key.n, st.key.theta))
 	})
 	return st.gmTab, st.gmErr
+}
+
+// discounts returns the DCG discount table (rank r, 0-based, → discount
+// of rank r+1), building it on first use.
+func (st *sizeState) discounts() []float64 {
+	st.discOnce.Do(func() {
+		st.disc = make([]float64, st.key.n)
+		for rk := range st.disc {
+			st.disc[rk] = quality.LogDiscount(rk + 1)
+		}
+	})
+	return st.disc
 }
 
 // state returns the cached per-(n, θ) draw-path state, creating it on
@@ -181,35 +191,6 @@ func (e *Engine) state(n int, theta float64) *sizeState {
 	e.states.Store(key, st)
 	e.numStates.Add(1)
 	return st
-}
-
-// discountsFor returns the cached DCG discount table of pool size n
-// (rank r, 0-based, → discount of rank r+1), building it on first use.
-// Keyed by n alone — all axes, dispersions, and criteria share it — and
-// bounded like the size-state cache.
-func (e *Engine) discountsFor(n int) []float64 {
-	if v, ok := e.discounts.Load(n); ok {
-		return v.([]float64)
-	}
-	disc := make([]float64, n)
-	for rk := range disc {
-		disc[rk] = quality.LogDiscount(rk + 1)
-	}
-	e.discMu.Lock()
-	defer e.discMu.Unlock()
-	if v, ok := e.discounts.Load(n); ok {
-		return v.([]float64)
-	}
-	if e.numDiscs.Load() >= maxSizeStates {
-		e.discounts.Range(func(k, _ any) bool {
-			e.discounts.Delete(k)
-			e.numDiscs.Add(-1)
-			return false // one eviction is enough
-		})
-	}
-	e.discounts.Store(n, disc)
-	e.numDiscs.Add(1)
-	return disc
 }
 
 // RNG hands out a pooled RNG seeded with seed; equal seeds yield the
@@ -249,12 +230,12 @@ func (e *Engine) Plan(axis Noise, center perm.Perm, theta float64, topK int) (Pl
 	})
 }
 
-// criterionAt returns a maker of sample-selection score functions
-// scoped to the first k ranks — the prefix a truncated request
+// criterion returns a maker of sample-selection score functions scoped
+// to the first k ranks of plan p — the prefix a truncated request
 // delivers. Scorers accept both full-length draws and lazy top-k
 // prefixes (any permutation with ≥ k entries) and score only the first
-// k, so the truncated and reference draw paths select identical
-// winners. At k = n the NDCG scorer is quality.NDCG and the KT scorer
+// k, so a truncated draw scores exactly what its full-length reference
+// draw would. At k = n the NDCG scorer is quality.NDCG and the KT scorer
 // minus rankdist.KendallTau against the center, with the discount table
 // cached and the IDCG hoisted out of the per-sample loop.
 //
@@ -262,10 +243,11 @@ func (e *Engine) Plan(axis Noise, center perm.Perm, theta float64, topK int) (Pl
 // the shared read-only state (discounts, IDCG, center positions) once
 // per request, then each worker mints its own scorer holding private
 // scratch, keeping the per-draw path allocation-free without locks.
-func (e *Engine) criterionAt(crit Criterion, center perm.Perm, scores quality.Scores, k int) (func() func(perm.Perm) float64, error) {
+func (p *Plan) criterion(crit Criterion, scores quality.Scores) (func() func(perm.Perm) float64, error) {
+	center, k := p.center, p.topK
 	switch crit {
 	case SelectNDCG:
-		discounts := e.discountsFor(len(center))
+		discounts := p.st.discounts()
 		// The normalizer is the ideal DCG of the whole pool at cutoff k —
 		// the best any delivered prefix could score — so NDCG stays in
 		// [0, 1] and ranks prefixes the way NDCG@k ranks rankings.
@@ -273,9 +255,9 @@ func (e *Engine) criterionAt(crit Criterion, center perm.Perm, scores quality.Sc
 		if err != nil {
 			return nil, err
 		}
-		scorer := func(p perm.Perm) float64 {
+		scorer := func(d perm.Perm) float64 {
 			var dcg float64
-			for rk, item := range p[:k] {
+			for rk, item := range d[:k] {
 				dcg += scores[item] * discounts[rk]
 			}
 			if idcg == 0 {
@@ -292,13 +274,13 @@ func (e *Engine) criterionAt(crit Criterion, center perm.Perm, scores quality.Sc
 			seq := make(perm.Perm, k)
 			work := make([]int, k)
 			buf := make([]int, k)
-			return func(p perm.Perm) float64 {
+			return func(d perm.Perm) float64 {
 				// Inversions of the center-position sequence of the
 				// prefix = Kendall tau pairs the prefix orders against
 				// the center; at k = n this is exactly the full Kendall
 				// tau distance, computed through reusable scratch
 				// instead of per-draw slices.
-				for i, item := range p[:k] {
+				for i, item := range d[:k] {
 					seq[i] = pos[item]
 				}
 				return -float64(seq.InversionCountScratch(work, buf))
@@ -309,70 +291,84 @@ func (e *Engine) criterionAt(crit Criterion, center perm.Perm, scores quality.Sc
 	}
 }
 
-// Sequential runs the best-of-m loop of Algorithm 1 for plan p on one
-// RNG stream, with a cancellation check between draws: it draws samples
-// rankings and keeps the one crit scores highest (ties keep the
-// earlier), scoring NDCG against scores. SelectFirst draws once. It
-// returns the kept ranking — the top-k prefix on a truncated plan — and
-// its score (0 under SelectFirst).
-func (e *Engine) Sequential(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples int, rng *rand.Rand) (perm.Perm, float64, error) {
-	w := p.checkout()
-	defer func() { p.checkin(w) }()
-	var err error
-	if w.best, err = p.draw(p, w.ws, w.best, rng); err != nil {
-		return nil, 0, err
-	}
-	if crit == SelectFirst {
-		// Algorithm 1 with m = 1: keep the first (only) draw.
-		return w.best.Clone(), 0, nil
-	}
-	maker, err := e.criterionAt(crit, p.center, scores, p.topK)
-	if err != nil {
-		return nil, 0, err
-	}
-	score := maker()
-	bestScore := score(w.best)
-	for i := 1; i < samples; i++ {
+// bestOf is Algorithm 1's draw–score–keep loop over draws [lo, hi) of
+// plan p, on worker w's buffers and sampler scratch, checking ctx before
+// every draw. It keeps the draw that score rates highest in w.best, the
+// earlier one on ties, and returns its score; a nil score keeps the
+// first draw with score 0. Draws come from rng's stream as it
+// stands, or, when reseed is set, draw i from rng reseeded with
+// MixSeed(seed, i).
+func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) float64, rng *rand.Rand, reseed bool, seed int64, lo, hi int) (float64, error) {
+	var bestScore float64
+	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		if w.cur, err = p.draw(p, w.ws, w.cur, rng); err != nil {
-			return nil, 0, err
+		if reseed {
+			rng.Seed(MixSeed(seed, i))
 		}
-		if v := score(w.cur); v > bestScore {
-			// Swap rather than copy: cur becomes the kept sample, best
+		w.cur = p.draw(p, w.ws, w.cur, rng)
+		var v float64
+		if score != nil {
+			v = score(w.cur)
+		}
+		if i == lo || v > bestScore {
+			// Swap rather than copy: cur becomes the kept draw, best
 			// becomes the scratch the next draw overwrites.
 			w.best, w.cur = w.cur, w.best
 			bestScore = v
 		}
 	}
-	return w.best.Clone(), bestScore, nil
+	return bestScore, nil
 }
 
-// Parallel is Sequential with the draws fanned out over up to workers
-// goroutines, for crit SelectNDCG or SelectKT. Draw i uses its own RNG
-// seeded by MixSeed(seed, i) and score ties break toward the lowest i,
-// so the result depends only on seed, never on the worker count. Each
-// worker checks ctx between draws and draws on its own buffers and
-// sampler scratch.
-func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples, workers int, seed int64) (perm.Perm, float64, error) {
-	maker, err := e.criterionAt(crit, p.center, scores, p.topK)
+// Sequential runs the best-of-m loop of Algorithm 1 for plan p on one
+// RNG stream: it draws samples rankings and keeps the one crit scores
+// highest (ties keep the earlier), scoring NDCG against scores.
+// SelectFirst draws once. It returns the kept ranking — the top-k
+// prefix on a truncated plan — and its score (0 under SelectFirst).
+func (e *Engine) Sequential(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples int, rng *rand.Rand) (perm.Perm, float64, error) {
+	var score func(perm.Perm) float64
+	if crit == SelectFirst {
+		// Algorithm 1 with m = 1: keep the first (only) draw.
+		samples = 1
+	} else {
+		maker, err := p.criterion(crit, scores)
+		if err != nil {
+			return nil, 0, err
+		}
+		score = maker()
+	}
+	w := p.checkout()
+	defer func() { p.checkin(w) }()
+	v, err := bestOf(ctx, p, &w, score, rng, false, 0, 0, samples)
 	if err != nil {
 		return nil, 0, err
 	}
-	if workers > samples {
-		workers = samples
+	return w.best.Clone(), v, nil
+}
+
+// Parallel is Sequential with the draws fanned out over up to workers
+// goroutines, for crit SelectNDCG or SelectKT. Each worker runs the
+// loop over its own contiguous chunk of draws on its own buffers and
+// sampler scratch; draw i uses its own RNG stream seeded by
+// MixSeed(seed, i) and score ties break toward the lowest i, so the
+// result depends only on seed, never on the worker count.
+func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples, workers int, seed int64) (perm.Perm, float64, error) {
+	maker, err := p.criterion(crit, scores)
+	if err != nil {
+		return nil, 0, err
 	}
-	type draw struct {
+	workers = min(workers, samples)
+	type chunk struct {
 		score float64
-		idx   int
 		p     perm.Perm
 		err   error
 	}
-	results := make([]draw, workers)
+	results := make([]chunk, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// Contiguous index chunks: worker w owns draws [lo, hi).
+		// Worker w owns draws [lo, hi).
 		lo := w * samples / workers
 		hi := (w + 1) * samples / workers
 		wg.Add(1)
@@ -382,39 +378,27 @@ func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, cr
 			defer e.PutRNG(rng)
 			dw := p.checkout()
 			defer func() { p.checkin(dw) }()
-			score := maker()
-			local := draw{idx: -1}
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					results[w] = draw{err: err}
-					return
-				}
-				rng.Seed(MixSeed(seed, i))
-				var err error
-				if dw.cur, err = p.draw(p, dw.ws, dw.cur, rng); err != nil {
-					results[w] = draw{err: err}
-					return
-				}
-				if v := score(dw.cur); local.idx < 0 || v > local.score {
-					dw.best, dw.cur = dw.cur, dw.best
-					local = draw{score: v, idx: i}
-				}
+			v, err := bestOf(ctx, p, &dw, maker(), rng, true, seed, lo, hi)
+			if err != nil {
+				results[w] = chunk{err: err}
+				return
 			}
-			local.p = dw.best.Clone()
-			results[w] = local
+			results[w] = chunk{score: v, p: dw.best.Clone()}
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	winner := draw{idx: -1}
-	for _, d := range results {
-		if d.err != nil {
-			return nil, 0, d.err
+	// The chunks are in draw order, so keeping the first maximum keeps
+	// the lowest draw index among equal scores.
+	winner := -1
+	for w, c := range results {
+		if c.err != nil {
+			return nil, 0, c.err
 		}
-		if winner.idx < 0 || d.score > winner.score || (d.score == winner.score && d.idx < winner.idx) {
-			winner = d
+		if winner < 0 || c.score > results[winner].score {
+			winner = w
 		}
 	}
-	return winner.p, winner.score, nil
+	return results[winner].p, results[winner].score, nil
 }
 
 // MixSeed derives the RNG seed of parallel draw i from the request seed

@@ -11,9 +11,9 @@ import (
 	"repro/internal/pl"
 )
 
-// Noise names a built-in noise axis: a randomization mechanism around
-// the central ranking with a dedicated draw path. The names are the
-// ones package fairrank registers the mechanisms under.
+// Noise names a noise axis: a randomization mechanism around the
+// central ranking. The names are the ones package fairrank serves the
+// mechanisms under.
 type Noise string
 
 // The built-in noise axes.
@@ -36,29 +36,43 @@ const (
 // mixes progressively more.
 const gmallowsDecay = 0.97
 
-// An Axis is one built-in noise mechanism. Reference draws full rankings
-// straight from the model; package fairrank registers it as the
-// mechanism's NoiseSampler, and it is the reference the kernel is
-// checked against. The kernel is the engine's amortized draw path: it
-// completes a plan whose size-state, center, θ, prefix and truncation
-// are set, fetching the cached (n, θ) tables, checking out the pooled
-// per-request vector, naming the per-worker scratch pool and picking the
-// draw function, which materializes only the top-k prefix on a
-// truncated plan. Every kernel consumes the RNG stream exactly as its
-// reference sampler does, so for equal seeds its draws (their prefixes,
-// when truncated) are bit-identical to the reference's.
+// An Axis is one noise mechanism: its catalog description, a reference
+// sampler and an amortized kernel. Reference draws full rankings
+// straight from the model; it is the reference the kernel is checked
+// against. The kernel is the engine's draw path: it completes a plan
+// whose size-state, center, θ, prefix and truncation are set, fetching
+// the cached (n, θ) tables, checking out the pooled per-request vector,
+// naming the per-worker scratch pool and picking the draw function,
+// which materializes only the top-k prefix on a truncated plan. Every
+// kernel consumes the RNG stream exactly as its reference sampler does,
+// so for equal seeds its draws (their prefixes, when truncated) are
+// bit-identical to the reference's.
 type Axis struct {
-	Reference func(central []int, theta float64) (func(*rand.Rand) []int, error)
-	kernel    func(p Plan) (Plan, error)
+	Description string
+	Reference   func(central []int, theta float64) (func(*rand.Rand) []int, error)
+	kernel      func(p Plan) (Plan, error)
 }
 
-// Axes is the table of built-in noise axes. Engine.Plan draws through
-// their kernels; package fairrank derives NoiseInfo.Truncated and its
-// per-axis truncated-draw counters from the table.
+// Axes is the noise registry: every mechanism the engine draws from.
+// Engine.Plan draws through their kernels; package fairrank serves the
+// table as its noise catalog (Noises, LookupNoise) and keeps one
+// truncated-draw counter per axis.
 var Axes = map[Noise]Axis{
-	NoiseMallows:      {mallowsReference, prepareMallows},
-	NoiseGMallows:     {gmallowsReference, prepareGMallows},
-	NoisePlackettLuce: {plReference, preparePL},
+	NoiseMallows: {
+		Description: "Mallows model M(central, θ) — the paper's mechanism (repeated-insertion sampling, amortized tables)",
+		Reference:   mallowsReference,
+		kernel:      prepareMallows,
+	},
+	NoiseGMallows: {
+		Description: "generalized Mallows (Fligner–Verducci) with per-position dispersion θ·0.97^j: the head stays close to the central, the tail mixes more",
+		Reference:   gmallowsReference,
+		kernel:      prepareGMallows,
+	},
+	NoisePlackettLuce: {
+		Description: "Plackett–Luce with weights e^{−θ·rank} (Gumbel-max sampling); θ = 0 is uniform, large θ concentrates on the central",
+		Reference:   plReference,
+		kernel:      preparePL,
+	},
 }
 
 // gmallowsThetas is the generalized Mallows axis's dispersion schedule
@@ -112,9 +126,7 @@ func plReference(central []int, theta float64) (func(*rand.Rand) []int, error) {
 
 // Plan is one request's prepared draws: the draw function and the state
 // every draw of the request shares, read-only across the parallel
-// loop's workers. Kernel plans draw into the size-state's pooled
-// buffers; sampler plans (st == nil) touch no size-state at all, so
-// traffic outside the axis table never creates or evicts one.
+// loop's workers. Its draws go into the size-state's pooled buffers.
 type Plan struct {
 	draw      drawFunc
 	center    perm.Perm
@@ -130,8 +142,6 @@ type Plan struct {
 	// wsPool pools the per-worker sampler scratch; nil when the draws
 	// need none.
 	wsPool *sync.Pool
-
-	sample func(dst perm.Perm, rng *rand.Rand) (perm.Perm, error) // sampler plans
 }
 
 // drawFunc draws one sample of plan p into dst — a full-length buffer —
@@ -139,18 +149,7 @@ type Plan struct {
 // ranking: the full permutation, or just the top-k prefix on a truncated
 // plan. The plan travels by value so that no request state escapes to
 // the heap through the indirect call.
-type drawFunc func(p Plan, ws any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error)
-
-// SamplerPlan is the plan of a sampler outside the axis table, always
-// full-length: draw writes one draw of the pool center ranks into dst
-// and returns it, or fails the request with an error.
-func SamplerPlan(center perm.Perm, topK int, draw func(dst perm.Perm, rng *rand.Rand) (perm.Perm, error)) Plan {
-	return Plan{draw: drawSampler, center: center, topK: topK, sample: draw}
-}
-
-func drawSampler(p Plan, _ any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
-	return p.sample(dst, rng)
-}
+type drawFunc func(p Plan, ws any, dst perm.Perm, rng *rand.Rand) perm.Perm
 
 // Truncated reports whether the plan's draws materialize only the top-k
 // prefix.
@@ -167,15 +166,10 @@ type drawWorker struct {
 // checkout hands one draw loop its buffers and sampler scratch; checkin
 // takes them back when the loop finishes.
 func (p *Plan) checkout() drawWorker {
-	var w drawWorker
+	w := drawWorker{cur: p.st.scratch.Get(), best: p.st.scratch.Get()}
 	if p.wsPool != nil {
 		w.ws = p.wsPool.Get()
 	}
-	if p.st == nil {
-		w.cur, w.best = make(perm.Perm, len(p.center)), make(perm.Perm, len(p.center))
-		return w
-	}
-	w.cur, w.best = p.st.scratch.Get(), p.st.scratch.Get()
 	return w
 }
 
@@ -183,10 +177,8 @@ func (p *Plan) checkin(w drawWorker) {
 	if p.wsPool != nil {
 		p.wsPool.Put(w.ws)
 	}
-	if p.st != nil {
-		p.st.scratch.Put(w.cur)
-		p.st.scratch.Put(w.best)
-	}
+	p.st.scratch.Put(w.cur)
+	p.st.scratch.Put(w.best)
 }
 
 // Release returns the plan's pooled per-request vector; call it once
@@ -206,12 +198,12 @@ func prepareMallows(p Plan) (Plan, error) {
 	return p, err
 }
 
-func drawMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+func drawMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) perm.Perm {
 	m := mallows.Model{Center: p.center, Theta: p.theta}
 	if p.truncated {
-		return m.SampleTopKInto(p.tab, p.topK, dst, rng), nil
+		return m.SampleTopKInto(p.tab, p.topK, dst, rng)
 	}
-	return m.SampleInto(p.tab, dst, rng), nil
+	return m.SampleInto(p.tab, dst, rng)
 }
 
 // prepareGMallows serves the generalized Mallows axis from per-step
@@ -230,11 +222,11 @@ func prepareGMallows(p Plan) (Plan, error) {
 	return p, nil
 }
 
-func drawGMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+func drawGMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) perm.Perm {
 	if p.truncated {
-		return p.gt.SampleTopKInto(p.center, p.topK, p.vec, dst, rng), nil
+		return p.gt.SampleTopKInto(p.center, p.topK, p.vec, dst, rng)
 	}
-	return p.gt.SampleInto(p.center, dst, rng), nil
+	return p.gt.SampleInto(p.center, dst, rng)
 }
 
 // preparePL builds the Plackett–Luce log-weights once per request on
@@ -248,10 +240,10 @@ func preparePL(p Plan) (Plan, error) {
 	return p, nil
 }
 
-func drawPL(p Plan, ws any, dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
+func drawPL(p Plan, ws any, dst perm.Perm, rng *rand.Rand) perm.Perm {
 	sc := ws.(*pl.Scratch)
 	if p.truncated {
-		return pl.SampleTopKInto(p.vec, p.topK, dst, sc, rng), nil
+		return pl.SampleTopKInto(p.vec, p.topK, dst, sc, rng)
 	}
-	return pl.SampleLogWeightsInto(p.vec, dst, sc, rng), nil
+	return pl.SampleLogWeightsInto(p.vec, dst, sc, rng)
 }

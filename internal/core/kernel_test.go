@@ -23,7 +23,7 @@ func reference(t *testing.T, axis Noise, central perm.Perm, theta float64) func(
 	return draw
 }
 
-func TestNoiseSamplersProduceValidPerms(t *testing.T) {
+func TestReferenceSamplersProduceValidPerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	central := perm.Random(10, rng)
 	for _, axis := range allAxes {
@@ -40,7 +40,7 @@ func TestNoiseSamplersProduceValidPerms(t *testing.T) {
 	}
 }
 
-func TestNoiseSamplersRejectInvalidCentral(t *testing.T) {
+func TestReferenceSamplersRejectInvalidCentral(t *testing.T) {
 	bad := []int{0, 0, 1}
 	for axis, a := range Axes {
 		if _, err := a.Reference(bad, 1); err == nil {

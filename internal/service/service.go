@@ -554,10 +554,10 @@ func parallelism(req *RankRequest) int {
 // /v1/algorithms serves it so clients can introspect instead of
 // hardcoding strings.
 //
-// The algorithm and noise sections are generated from the fairrank
-// registry at call time: anything registered through fairrank.Register
-// or fairrank.RegisterNoise is immediately servable and cataloged, with
-// no serving-layer edit.
+// The algorithm and noise sections are generated at call time from
+// fairrank.Algorithms and fairrank.Noises: anything registered through
+// fairrank.Register, and every noise mechanism, is immediately servable
+// and cataloged, with no serving-layer edit.
 func Catalog() *CatalogResponse {
 	infos := fairrank.Algorithms()
 	algos := make([]AlgorithmInfo, len(infos))

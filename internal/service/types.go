@@ -31,7 +31,7 @@ type RankRequest struct {
 	// Default "ndcg".
 	Criterion string `json:"criterion,omitempty"`
 	// Noise names the randomization mechanism the sampling algorithms
-	// draw from: any name in the fairrank noise registry, as served by
+	// draw from: any name fairrank.Noises lists, as served by
 	// GET /v1/algorithms. Default "mallows". Algorithms that pin their
 	// own mechanism ignore it.
 	Noise string `json:"noise,omitempty"`

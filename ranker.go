@@ -42,15 +42,9 @@ type Ranker struct {
 	statDrawsFull      atomic.Int64
 	statDrawsTruncated atomic.Int64
 	// truncDraws splits statDrawsTruncated by noise axis: one counter
-	// per built-in axis, created in NewRanker. The map never changes
+	// per noise axis, created in NewRanker. The map never changes
 	// after that, so it is read without a lock.
 	truncDraws map[Noise]*atomic.Int64
-
-	// forceFullDraws routes every noise axis through the registry
-	// adapter, the full-length reference draw path. Test-only: the
-	// equivalence suite uses it to check the kernels against the
-	// registered samplers bit for bit.
-	forceFullDraws bool
 }
 
 // RankerStats is a point-in-time snapshot of a Ranker's cumulative

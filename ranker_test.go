@@ -2,10 +2,8 @@ package fairrank
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -260,32 +258,6 @@ func TestRankerStats(t *testing.T) {
 	}
 	if st := det.Stats(); st.Requests != 1 || st.Draws != 0 {
 		t.Errorf("deterministic stats %+v, want 1 request, 0 draws", st)
-	}
-	// Registered mechanisms without a kernel draw through the registry
-	// adapter, which keeps no per-size state: their traffic, at any θ,
-	// must neither create nor evict (n, θ) size-states, so it cannot push
-	// warm kernel tables out of the cache.
-	shuffle := func(central []int, _ float64) (func(*rand.Rand) []int, error) {
-		return func(rng *rand.Rand) []int {
-			out := append([]int(nil), central...)
-			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-			return out
-		}, nil
-	}
-	if err := RegisterNoise(NoiseInfo{Name: "test:stats-shuffle"}, shuffle); err != nil && !errors.Is(err, ErrDuplicateNoise) {
-		t.Fatal(err)
-	}
-	reg, err := NewRanker(Config{Noise: "test:stats-shuffle", Samples: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, theta := range []float64{0, 0.5, 2} {
-		if _, err := reg.Do(context.Background(), Request{Candidates: pool, Theta: &theta, Seed: sptr(1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := reg.Stats(); st.Draws != 9 || st.TableHits+st.TableMisses != 0 {
-		t.Errorf("registered-noise stats %+v, want 9 draws and no size-state lookups", st)
 	}
 	// The pool counters survive size-state eviction: 100 requests at
 	// 100 distinct θ overflow the cache, each sequential request checks

@@ -19,12 +19,10 @@ var (
 	// registry.
 	ErrUnknownAlgorithm = errors.New("fairrank: unknown algorithm")
 	// ErrUnknownNoise reports a noise mechanism name absent from the
-	// registry.
+	// noise table (see Noises).
 	ErrUnknownNoise = errors.New("fairrank: unknown noise")
 	// ErrDuplicateAlgorithm reports a Register call reusing a name.
 	ErrDuplicateAlgorithm = errors.New("fairrank: algorithm already registered")
-	// ErrDuplicateNoise reports a RegisterNoise call reusing a name.
-	ErrDuplicateNoise = errors.New("fairrank: noise already registered")
 )
 
 // Instance is the assembled ranking problem handed to a Strategy: the
@@ -169,32 +167,14 @@ func (a AlgorithmInfo) clone() AlgorithmInfo {
 	return a
 }
 
-// NoiseInfo is the registry metadata of one randomization mechanism.
+// NoiseInfo is the catalog metadata of one randomization mechanism.
 type NoiseInfo struct {
 	// Name is the value Config.Noise (and the HTTP "noise" field)
-	// selects the mechanism by. Required, unique.
+	// selects the mechanism by.
 	Name string
 	// Description summarizes the distribution.
 	Description string
-	// Truncated reports that the engine runs a dedicated truncated draw
-	// path for this mechanism: top-k requests materialize only the
-	// delivered prefix and count as DrawsTruncated. RegisterNoise sets
-	// it from the engine's own draw paths — only built-ins have one —
-	// and rejects a registration that claims it without one; load
-	// harnesses use it to predict the engine's per-noise draw-path
-	// counters without hardcoding mechanism names.
-	Truncated bool
 }
-
-// NoiseSampler builds a draw function for one request: central is the
-// central ranking (candidate indices, best first — do not mutate), theta
-// the resolved dispersion/concentration (θ = 0 must mean uniform). Each
-// draw must return a permutation of the same indices; the engine copies
-// it before the next draw, so a draw function may reuse its output slice
-// within one RNG stream. The draw function must be safe for concurrent
-// use, because DoParallel fans draws across goroutines, each drawing on
-// its own stream.
-type NoiseSampler func(central []int, theta float64) (func(*rand.Rand) []int, error)
 
 type algorithmEntry struct {
 	info    AlgorithmInfo
@@ -202,19 +182,9 @@ type algorithmEntry struct {
 }
 
 var registry = struct {
-	mu     sync.RWMutex
-	algos  map[string]algorithmEntry
-	noises map[string]struct {
-		info    NoiseInfo
-		sampler NoiseSampler
-	}
-}{
-	algos: map[string]algorithmEntry{},
-	noises: map[string]struct {
-		info    NoiseInfo
-		sampler NoiseSampler
-	}{},
-}
+	mu    sync.RWMutex
+	algos map[string]algorithmEntry
+}{algos: map[string]algorithmEntry{}}
 
 // Register adds an algorithm to the registry, making it constructible
 // by name through NewRanker/Rank, servable by internal/service and
@@ -257,41 +227,6 @@ func MustRegister(info AlgorithmInfo, factory Factory) {
 	}
 }
 
-// RegisterNoise adds a randomization mechanism to the registry, making
-// it selectable through Config.Noise / the per-request override for
-// every sampling algorithm that does not pin its own mechanism, and
-// visible in the serving catalog. Safe for concurrent use.
-func RegisterNoise(info NoiseInfo, sampler NoiseSampler) error {
-	if info.Name == "" {
-		return fmt.Errorf("fairrank: RegisterNoise: empty noise name")
-	}
-	if sampler == nil {
-		return fmt.Errorf("fairrank: RegisterNoise(%q): nil sampler", info.Name)
-	}
-	_, hasKernel := core.Axes[core.Noise(info.Name)]
-	if info.Truncated && !hasKernel {
-		return fmt.Errorf("fairrank: RegisterNoise(%q): Truncated set, but the engine has no truncated draw path for it", info.Name)
-	}
-	info.Truncated = hasKernel
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if _, dup := registry.noises[info.Name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateNoise, info.Name)
-	}
-	registry.noises[info.Name] = struct {
-		info    NoiseInfo
-		sampler NoiseSampler
-	}{info: info, sampler: sampler}
-	return nil
-}
-
-// MustRegisterNoise is RegisterNoise, panicking on error.
-func MustRegisterNoise(info NoiseInfo, sampler NoiseSampler) {
-	if err := RegisterNoise(info, sampler); err != nil {
-		panic(err)
-	}
-}
-
 // Algorithms returns the metadata of every registered algorithm, sorted
 // by name. The serving catalog, the CLI usage text, and the docs derive
 // from this — it is the single source of truth for what is rankable.
@@ -317,28 +252,25 @@ func LookupAlgorithm(name string) (AlgorithmInfo, bool) {
 	return e.info.clone(), true
 }
 
-// Noises returns the metadata of every registered noise mechanism,
-// sorted by name.
+// Noises returns the metadata of every noise mechanism, sorted by name.
+// The mechanisms are the axes of the engine's noise table
+// (internal/core's Axes), so the list is fixed for the process.
 func Noises() []NoiseInfo {
-	registry.mu.RLock()
-	out := make([]NoiseInfo, 0, len(registry.noises))
-	for _, e := range registry.noises {
-		out = append(out, e.info)
+	out := make([]NoiseInfo, 0, len(core.Axes))
+	for name, a := range core.Axes {
+		out = append(out, NoiseInfo{Name: string(name), Description: a.Description})
 	}
-	registry.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // LookupNoise returns the metadata of one noise mechanism by name.
 func LookupNoise(name string) (NoiseInfo, bool) {
-	registry.mu.RLock()
-	e, ok := registry.noises[name]
-	registry.mu.RUnlock()
+	a, ok := core.Axes[core.Noise(name)]
 	if !ok {
 		return NoiseInfo{}, false
 	}
-	return e.info, true
+	return NoiseInfo{Name: name, Description: a.Description}, true
 }
 
 // lookupEntry resolves an algorithm name to its registry entry for the
@@ -351,18 +283,6 @@ func lookupEntry(name Algorithm) (algorithmEntry, error) {
 		return algorithmEntry{}, fmt.Errorf("%w %q", ErrUnknownAlgorithm, name)
 	}
 	return e, nil
-}
-
-// lookupSampler resolves a noise name to its sampler for the engine's
-// generic sampling loop.
-func lookupSampler(name Noise) (NoiseSampler, error) {
-	registry.mu.RLock()
-	e, ok := registry.noises[string(name)]
-	registry.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownNoise, name)
-	}
-	return e.sampler, nil
 }
 
 // checkGroups enforces the registry's group-count bounds before

@@ -1,9 +1,9 @@
 package fairrank_test
 
-// Tests for the algorithm & noise registry: registration validation,
-// ErrUnknown* classification at the library layer, custom strategies
-// ranking end to end through Ranker.Do, and Register racing Do (the
-// latter meaningful under `go test -race`, which CI runs).
+// Tests for the algorithm registry and the noise catalog: registration
+// validation, ErrUnknown* classification at the library layer, custom
+// strategies ranking end to end through Ranker.Do, and Register racing
+// Do (the latter meaningful under `go test -race`, which CI runs).
 //
 // Everything here uses only the public API — these tests double as the
 // proof that a third-party package could do the same.
@@ -12,10 +12,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,12 +70,6 @@ func TestRegisterValidation(t *testing.T) {
 	if err := fairrank.Register(fairrank.AlgorithmInfo{Name: "test-badnoise", Sampling: true, Noise: "no-such-noise"}, nil); !errors.Is(err, fairrank.ErrUnknownNoise) {
 		t.Errorf("pinning an unregistered noise: got %v, want ErrUnknownNoise", err)
 	}
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test-nilsampler"}, nil); err == nil {
-		t.Error("accepted a nil noise sampler")
-	}
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test:claims-truncated", Truncated: true}, reusedBufferSampler); err == nil {
-		t.Error("accepted Truncated for a mechanism the engine has no truncated draw path for")
-	}
 }
 
 func TestRegisterDuplicateRejected(t *testing.T) {
@@ -88,15 +82,6 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 	// Built-in names are protected the same way.
 	if err := fairrank.Register(fairrank.AlgorithmInfo{Name: string(fairrank.AlgorithmMallows)}, factory); !errors.Is(err, fairrank.ErrDuplicateAlgorithm) {
 		t.Errorf("shadowing a built-in: got %v, want ErrDuplicateAlgorithm", err)
-	}
-	sampler := func(central []int, theta float64) (func(*rand.Rand) []int, error) {
-		return func(*rand.Rand) []int { return append([]int(nil), central...) }, nil
-	}
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test:dupnoise"}, sampler); err != nil && !errors.Is(err, fairrank.ErrDuplicateNoise) {
-		t.Fatal(err)
-	}
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: "test:dupnoise"}, sampler); !errors.Is(err, fairrank.ErrDuplicateNoise) {
-		t.Errorf("second RegisterNoise: got %v, want ErrDuplicateNoise", err)
 	}
 }
 
@@ -227,7 +212,7 @@ func TestPLBestMatchesNoiseOverride(t *testing.T) {
 	}
 }
 
-// Every registered noise mechanism must serve deterministically (equal
+// Every noise mechanism must serve deterministically (equal
 // seeds ⇒ equal rankings) and invariantly across DoParallel worker
 // counts.
 func TestNoiseMechanismsDeterministic(t *testing.T) {
@@ -272,64 +257,88 @@ func TestNoiseMechanismsDeterministic(t *testing.T) {
 	}
 }
 
-// reusedBufferSampler is a registered mechanism that shuffles the
-// central ranking into one slice per RNG stream and returns that same
-// slice on every draw of the stream. Keying the slice by stream keeps it
-// safe under DoParallel, whose workers each draw on their own stream.
-func reusedBufferSampler(central []int, _ float64) (func(*rand.Rand) []int, error) {
-	var mu sync.Mutex
-	bufs := map[*rand.Rand][]int{}
-	return func(rng *rand.Rand) []int {
-		mu.Lock()
-		buf, ok := bufs[rng]
-		if !ok {
-			buf = make([]int, len(central))
-			bufs[rng] = buf
+// AttributeBlind is the registry's statement of the paper's thesis: the
+// entry never reads the protected attribute. On the score-order central,
+// which no group label enters, every blind entry's DoParallel rankings
+// must be bit-identical per seed whatever the labels say — renamed (in
+// an order that permutes the group ids), collapsed to one group, or
+// with memberships added — for full and top-k requests alike. A
+// group-reading entry is the control: the same relabelings must change
+// its output, or the check proves nothing.
+func TestAttributeBlindIgnoresGroupLabels(t *testing.T) {
+	// Group "a" holds the top scores, so fairness-aware entries reorder.
+	base := make([]fairrank.Candidate, 24)
+	for i := range base {
+		g := "a"
+		if i >= len(base)/2 {
+			g = "b"
 		}
-		mu.Unlock()
-		copy(buf, central)
-		rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-		return buf
-	}, nil
-}
-
-// A mechanism that reuses its output slice must not corrupt best-of
-// selection: the engine has to keep its own copy of the winning draw, or
-// the next draw overwrites it and the request delivers a ranking it never
-// scored.
-func TestRegisteredNoiseReusingItsBuffer(t *testing.T) {
-	const name = "test:reused-buffer"
-	if err := fairrank.RegisterNoise(fairrank.NoiseInfo{Name: name, Description: "in-place shuffle of one slice per stream (test mechanism)"}, reusedBufferSampler); err != nil && !errors.Is(err, fairrank.ErrDuplicateNoise) {
-		t.Fatal(err)
+		base[i] = fairrank.Candidate{ID: "c" + strconv.Itoa(i), Score: float64(len(base) - i), Group: g}
 	}
-	r, err := fairrank.NewRanker(fairrank.Config{Noise: name, Samples: 15})
-	if err != nil {
-		t.Fatal(err)
+	relabel := func(f func(i int, c *fairrank.Candidate)) []fairrank.Candidate {
+		out := append([]fairrank.Candidate(nil), base...)
+		for i := range out {
+			f(i, &out[i])
+		}
+		return out
 	}
-	pool := registryPool(30)
-	check := func(what string, res *fairrank.Result) {
+	variants := map[string][]fairrank.Candidate{
+		"renamed": relabel(func(_ int, c *fairrank.Candidate) {
+			c.Group = map[string]string{"a": "zeta", "b": "alpha"}[c.Group]
+		}),
+		"collapsed": relabel(func(_ int, c *fairrank.Candidate) { c.Group = "all" }),
+		"memberships": relabel(func(i int, c *fairrank.Candidate) {
+			c.Membership = [](map[string]float64){
+				{c.Group: 1},
+				{"a": 0.5, "b": 0.5},
+				{c.Group: 0.75, "x": 0.25},
+			}[i%3]
+		}),
+	}
+	rank := func(algorithm string, cands []fairrank.Candidate, topK *int, seed int64) []string {
 		t.Helper()
-		ndcg, err := fairrank.NDCG(res.Ranking)
+		r, err := fairrank.NewRanker(fairrank.Config{Algorithm: fairrank.Algorithm(algorithm), Central: fairrank.CentralScoreOrder})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(ndcg-res.Diagnostics.NDCG) > 1e-12 {
-			t.Errorf("%s: delivered ranking has NDCG %v, the selected draw scored %v", what, ndcg, res.Diagnostics.NDCG)
-		}
-	}
-	for seed := int64(0); seed < 20; seed++ {
-		res, err := r.Do(context.Background(), fairrank.Request{Candidates: pool, Seed: &seed})
+		res, err := r.DoParallel(context.Background(), fairrank.Request{Candidates: cands, TopK: topK, Seed: &seed}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("Do seed %d", seed), res)
+		ids := make([]string, len(res.Ranking))
+		for i, c := range res.Ranking {
+			ids[i] = c.ID
+		}
+		return ids
 	}
-	seed := int64(7)
-	if err := r.Sample(context.Background(), fairrank.Request{Candidates: pool, Seed: &seed}, 20, func(i int, res *fairrank.Result) error {
-		check(fmt.Sprintf("Sample draw %d", i), res)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	k := 5
+	var blind []string
+	for _, a := range fairrank.Algorithms() {
+		if a.AttributeBlind && !strings.HasPrefix(a.Name, "test:") {
+			blind = append(blind, a.Name)
+		}
+	}
+	if len(blind) == 0 {
+		t.Fatal("no attribute-blind entry in the registry")
+	}
+	for _, name := range blind {
+		for _, topK := range []*int{nil, &k} {
+			for seed := int64(1); seed <= 3; seed++ {
+				want := rank(name, base, topK, seed)
+				for variant, cands := range variants {
+					if got := rank(name, cands, topK, seed); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s (top_k %v, seed %d): %s labels changed the ranking\n got %v\nwant %v", name, topK != nil, seed, variant, got, want)
+					}
+				}
+			}
+		}
+	}
+	control := string(fairrank.AlgorithmDetConstSort)
+	if info, ok := fairrank.LookupAlgorithm(control); !ok || info.AttributeBlind {
+		t.Fatalf("control %q missing or flagged attribute-blind", control)
+	}
+	if reflect.DeepEqual(rank(control, variants["collapsed"], nil, 1), rank(control, base, nil, 1)) {
+		t.Errorf("collapsing the groups left the group-reading %s unchanged: the relabelings do not reach the attribute", control)
 	}
 }
 

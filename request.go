@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/fairness"
@@ -52,8 +51,8 @@ type Request struct {
 	// string inherits (no Criterion value is empty, so a string field
 	// carries no zero ambiguity).
 	Criterion Criterion
-	// Noise overrides Config.Noise when nonempty: the registered
-	// randomization mechanism the sampling algorithms draw from.
+	// Noise overrides Config.Noise when nonempty: the randomization
+	// mechanism the sampling algorithms draw from (see Noises).
 	// Algorithms that pin their own mechanism ignore it.
 	Noise Noise
 	// Tolerance overrides Config.Tolerance (proportional-constraint
@@ -187,43 +186,70 @@ func (r *Ranker) DoParallel(ctx context.Context, req Request, workers int) (*Res
 // stream) and DoParallel (workers ≥ 1, per-draw derived streams).
 func (r *Ranker) do(ctx context.Context, req Request, workers int) (*Result, error) {
 	r.statRequests.Add(1)
-	cfg, entry, topK, err := r.resolve(req)
+	p, err := r.prepare(ctx, req)
 	if err != nil {
 		return nil, err
 	}
+	return r.rank(ctx, p, workers)
+}
+
+// prepared is a request ready to rank: its candidates, its resolved
+// configuration, the registry entry of its algorithm, its assembled
+// instance and the length of the prefix it delivers.
+type prepared struct {
+	candidates []Candidate
+	cfg        Config
+	entry      algorithmEntry
+	in         rankers.Instance
+	topK       int
+}
+
+// prepare is the first half of every serving path (do and Sample): it
+// resolves req against the Ranker's Config, assembles the instance and
+// enforces the algorithm's group bounds.
+func (r *Ranker) prepare(ctx context.Context, req Request) (prepared, error) {
+	cfg, entry, topK, err := r.resolve(req)
+	if err != nil {
+		return prepared{}, err
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return prepared{}, err
 	}
 	in, err := buildInstance(req.Candidates, cfg)
 	if err != nil {
-		return nil, err
+		return prepared{}, err
 	}
 	if err := entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
-		return nil, err
+		return prepared{}, err
 	}
-	out, score, scored, draws, noise, err := r.rankInstance(ctx, entry, in, cfg, topK, workers)
+	return prepared{candidates: req.Candidates, cfg: cfg, entry: entry, in: in, topK: topK}, nil
+}
+
+// rank is the second half of every serving path: it ranks a prepared
+// request's instance, audits the ranking and materializes the delivered
+// prefix of candidates.
+func (r *Ranker) rank(ctx context.Context, p prepared, workers int) (*Result, error) {
+	out, score, scored, draws, noise, err := r.rankInstance(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
-	diag, err := diagnose(in, cfg, out, topK, score, scored, draws, noise)
+	diag, err := diagnose(p.in, p.cfg, out, p.topK, score, scored, draws, noise)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		Ranking:     pickCandidates(req.Candidates, out[:topK]),
+		Ranking:     pickCandidates(p.candidates, out[:p.topK]),
 		Diagnostics: diag,
 	}, nil
 }
 
-// rankInstance ranks one assembled instance with the resolved
-// algorithm entry and configuration — the per-draw core shared by do
-// and the multi-draw Sample hook, which builds the instance once and
-// calls this per draw. It returns the chosen ranking — full-length, or
-// just the delivered prefix when the truncated draw path served a TopK
-// request — the winning selection score (when a best-of criterion
+// rankInstance ranks one prepared instance with its resolved algorithm
+// entry and configuration. It returns the chosen ranking — full-length,
+// or just the delivered prefix when the truncated draw path served a
+// TopK request — the winning selection score (when a best-of criterion
 // ran), the draw count, and the noise mechanism actually drawn from
 // (empty for non-sampling algorithms).
-func (r *Ranker) rankInstance(ctx context.Context, entry algorithmEntry, in rankers.Instance, cfg Config, topK, workers int) (perm.Perm, float64, bool, int, Noise, error) {
+func (r *Ranker) rankInstance(ctx context.Context, p prepared, workers int) (perm.Perm, float64, bool, int, Noise, error) {
 	var (
 		out    perm.Perm
 		score  float64
@@ -231,6 +257,7 @@ func (r *Ranker) rankInstance(ctx context.Context, entry algorithmEntry, in rank
 		draws  int
 		noise  Noise
 	)
+	cfg, entry, in := p.cfg, p.entry, p.in
 	if entry.info.Sampling {
 		// The engine-managed Algorithm-1 family: best-of-m draws from
 		// the resolved noise mechanism around the central ranking, with
@@ -249,7 +276,7 @@ func (r *Ranker) rankInstance(ctx context.Context, entry algorithmEntry, in rank
 		if err := in.Validate(); err != nil {
 			return nil, 0, false, 0, "", err
 		}
-		plan, err := r.plan(noise, in.Initial, cfg.Theta, topK)
+		plan, err := r.eng.Plan(core.Noise(noise), in.Initial, cfg.Theta, p.topK)
 		if err != nil {
 			return nil, 0, false, 0, "", err
 		}
@@ -384,39 +411,6 @@ func (r *Ranker) resolve(req Request) (Config, algorithmEntry, int, error) {
 		}
 	}
 	return cfg, entry, topK, nil
-}
-
-// plan prepares one request's draws from noise: through core's kernel
-// when the axis has one, else — and for every axis under
-// forceFullDraws, the reference the kernels are checked against —
-// through the validating registry adapter. The adapter draws from the
-// registered sampler, always full-length; it checks each draw is a full
-// permutation of the pool, so a defective (possibly third-party)
-// mechanism surfaces as an error instead of corrupting the selection,
-// and copies it into the loop's buffer, so a sampler that reuses its
-// output slice cannot overwrite a draw the loop keeps.
-func (r *Ranker) plan(noise Noise, center perm.Perm, theta float64, topK int) (core.Plan, error) {
-	if _, ok := core.Axes[core.Noise(noise)]; ok && !r.forceFullDraws {
-		return r.eng.Plan(core.Noise(noise), center, theta, topK)
-	}
-	sampler, err := lookupSampler(noise)
-	if err != nil {
-		return core.Plan{}, err
-	}
-	sample, err := sampler(center, theta)
-	if err != nil {
-		return core.Plan{}, fmt.Errorf("fairrank: noise %q: %w", noise, err)
-	}
-	return core.SamplerPlan(center, topK, func(dst perm.Perm, rng *rand.Rand) (perm.Perm, error) {
-		d := perm.Perm(sample(rng))
-		if len(d) != len(center) {
-			return nil, fmt.Errorf("fairrank: noise %q: drew %d indices for %d candidates", noise, len(d), len(center))
-		}
-		if err := d.Validate(); err != nil {
-			return nil, fmt.Errorf("fairrank: noise %q: invalid draw: %w", noise, err)
-		}
-		return dst[:copy(dst, d)], nil
-	}), nil
 }
 
 // diagnose assembles the Result diagnostics from state the serving path

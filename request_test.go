@@ -185,14 +185,9 @@ func TestDoTopK(t *testing.T) {
 	}
 	// The default algorithm runs best-of-m selection, which for TopK
 	// requests is prefix-scoped and served by the truncated draw path.
-	// The full-length reference path must produce the identical result —
-	// ranking and diagnostics — for the same request.
-	ref, err := NewRanker(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.forceFullDraws = true
-	want, err := ref.Do(context.Background(), Request{Candidates: cands, TopK: iptr(5), Seed: sptr(4)})
+	// The best-of loop over full-length reference draws must produce the
+	// identical result — ranking and diagnostics — for the same request.
+	want, err := referenceDo(r, Request{Candidates: cands, TopK: iptr(5), Seed: sptr(4)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

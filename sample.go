@@ -35,34 +35,19 @@ func (r *Ranker) Sample(ctx context.Context, req Request, draws int, observe fun
 	if observe == nil {
 		return fmt.Errorf("fairrank: nil observe func")
 	}
-	cfg, entry, topK, err := r.resolve(req)
+	p, err := r.prepare(ctx, req)
 	if err != nil {
 		return err
 	}
-	in, err := buildInstance(req.Candidates, cfg)
-	if err != nil {
-		return err
-	}
-	if err := entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
-		return err
-	}
-	base := cfg.Seed
+	base := p.cfg.Seed
 	for i := 0; i < draws; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cfg.Seed = SampleSeed(base, i)
-		out, score, scored, n, noise, err := r.rankInstance(ctx, entry, in, cfg, topK, 0)
+		p.cfg.Seed = SampleSeed(base, i)
+		res, err := r.rank(ctx, p, 0)
 		if err != nil {
-			return fmt.Errorf("fairrank: sample draw %d (seed %d): %w", i, cfg.Seed, err)
-		}
-		diag, err := diagnose(in, cfg, out, topK, score, scored, n, noise)
-		if err != nil {
-			return fmt.Errorf("fairrank: sample draw %d (seed %d): %w", i, cfg.Seed, err)
-		}
-		res := &Result{
-			Ranking:     pickCandidates(req.Candidates, out[:topK]),
-			Diagnostics: diag,
+			return fmt.Errorf("fairrank: sample draw %d (seed %d): %w", i, p.cfg.Seed, err)
 		}
 		if err := observe(i, res); err != nil {
 			return err

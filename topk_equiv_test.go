@@ -2,20 +2,28 @@ package fairrank
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/perm"
+	"repro/internal/quality"
 )
 
 // TestTopKMatchesFullPath is the engine-level equivalence gate of the
-// truncated draw path: for every registered algorithm × noise pair and
-// an (n, k, θ) grid covering k = 1, k = n, k > n, and the θ = 0 uniform
-// limit, a TopK request served normally (the truncated sampler wherever
-// the engine can use it) must return exactly — ranking and diagnostics —
-// what the forced full-length reference path returns for the same seed,
-// sequentially and under DoParallel's per-draw derived streams. Run it
-// under -race to also exercise the pooled buffers and shared criterion
-// state across the parallel fan-out.
+// draw path: for every registered algorithm × noise pair, both
+// selection criteria of the best-of entries, and an (n, k, θ) grid
+// covering k = 1, k = n, k > n, and the θ = 0 uniform limit, a TopK
+// request served normally (the truncated kernel wherever k < n) must
+// return exactly — ranking and diagnostics — what referenceDo, an
+// independent best-of loop over full-length reference draws, returns
+// for the same seed: sequentially, under DoParallel's per-draw derived
+// streams, and across a Sample sweep. Run it under -race to also
+// exercise the pooled buffers and shared criterion state across the
+// parallel fan-out.
 func TestTopKMatchesFullPath(t *testing.T) {
 	type dims struct{ n, k int }
 	grid := []dims{{6, 1}, {12, 5}, {12, 12}, {12, 40}, {18, 7}}
@@ -24,13 +32,15 @@ func TestTopKMatchesFullPath(t *testing.T) {
 		if strings.HasPrefix(info.Name, "test:") {
 			continue
 		}
+		criteria := []Criterion{CriterionNDCG}
+		if info.BestOf {
+			criteria = append(criteria, CriterionKT)
+		}
 		noises := []string{""}
 		if info.Sampling && info.Noise == "" {
 			noises = noises[:0]
 			for _, ni := range Noises() {
-				if !strings.HasPrefix(ni.Name, "test:") {
-					noises = append(noises, ni.Name)
-				}
+				noises = append(noises, ni.Name)
 			}
 		}
 		for _, noise := range noises {
@@ -41,81 +51,71 @@ func TestTopKMatchesFullPath(t *testing.T) {
 						name += "×" + noise
 					}
 					t.Run(name, func(t *testing.T) {
-						fast, err := NewRanker(Config{Algorithm: Algorithm(info.Name)})
+						r, err := NewRanker(Config{Algorithm: Algorithm(info.Name)})
 						if err != nil {
 							t.Fatal(err)
 						}
-						ref, err := NewRanker(Config{Algorithm: Algorithm(info.Name)})
-						if err != nil {
-							t.Fatal(err)
+						for _, crit := range criteria {
+							req := Request{
+								Candidates: pool(d.n),
+								Theta:      &theta,
+								Criterion:  crit,
+								Noise:      Noise(noise),
+								TopK:       iptr(d.k),
+								Seed:       sptr(int64(d.n*100 + d.k)),
+							}
+							for _, parallel := range []bool{false, true} {
+								var got *Result
+								if parallel {
+									got, err = r.DoParallel(context.Background(), req, 3)
+								} else {
+									got, err = r.Do(context.Background(), req)
+								}
+								if err != nil {
+									t.Fatal(err)
+								}
+								want, err := referenceDo(r, req, parallel)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Errorf("n=%d k=%d θ=%g %s parallel=%v: engine diverged from the reference\nengine %+v\nref    %+v", d.n, d.k, theta, crit, parallel, got, want)
+								}
+							}
+							// Multi-draw sweeps run draw i sequentially on
+							// seed SampleSeed(seed, i); the draw path must
+							// stay aligned across the whole sweep, not just
+							// draw 0.
+							var sweep []*Result
+							if err := r.Sample(context.Background(), req, 4, func(_ int, res *Result) error {
+								sweep = append(sweep, res)
+								return nil
+							}); err != nil {
+								t.Fatal(err)
+							}
+							for i, got := range sweep {
+								draw := req
+								draw.Seed = sptr(SampleSeed(*req.Seed, i))
+								want, err := referenceDo(r, draw, false)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Errorf("n=%d k=%d θ=%g %s: Sample draw %d diverged from the reference", d.n, d.k, theta, crit, i)
+								}
+							}
 						}
-						ref.forceFullDraws = true
-						req := Request{
-							Candidates: pool(d.n),
-							Theta:      &theta,
-							Noise:      Noise(noise),
-							TopK:       iptr(d.k),
-							Seed:       sptr(int64(d.n*100 + d.k)),
-						}
-						got, err := fast.Do(context.Background(), req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := ref.Do(context.Background(), req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("n=%d k=%d θ=%g: Do diverged between truncated and reference paths\nfast %+v\nref  %+v", d.n, d.k, theta, got, want)
-						}
-						gotP, err := fast.DoParallel(context.Background(), req, 3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantP, err := ref.DoParallel(context.Background(), req, 3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotP, wantP) {
-							t.Errorf("n=%d k=%d θ=%g: DoParallel diverged between truncated and reference paths", d.n, d.k, theta)
-						}
-						// Multi-draw sweeps share one sequential stream per
-						// draw seed; the truncated path must stay aligned
-						// across the whole sweep, not just draw 0.
-						var fastSeq, refSeq []*Result
-						if err := fast.Sample(context.Background(), req, 4, func(_ int, res *Result) error {
-							fastSeq = append(fastSeq, res)
-							return nil
-						}); err != nil {
-							t.Fatal(err)
-						}
-						if err := ref.Sample(context.Background(), req, 4, func(_ int, res *Result) error {
-							refSeq = append(refSeq, res)
-							return nil
-						}); err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(fastSeq, refSeq) {
-							t.Errorf("n=%d k=%d θ=%g: Sample sweep diverged between truncated and reference paths", d.n, d.k, theta)
-						}
-						// The fast engine must actually have used the
-						// truncated path where it applies: any built-in
-						// noise mechanism with a true prefix, not just
-						// Mallows.
-						stats := fast.Stats()
+						// The engine must actually have used the truncated
+						// path where it applies: every noise mechanism with
+						// a true prefix, not just Mallows.
+						stats := r.Stats()
 						resolved := info.Noise
 						if info.Sampling && resolved == "" {
 							resolved = Noise(noise)
 						}
-						truncPath := false
-						if info.Sampling {
-							if ni, ok := LookupNoise(string(resolved)); ok {
-								truncPath = ni.Truncated
-							}
-						}
-						if truncPath && d.k < d.n {
+						if info.Sampling && d.k < d.n {
 							if stats.DrawsTruncated == 0 {
-								t.Errorf("n=%d k=%d: no truncated draws recorded on the %s fast path (stats %+v)", d.n, d.k, resolved, stats)
+								t.Errorf("n=%d k=%d: no truncated draws recorded on the %s draw path (stats %+v)", d.n, d.k, resolved, stats)
 							}
 							if stats.DrawsTruncatedByNoise[string(resolved)] == 0 {
 								t.Errorf("n=%d k=%d: truncated draws not attributed to noise %q (per-noise %v)", d.n, d.k, resolved, stats.DrawsTruncatedByNoise)
@@ -128,9 +128,6 @@ func TestTopKMatchesFullPath(t *testing.T) {
 						if axes != stats.DrawsTruncated {
 							t.Errorf("per-noise truncation axes sum to %d, total is %d", axes, stats.DrawsTruncated)
 						}
-						if refStats := ref.Stats(); refStats.DrawsTruncated != 0 {
-							t.Errorf("reference path recorded %d truncated draws, want 0", refStats.DrawsTruncated)
-						}
 						if stats.DrawsFull+stats.DrawsTruncated != stats.Draws {
 							t.Errorf("draw-path split %d + %d does not sum to draws %d", stats.DrawsFull, stats.DrawsTruncated, stats.Draws)
 						}
@@ -139,4 +136,96 @@ func TestTopKMatchesFullPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceDo serves req the plain way, independently of the engine's
+// draw path: Algorithm 1 as a best-of loop over full-length draws from
+// the resolved axis's reference sampler (core.Axes[axis].Reference).
+// Sequential draws share one stream seeded with the request seed;
+// parallel ones (DoParallel with more than one sample) draw i on a
+// stream seeded with core.MixSeed(seed, i). Each draw is scored on its
+// top-k prefix — NDCG@k against the pool-wide ideal, or minus the
+// Kendall tau pairs the prefix orders against the central — and the
+// first maximum is kept. Non-sampling algorithms run their Strategy on
+// a stream seeded with the request seed. diagnose audits the winner.
+func referenceDo(r *Ranker, req Request, parallel bool) (*Result, error) {
+	p, err := r.prepare(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	cfg, info, in, k := p.cfg, p.entry.info, p.in, p.topK
+	if !info.Sampling {
+		strat, err := p.entry.factory(cfg)
+		if err != nil {
+			return nil, err
+		}
+		idx, err := strat.Rank(&Instance{in: in}, rand.New(rand.NewSource(cfg.Seed)))
+		if err != nil {
+			return nil, err
+		}
+		return referenceResult(p, perm.Perm(idx), 0, false, 0, "")
+	}
+	noise := info.Noise
+	if noise == "" {
+		noise = cfg.Noise
+	}
+	axis, ok := core.Axes[core.Noise(noise)]
+	if !ok {
+		return nil, fmt.Errorf("no noise axis %q", noise)
+	}
+	sample, err := axis.Reference(in.Initial, cfg.Theta)
+	if err != nil {
+		return nil, err
+	}
+	samples := 1
+	if info.BestOf {
+		samples = cfg.Samples
+	}
+	idcg, err := quality.IDCG(in.Initial, in.Scores, k)
+	if err != nil {
+		return nil, err
+	}
+	pos := in.Initial.Positions()
+	score := func(d perm.Perm) float64 {
+		if cfg.Criterion == CriterionKT {
+			var pairs int
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					if pos[d[i]] > pos[d[j]] {
+						pairs++
+					}
+				}
+			}
+			return -float64(pairs)
+		}
+		dcg, _ := quality.DCG(d, in.Scores, k)
+		if idcg == 0 {
+			return 1
+		}
+		return dcg / idcg
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var best perm.Perm
+	var bestScore float64
+	for i := 0; i < samples; i++ {
+		if parallel && samples > 1 {
+			rng = rand.New(rand.NewSource(core.MixSeed(cfg.Seed, i)))
+		}
+		d := perm.Perm(sample(rng)).Clone()
+		if v := score(d); best == nil || v > bestScore {
+			best, bestScore = d, v
+		}
+	}
+	if !info.BestOf {
+		bestScore = 0
+	}
+	return referenceResult(p, best, bestScore, info.BestOf, samples, Noise(noise))
+}
+
+func referenceResult(p prepared, out perm.Perm, score float64, scored bool, draws int, noise Noise) (*Result, error) {
+	diag, err := diagnose(p.in, p.cfg, out, p.topK, score, scored, draws, noise)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Ranking: pickCandidates(p.candidates, out[:p.topK]), Diagnostics: diag}, nil
 }
