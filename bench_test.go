@@ -22,7 +22,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fairdp"
 	"repro/internal/fairness"
-	"repro/internal/ilp"
 	"repro/internal/mallows"
 	"repro/internal/perm"
 	"repro/internal/pl"
@@ -308,8 +307,8 @@ func BenchmarkAblationNoiseSources(b *testing.B) {
 }
 
 // BenchmarkAblationDPvsILP times the exact DP solver of the §IV-B
-// program behind the ILP ranker. fairdp's TestSolveMatchesILP checks the
-// DP's optimum against internal/ilp's branch-and-bound solver.
+// program behind the ILP ranker. fairdp's TestSolveMatchesBruteForce
+// checks the DP's optimum against exhaustive enumeration.
 func BenchmarkAblationDPvsILP(b *testing.B) {
 	ds := dataset.SyntheticGermanCredit(rand.New(rand.NewSource(5)))
 	sub, err := ds.TopByAmount(10)
@@ -517,34 +516,6 @@ func BenchmarkHungarianViaIPF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (rankers.ApproxMultiValuedIPF{}).Rank(in, nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimplexLP(b *testing.B) {
-	// A moderately sized dense LP: 60 variables, 40 constraints.
-	rng := rand.New(rand.NewSource(8))
-	const nv, nc = 60, 40
-	obj := make([]float64, nv)
-	for j := range obj {
-		obj[j] = rng.Float64()
-	}
-	cons := make([]ilp.Constraint, nc)
-	for i := range cons {
-		coeffs := make([]float64, nv)
-		for j := range coeffs {
-			coeffs[j] = rng.Float64()
-		}
-		cons[i] = ilp.Constraint{Coeffs: coeffs, Rel: ilp.LE, RHS: 5 + rng.Float64()*10}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := ilp.SolveLP(obj, cons)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sol.Status != ilp.Optimal {
-			b.Fatalf("status %v", sol.Status)
 		}
 	}
 }

@@ -131,7 +131,6 @@ func RunNoiseSweep(ctx context.Context, cfg Config, levels []scenario.NoiseSpec)
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("conformance: no algorithms to sweep")
 	}
-	noises := fairrank.Noises()
 	pools := make(map[string][]fairrank.Candidate, len(cfg.Scenarios))
 	for _, spec := range cfg.Scenarios {
 		pool, err := spec.Generate()
@@ -142,7 +141,7 @@ func RunNoiseSweep(ctx context.Context, cfg Config, levels []scenario.NoiseSpec)
 	}
 	rep := &NoiseReport{Draws: cfg.Draws, AuditTopK: cfg.AuditTopK, Seed: cfg.Seed, Levels: levels}
 	for _, info := range algos {
-		noise := sweepNoise(info, noises)
+		noise := sweepNoise(info)
 		for _, spec := range cfg.Scenarios {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -164,15 +163,15 @@ func RunNoiseSweep(ctx context.Context, cfg Config, levels []scenario.NoiseSpec)
 
 // sweepNoise picks one noise axis per algorithm — a degradation curve
 // is per algorithm, not per algorithm×noise pair, so a free sampling
-// axis resolves to the first mechanism by name.
-func sweepNoise(info fairrank.AlgorithmInfo, noises []fairrank.NoiseInfo) pairNoise {
+// axis resolves to the default, the paper's Mallows mechanism.
+func sweepNoise(info fairrank.AlgorithmInfo) pairNoise {
 	if !info.Sampling {
 		return pairNoise{}
 	}
 	if info.Noise != "" {
 		return pairNoise{pair: string(info.Noise)}
 	}
-	return pairNoise{request: noises[0].Name, pair: noises[0].Name}
+	return pairNoise{request: string(fairrank.NoiseMallows), pair: string(fairrank.NoiseMallows)}
 }
 
 // evalNoiseCurve measures one algorithm × scenario curve: an

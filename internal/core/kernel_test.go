@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,6 +69,43 @@ func TestZeroNoiseKeepsCentral(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			if p := perm.Perm(draw(rng)); !p.Equal(central) {
 				t.Fatalf("%s at zero-noise setting moved the central: %v vs %v", axis, p, central)
+			}
+		}
+	}
+}
+
+// A dispersion whose e^{−θ} rounds to 1 is the uniform limit: on the
+// mallows and gmallows axes, the reference sampler and the engine, full
+// and top-k, must draw at θ = 1e-20 exactly what they draw at θ = 0 for
+// the same seed.
+func TestUnderflowingThetaIsUniformLimit(t *testing.T) {
+	const n = 40
+	central := perm.Random(n, rand.New(rand.NewSource(73)))
+	var e Engine
+	engine := func(axis Noise, theta float64, k int, seed int64) perm.Perm {
+		p, err := e.Plan(axis, central, theta, k)
+		if err != nil {
+			t.Fatalf("%s: %v", axis, err)
+		}
+		defer p.Release()
+		got, _, err := e.Sequential(context.Background(), p, nil, SelectFirst, 1, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatalf("%s: %v", axis, err)
+		}
+		return got
+	}
+	for _, axis := range []Noise{NoiseMallows, NoiseGMallows} {
+		tiny, zero := reference(t, axis, central, 1e-20), reference(t, axis, central, 0)
+		for seed := int64(0); seed < 5; seed++ {
+			got := perm.Perm(tiny(rand.New(rand.NewSource(seed))))
+			if want := perm.Perm(zero(rand.New(rand.NewSource(seed)))); !got.Equal(want) {
+				t.Fatalf("%s reference seed=%d: θ=1e-20 drew %v, θ=0 %v", axis, seed, got, want)
+			}
+			for _, k := range []int{n, 10} {
+				got, want := engine(axis, 1e-20, k, seed), engine(axis, 0, k, seed)
+				if !got.Equal(want) {
+					t.Fatalf("%s engine k=%d seed=%d: θ=1e-20 drew %v, θ=0 %v", axis, k, seed, got, want)
+				}
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fairdp"
 	"repro/internal/fairness"
-	"repro/internal/ilp"
 	"repro/internal/perm"
 	"repro/internal/quality"
 )
@@ -114,85 +113,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("want both outcomes exercised, got %d feasible / %d infeasible", feasible, infeasible)
-	}
-}
-
-// buildILP constructs the paper's §IV-B integer program for the same
-// instance: variables x_{ij} (item i at position j).
-func buildILP(scores []float64, gr *fairness.Groups, b *fairness.Bounds) ilp.Problem {
-	d := len(scores)
-	obj := make([]float64, d*d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			obj[i*d+j] = scores[i] * quality.LogDiscount(j+1)
-		}
-	}
-	var cons []ilp.Constraint
-	for j := 0; j < d; j++ { // each position exactly one item
-		c := make([]float64, d*d)
-		for i := 0; i < d; i++ {
-			c[i*d+j] = 1
-		}
-		cons = append(cons, ilp.Constraint{Coeffs: c, Rel: ilp.EQ, RHS: 1})
-	}
-	for i := 0; i < d; i++ { // each item at most once
-		c := make([]float64, d*d)
-		for j := 0; j < d; j++ {
-			c[i*d+j] = 1
-		}
-		cons = append(cons, ilp.Constraint{Coeffs: c, Rel: ilp.LE, RHS: 1})
-	}
-	for ell := 1; ell <= d; ell++ {
-		for p := 0; p < gr.NumGroups(); p++ {
-			c := make([]float64, d*d)
-			for i := 0; i < d; i++ {
-				if gr.Of(i) != p {
-					continue
-				}
-				for j := 0; j < ell; j++ {
-					c[i*d+j] = 1
-				}
-			}
-			cons = append(cons,
-				ilp.Constraint{Coeffs: c, Rel: ilp.GE, RHS: float64(b.Lower[ell-1][p])},
-				ilp.Constraint{Coeffs: append([]float64(nil), c...), Rel: ilp.LE, RHS: float64(b.Upper[ell-1][p])},
-			)
-		}
-	}
-	return ilp.Problem{Objective: obj, Constraints: cons, Integer: ilp.AllInteger(d * d)}
-}
-
-func TestSolveMatchesILP(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	checked := 0
-	for trial := 0; trial < 12; trial++ {
-		d := 3 + rng.Intn(3) // 3..5
-		scores, gr, b := randomInstance(rng, d)
-		_, dpVal, dpErr := fairdp.Solve(scores, gr, b, nil)
-
-		sol, err := ilp.Solve(buildILP(scores, gr, b), ilp.Options{MaxNodes: 200000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errors.Is(dpErr, fairdp.ErrInfeasible) {
-			if sol.Status == ilp.Optimal {
-				t.Fatalf("DP infeasible but ILP found %v", sol.Objective)
-			}
-			continue
-		}
-		if dpErr != nil {
-			t.Fatal(dpErr)
-		}
-		if sol.Status != ilp.Optimal {
-			t.Fatalf("DP value %v but ILP status %v", dpVal, sol.Status)
-		}
-		if math.Abs(sol.Objective-dpVal) > 1e-6 {
-			t.Fatalf("ILP %v vs DP %v (d=%d)", sol.Objective, dpVal, d)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no feasible instances compared")
 	}
 }
 

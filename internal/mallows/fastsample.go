@@ -21,7 +21,7 @@ import (
 type Tables struct {
 	n     int
 	theta float64
-	logQ  float64   // ln q, q = e^{−θ}; 0 when θ = 0
+	logQ  float64   // ln q, q = e^{−θ}; 0 when q rounds to 1 (uniform draws)
 	cdfZ  []float64 // cdfZ[j] = 1 − q^j, the CDF normalizer at step j
 	// invCdfZ[j] = 1/cdfZ[j] lets the truncated top-k sampler test
 	// "displacement too small to reach the window" with one multiply per
@@ -40,11 +40,10 @@ func NewTables(n int, theta float64) (*Tables, error) {
 		return nil, fmt.Errorf("mallows: dispersion θ = %v, want ≥ 0", theta)
 	}
 	t := &Tables{n: n, theta: theta}
-	if theta > 0 {
-		// Compute q, ln q, and q^j exactly as sampleDisplacement does
-		// (Exp then Log/Pow, not −θ and iterated products) so draws match
-		// the table-free path bit for bit.
-		q := math.Exp(-theta)
+	// Compute q, ln q, and q^j exactly as sampleDisplacement does (Exp
+	// then Log/Pow, not −θ and iterated products) so draws match the
+	// table-free path bit for bit, including its uniform limit q = 1.
+	if q := math.Exp(-theta); q < 1 {
 		t.logQ = math.Log(q)
 		t.cdfZ = make([]float64, n+1)
 		t.invCdfZ = make([]float64, n+1)
@@ -66,7 +65,7 @@ func (t *Tables) Displacement(j int, rng *rand.Rand) int {
 	if j <= 1 {
 		return 0
 	}
-	if t.theta == 0 {
+	if t.logQ == 0 {
 		return rng.Intn(j)
 	}
 	u := rng.Float64()

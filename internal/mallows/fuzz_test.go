@@ -10,12 +10,13 @@ import (
 
 // FuzzSampleDisplacement drives the truncated-geometric CDF inversion
 // through adversarial (j, θ, seed) triples — the extreme-θ regimes where
-// the float plumbing can betray it: θ → 0⁺ (q rounds to 1, the
-// normalizer 1 − q^j underflows to 0 and the inversion degenerates),
-// θ huge (q and every power underflow to 0), and ordinary values in
-// between. It pins two properties: the draw always lands in the legal
-// support {0,…,j−1}, and the table-backed Displacement reproduces the
-// table-free arithmetic bit for bit on the same uniform.
+// the float plumbing can betray it: θ → 0⁺ (at θ ≤ 2^−54 q = e^{−θ}
+// rounds to 1 and the inversion would divide 0 by 0), θ huge (q and
+// every power underflow to 0), and ordinary values in between. It pins
+// three properties: the draw always lands in the legal support
+// {0,…,j−1}; wherever q rounds to 1 it is the uniform limit, the same
+// Intn(j) draw as θ = 0; and the table-backed Displacement reproduces
+// the table-free arithmetic bit for bit on the same uniform.
 func FuzzSampleDisplacement(f *testing.F) {
 	f.Add(2, 1.0, int64(1))
 	f.Add(1, 0.5, int64(2))
@@ -42,6 +43,11 @@ func FuzzSampleDisplacement(f *testing.F) {
 		}
 		if v < 0 || v > j-1 {
 			t.Fatalf("j=%d θ=%g: displacement %d outside [0, %d]", j, theta, v, j-1)
+		}
+		if math.Exp(-theta) == 1 {
+			if want := rand.New(rand.NewSource(seed)).Intn(j); v != want {
+				t.Fatalf("j=%d θ=%g: displacement %d, want the uniform limit's %d", j, theta, v, want)
+			}
 		}
 		tb, err := NewTables(j, theta)
 		if err != nil {
@@ -106,6 +112,7 @@ func FuzzGeneralizedTopKPrefix(f *testing.F) {
 	f.Add(64, 80, 700.0, 0.97, int64(4))
 	f.Add(200, 1, 1e-300, 0.99, int64(5))
 	f.Add(33, 0, 2.5, 0.0, int64(6))
+	f.Add(160, 10, 1e-15, 0.97, int64(7)) // e^{−θ_j} rounds to 1 from step 96
 	f.Fuzz(func(t *testing.T, n, k int, theta, decay float64, seed int64) {
 		if n < 0 || n > 512 || k < 0 || k > 1024 {
 			t.Skip("size out of fuzz range")

@@ -145,33 +145,3 @@ func expectedDisplacement(j int, theta float64) float64 {
 	qj := math.Exp(-theta * float64(j))
 	return q/(1-q) - float64(j)*qj/(1-qj)
 }
-
-// Uniform returns the standard model M(center, theta) lifted to the
-// generalized form (all steps share theta).
-func Uniform(center perm.Perm, theta float64) (*GeneralizedModel, error) {
-	thetas := make([]float64, len(center))
-	for i := range thetas {
-		thetas[i] = theta
-	}
-	return NewGeneralized(center, thetas)
-}
-
-// TopHeavy returns a generalized model whose dispersion decays
-// geometrically with depth: step j gets top·decay^{j−1}. Large top with
-// decay < 1 preserves the relative order among the head of the center
-// (their insertions are near-deterministic) while the tail's relative
-// order mixes freely. Note the Fligner–Verducci factorization controls
-// relative placements: a free-floating tail item may still land high,
-// so absolute head positions are only protected indirectly.
-func TopHeavy(center perm.Perm, top, decay float64) (*GeneralizedModel, error) {
-	if top < 0 || decay < 0 || decay > 1 {
-		return nil, fmt.Errorf("mallows: top-heavy parameters top=%v decay=%v", top, decay)
-	}
-	thetas := make([]float64, len(center))
-	t := top
-	for i := range thetas {
-		thetas[i] = t
-		t *= decay
-	}
-	return NewGeneralized(center, thetas)
-}

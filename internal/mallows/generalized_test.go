@@ -9,6 +9,18 @@ import (
 	"repro/internal/rankdist"
 )
 
+// geometric is the dispersion schedule top·decay^j over n insertion
+// steps (j = 0…n−1); decay 1 is the standard model's constant θ.
+func geometric(n int, top, decay float64) []float64 {
+	thetas := make([]float64, n)
+	t := top
+	for j := range thetas {
+		thetas[j] = t
+		t *= decay
+	}
+	return thetas
+}
+
 func TestNewGeneralizedValidation(t *testing.T) {
 	if _, err := NewGeneralized(perm.Identity(3), []float64{1, 1, 1}); err != nil {
 		t.Fatal(err)
@@ -52,7 +64,7 @@ func TestGeneralizedReducesToStandard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := Uniform(center, 0.8)
+	gen, err := NewGeneralized(center, geometric(4, 0.8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +91,7 @@ func TestGeneralizedReducesToStandard(t *testing.T) {
 func TestGeneralizedDisplacements(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	center := perm.Random(9, rng)
-	m, err := Uniform(center, 1)
+	m, err := NewGeneralized(center, geometric(9, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +123,7 @@ func TestGeneralizedDisplacements(t *testing.T) {
 
 func TestGeneralizedSamplerMeanDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	m, err := TopHeavy(perm.Identity(20), 3, 0.8)
+	m, err := NewGeneralized(perm.Identity(20), geometric(20, 3, 0.8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +152,7 @@ func TestTopHeavyPreservesHeadOrder(t *testing.T) {
 	// more reliably than that of tail items: compare concordance of the
 	// adjacent pair (0,1) against the adjacent pair (10,11).
 	rng := rand.New(rand.NewSource(62))
-	m, err := TopHeavy(perm.Identity(12), 6, 0.5)
+	m, err := NewGeneralized(perm.Identity(12), geometric(12, 6, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +175,45 @@ func TestTopHeavyPreservesHeadOrder(t *testing.T) {
 	if tailConcordant > samples*65/100 {
 		t.Fatalf("tail pair too stable: %d/%d", tailConcordant, samples)
 	}
-	if _, err := TopHeavy(perm.Identity(3), -1, 0.5); err == nil {
-		t.Error("accepted negative top")
+}
+
+// The reference sampler against the model itself, past the underflow
+// boundary: at n = 1,500 on the θ·0.97^j schedule (θ = 1) the steps
+// from 1,230 on have e^{−θ_j} = 1, and their draws must still be
+// uniform. The mean Kendall tau distance of 200 draws must lie within
+// 5 standard errors of Σ_j E[V_j]. The moments are summed directly
+// over v = 0…j−1 from the weights e^{−θ_j·v}, because the closed forms
+// cancel at small θ_j.
+func TestGeneralizedSampleMeanPastUnderflow(t *testing.T) {
+	const n, samples = 1500, 200
+	m, err := NewGeneralized(perm.Identity(n), geometric(n, 1, 0.97))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TopHeavy(perm.Identity(3), 1, 1.5); err == nil {
-		t.Error("accepted decay > 1")
+	var mean, variance float64
+	for j := 2; j <= n; j++ {
+		var z, s1, s2 float64
+		for v := 0; v < j; v++ {
+			w := math.Exp(-m.Thetas[j-1] * float64(v))
+			z += w
+			s1 += w * float64(v)
+			s2 += w * float64(v) * float64(v)
+		}
+		e := s1 / z
+		mean += e
+		variance += s2/z - e*e
+	}
+	rng := rand.New(rand.NewSource(63))
+	var total float64
+	for i := 0; i < samples; i++ {
+		kt, err := rankdist.KendallTau(m.Sample(rng), m.Center)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += float64(kt)
+	}
+	got := total / samples
+	if z := (got - mean) / math.Sqrt(variance/samples); math.Abs(z) > 5 {
+		t.Fatalf("mean distance %.0f, model expects %.0f (z = %.1f)", got, mean, z)
 	}
 }

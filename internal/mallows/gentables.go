@@ -22,7 +22,7 @@ import (
 // for bit, so equal seeds yield identical permutations with or without
 // tables.
 type GeneralizedTables struct {
-	thetas  []float64 // per-step dispersions, cloned
+	thetas  []float64 // per-step dispersions, cloned; 0 where q_j rounds to 1
 	logQ    []float64 // logQ[j] = ln q_j, j = 1…n; 0 when θ_j = 0
 	cdfZ    []float64 // cdfZ[j] = 1 − q_j^j, the CDF normalizer at step j
 	invCdfZ []float64 // 1/cdfZ[j]; +Inf where θ_j = 0 (never consulted)
@@ -44,14 +44,17 @@ func NewGeneralizedTables(thetas []float64) (*GeneralizedTables, error) {
 		if math.IsNaN(theta) || theta < 0 {
 			return nil, fmt.Errorf("mallows: dispersion θ_%d = %v, want ≥ 0", j, theta)
 		}
-		if theta == 0 {
+		// Compute q_j, ln q_j, and q_j^j exactly as sampleDisplacement
+		// does (Exp then Log/Pow, not −θ and iterated products) so draws
+		// match the table-free path bit for bit. Where q_j rounds to 1
+		// the step is its uniform limit: θ_j is stored as 0, so every
+		// draw takes the θ_j = 0 branch.
+		q := math.Exp(-theta)
+		if q == 1 {
+			t.thetas[j-1] = 0
 			t.invCdfZ[j] = math.Inf(1)
 			continue
 		}
-		// Compute q_j, ln q_j, and q_j^j exactly as sampleDisplacement
-		// does (Exp then Log/Pow, not −θ and iterated products) so draws
-		// match the table-free path bit for bit.
-		q := math.Exp(-theta)
 		t.logQ[j] = math.Log(q)
 		t.cdfZ[j] = 1 - math.Pow(q, float64(j))
 		t.invCdfZ[j] = 1 / t.cdfZ[j]

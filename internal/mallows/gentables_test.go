@@ -274,3 +274,58 @@ func TestGeneralizedSampleZeroAlloc(t *testing.T) {
 		t.Fatalf("SampleInto allocates %.1f times per draw, want 0", allocs)
 	}
 }
+
+// A schedule whose tail underflows — e^{−θ_j} rounds to 1 on the
+// engine's θ·0.97^j shape from step 1,230 at θ = 1 — must draw exactly
+// like the same schedule with 0 at those steps: uniform displacements,
+// full and top-k, through the model and the tables, leaving the RNG
+// stream in the same place.
+func TestGeneralizedUnderflowingTailDrawsUniform(t *testing.T) {
+	const n, k = 1300, 10
+	thetas := geometric(n, 1, 0.97)
+	zeroed := append([]float64(nil), thetas...)
+	uniform := 0
+	for j, th := range zeroed {
+		if th > 0 && math.Exp(-th) == 1 {
+			zeroed[j] = 0
+			uniform++
+		}
+	}
+	if uniform == 0 {
+		t.Fatal("no step of the schedule underflows")
+	}
+	center := perm.Random(n, rand.New(rand.NewSource(30)))
+	under, err := NewGeneralized(center, thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := NewGeneralized(center, zeroed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws := map[string]func(m *GeneralizedModel, tb *GeneralizedTables, rng *rand.Rand) perm.Perm{
+		"Sample": func(m *GeneralizedModel, _ *GeneralizedTables, rng *rand.Rand) perm.Perm { return m.Sample(rng) },
+		"SampleInto": func(_ *GeneralizedModel, tb *GeneralizedTables, rng *rand.Rand) perm.Perm {
+			return tb.SampleInto(center, nil, rng)
+		},
+		"SampleTopKInto": func(_ *GeneralizedModel, tb *GeneralizedTables, rng *rand.Rand) perm.Perm {
+			return tb.SampleTopKInto(center, k, tb.MissThresholds(k, nil), nil, rng)
+		},
+		"SampleTopKInto/inline": func(_ *GeneralizedModel, tb *GeneralizedTables, rng *rand.Rand) perm.Perm {
+			return tb.SampleTopKInto(center, k, nil, nil, rng)
+		},
+	}
+	underTab, zeroTab := under.Tables(), zero.Tables()
+	for name, draw := range draws {
+		for seed := int64(0); seed < 5; seed++ {
+			rngU, rngZ := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, want := draw(under, underTab, rngU), draw(zero, zeroTab, rngZ)
+			if !got.Equal(want) {
+				t.Fatalf("%s seed=%d: underflowing tail drew %v…, zero tail %v…", name, seed, got[:k], want[:k])
+			}
+			if a, b := rngU.Int63(), rngZ.Int63(); a != b {
+				t.Fatalf("%s seed=%d: RNG streams diverged (%d vs %d)", name, seed, a, b)
+			}
+		}
+	}
+}

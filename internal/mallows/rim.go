@@ -55,14 +55,19 @@ func (m *Model) SampleN(count int, rng *rand.Rand) []perm.Perm {
 }
 
 // sampleDisplacement draws V ∈ {0,…,j−1} with P(V=v) ∝ e^{−θv}.
+//
+// The uniform limit is q = e^{−θ} rounding to 1 (θ ≤ 2^−54), not θ = 0:
+// there the inversion below would compute 0/0. Uniform is exact to
+// double precision there: the truncated geometric differs from it by a
+// relative factor of at most e^{jθ} − 1, below 1e-10 for j ≤ 1e6.
 func sampleDisplacement(j int, theta float64, rng *rand.Rand) int {
 	if j <= 1 {
 		return 0
 	}
-	if theta == 0 {
+	q := math.Exp(-theta)
+	if q == 1 {
 		return rng.Intn(j)
 	}
-	q := math.Exp(-theta)
 	// CDF(v) = (1 − q^{v+1})/(1 − q^{j}); invert at u ~ U(0,1):
 	// v = ⌈ ln(1 − u(1−q^j)) / ln q ⌉ − 1.
 	u := rng.Float64()

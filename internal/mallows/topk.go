@@ -41,9 +41,10 @@ const topKGuard = 1e-9
 // stripe of sub-window steps consumes its randomness in one tight
 // compare-and-skip loop with no logarithms, no CDF inversion, and no
 // memmove. Only the ~k·(1 + θ⁻¹·ln(n/k)) window hits pay the exact
-// inversion and an O(k) shift. At θ = 0 every step draws Intn(j) (the
-// uniform limit has no skippable stripe) and only the k/j fraction of
-// in-window hits shifts.
+// inversion and an O(k) shift. In the uniform limit (θ = 0, or any θ
+// whose q = e^{−θ} rounds to 1) every step draws Intn(j) (the uniform
+// limit has no skippable stripe) and only the k/j fraction of in-window
+// hits shifts.
 //
 // Panics like SampleInto if t covers fewer items than the model or was
 // built for a different dispersion.
@@ -66,7 +67,7 @@ func (m *Model) SampleTopKInto(t *Tables, k int, out perm.Perm, rng *rand.Rand) 
 		case j <= 1:
 			// Displacement draws nothing at the first step.
 			idx = 0
-		case t.theta == 0:
+		case t.logQ == 0:
 			// Uniform limit: insertion index uniform over {0,…,j−1};
 			// consume Intn exactly like the full path.
 			idx = j - 1 - rng.Intn(j)

@@ -13,8 +13,8 @@ import (
 // ILPRanker computes the DCG-optimal (α,β)-fair ranking of §IV-B with
 // the exact dynamic program of internal/fairdp, which provably solves
 // the paper's integer program in polynomial time for a constant number
-// of groups (fairdp's tests check it against the branch-and-bound
-// solver of internal/ilp).
+// of groups (fairdp's tests check it against exhaustive enumeration of
+// the feasible rankings).
 //
 // Sigma > 0 reproduces §V-C: each side of every group-prefix constraint
 // is relaxed by an independent |N(0,σ)| sample,
