@@ -25,8 +25,9 @@
 //
 // # Serving
 //
-// Rank rebuilds everything per call. For sustained traffic, construct a
-// Ranker once and serve Requests through Do:
+// Rank is the deliberate one-shot entry point: it rebuilds everything
+// per call. For sustained traffic, construct a Ranker once and serve
+// Requests through Do:
 //
 //	r, err := fairrank.NewRanker(fairrank.Config{})
 //	// per request:
@@ -53,10 +54,9 @@
 // tables per (pool size, θ) — so mixed per-request dispersions share
 // the cache — plus the DCG discount table, permutation scratch
 // buffers, and pooled RNGs. DoParallel additionally fans the best-of-m
-// draws across goroutines, deterministically in the seed. The legacy
-// Ranker.Rank/RankParallel remain as thin wrappers over this path. The
-// HTTP serving layer in internal/service and cmd/fairrankd builds on
-// this type.
+// draws across goroutines, deterministically in the seed. The HTTP
+// serving layer in internal/service and cmd/fairrankd builds on this
+// type.
 //
 // Alongside the Mallows mechanism the package exposes the evaluated
 // baselines (DetConstSort, ApproxMultiValuedIPF, GrBinaryIPF, and the

@@ -100,10 +100,12 @@ func ExampleNewRanker() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ranked, err := r.Rank(examplePool(), 42)
+	seed := int64(42)
+	res, err := r.Do(context.Background(), fairrank.Request{Candidates: examplePool(), Seed: &seed})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ranked := res.Ranking
 	for i := 0; i < 4; i++ {
 		fmt.Printf("%d. %s (%s)\n", i+1, ranked[i].ID, ranked[i].Group)
 	}

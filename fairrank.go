@@ -142,7 +142,7 @@ const DefaultSamples = 15
 // Config parameterizes Rank and NewRanker. The zero value is usable: it
 // runs AlgorithmMallowsBest with the defaults below.
 //
-// Config carries legacy "zero means default" semantics: a zero Theta,
+// Config carries "zero means default" semantics: a zero Theta,
 // Samples, Tolerance, or WeakK is read as "unset" and replaced by the
 // documented default, so an explicit Theta = 0 (uniform noise) or
 // Tolerance = 0 (exact proportional representation) cannot be expressed
@@ -232,9 +232,10 @@ func (c Config) withDefaults(n int) Config {
 // instead: it produces identical rankings for identical seeds while
 // amortizing the per-call setup.
 //
-// Rank is the legacy one-shot entry point, kept as a thin wrapper over
-// Ranker.Do; it cannot express per-request overrides, cancellation, or
-// return diagnostics. New code should construct a Ranker and call Do.
+// Rank is the deliberate one-shot entry point, a thin wrapper over
+// Ranker.Do for callers that rank once; it cannot express per-request
+// overrides, cancellation, or return diagnostics. Servers should
+// construct a Ranker and call Do.
 func Rank(candidates []Candidate, cfg Config) ([]Candidate, error) {
 	r, err := NewRanker(cfg)
 	if err != nil {

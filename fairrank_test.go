@@ -1,6 +1,7 @@
 package fairrank
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"slices"
@@ -258,7 +259,7 @@ func TestRankRejectsNaNScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Rank(cands, 1); err == nil {
+	if _, err := r.Do(context.Background(), Request{Candidates: cands, Seed: sptr(1)}); err == nil {
 		t.Error("Ranker accepted a NaN score")
 	}
 }

@@ -99,15 +99,15 @@ type sizeState struct {
 	key     sizeKey
 	scratch *perm.Pool
 	// floats recycles *[]float64 scratch of capacity n+1 — Plackett–Luce
-	// log-weight vectors and generalized-Mallows miss-threshold tables,
-	// built once per request and shared read-only across its workers.
+	// log-weight vectors and Mallows miss-threshold tables, built once
+	// per request and shared read-only across its workers.
 	floats sync.Pool
 	// pls recycles *pl.Scratch (utilities, uniform blocks, top-k heap);
 	// one per worker on the Plackett–Luce draw path.
 	pls sync.Pool
 
 	mallowsOnce sync.Once
-	mallowsTab  *mallows.Tables
+	mallowsTab  *mallows.GeneralizedTables
 	mallowsErr  error
 
 	gmOnce sync.Once
@@ -128,9 +128,9 @@ func newSizeState(key sizeKey) *sizeState {
 	return st
 }
 
-// tables returns the fixed-θ Mallows displacement tables, building them
-// on first use.
-func (st *sizeState) tables() (*mallows.Tables, error) {
+// tables returns the Mallows axis's displacement tables, the constant
+// schedule θ, building them on first use.
+func (st *sizeState) tables() (*mallows.GeneralizedTables, error) {
 	st.mallowsOnce.Do(func() {
 		st.mallowsTab, st.mallowsErr = mallows.NewTables(st.key.n, st.key.theta)
 	})

@@ -135,10 +135,9 @@ type Plan struct {
 	truncated bool
 
 	st     *sizeState
-	tab    *mallows.Tables            // Mallows insertion tables
-	gt     *mallows.GeneralizedTables // generalized-Mallows step tables
+	tab    *mallows.GeneralizedTables // insertion tables of both Mallows axes
 	vecBuf *[]float64                 // pooled vector behind vec
-	vec    []float64                  // PL log-weights or gmallows miss thresholds
+	vec    []float64                  // PL log-weights or Mallows miss thresholds
 	// wsPool pools the per-worker sampler scratch; nil when the draws
 	// need none.
 	wsPool *sync.Pool
@@ -189,44 +188,34 @@ func (p *Plan) Release() {
 	}
 }
 
-// prepareMallows serves M(center, θ) from the amortized insertion tables:
-// repeated insertion, or the lazy top-k sampler that never materializes
-// the ranks a truncated plan discards.
-func prepareMallows(p Plan) (Plan, error) {
-	tab, err := p.st.tables()
-	p.tab, p.draw = tab, drawMallows
-	return p, err
-}
+// prepareMallows and prepareGMallows serve the two Mallows axes by
+// repeated insertion through the size-state's cached tables: the
+// constant schedule θ for M(center, θ), the decaying θ·0.97^j for the
+// generalized axis. They differ only in which tables they fetch.
+func prepareMallows(p Plan) (Plan, error)  { return p.insertion(p.st.tables()) }
+func prepareGMallows(p Plan) (Plan, error) { return p.insertion(p.st.gtables()) }
 
-func drawMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) perm.Perm {
-	m := mallows.Model{Center: p.center, Theta: p.theta}
-	if p.truncated {
-		return m.SampleTopKInto(p.tab, p.topK, dst, rng)
-	}
-	return m.SampleInto(p.tab, dst, rng)
-}
-
-// prepareGMallows serves the generalized Mallows axis from per-step
-// tables cached per (n, θ); truncated plans precompute the bounded-window
-// sampler's miss thresholds once per request on pooled float scratch.
-func prepareGMallows(p Plan) (Plan, error) {
-	gt, err := p.st.gtables()
+// insertion completes a plan drawing through tab: full repeated
+// insertion, or on a truncated plan the bounded-window sampler, whose
+// miss thresholds it precomputes once per request on pooled float
+// scratch.
+func (p Plan) insertion(tab *mallows.GeneralizedTables, err error) (Plan, error) {
 	if err != nil {
 		return p, err
 	}
-	p.gt, p.draw = gt, drawGMallows
+	p.tab, p.draw = tab, drawInsertion
 	if p.truncated {
 		p.vecBuf = p.st.floats.Get().(*[]float64)
-		p.vec = gt.MissThresholds(p.topK, *p.vecBuf)
+		p.vec = tab.MissThresholds(p.topK, *p.vecBuf)
 	}
 	return p, nil
 }
 
-func drawGMallows(p Plan, _ any, dst perm.Perm, rng *rand.Rand) perm.Perm {
+func drawInsertion(p Plan, _ any, dst perm.Perm, rng *rand.Rand) perm.Perm {
 	if p.truncated {
-		return p.gt.SampleTopKInto(p.center, p.topK, p.vec, dst, rng)
+		return p.tab.SampleTopKInto(p.center, p.topK, p.vec, dst, rng)
 	}
-	return p.gt.SampleInto(p.center, dst, rng)
+	return p.tab.SampleInto(p.center, dst, rng)
 }
 
 // preparePL builds the Plackett–Luce log-weights once per request on

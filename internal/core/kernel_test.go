@@ -129,6 +129,23 @@ func TestPlackettLuceUniformAtZeroStrength(t *testing.T) {
 	}
 }
 
+// CalibrateTheta must invert ExpectedDistance down to small θ*, where
+// the target sits just below the uniform mean. E is flat there
+// (dE/dθ = −Var[d]), so an error of a few ulps in E moves the recovered
+// θ by about ε·E/(Var·θ*) relative: the tolerance widens as θ* shrinks.
+func TestCalibrateThetaRoundTrip(t *testing.T) {
+	for _, n := range []int{2, 10, 100} {
+		for _, c := range []struct{ theta, tol float64 }{{1e-3, 1e-9}, {1e-6, 1e-8}, {1e-9, 1e-5}} {
+			got, err := CalibrateTheta(n, mallows.ExpectedDistance(n, c.theta))
+			if err != nil {
+				t.Errorf("n=%d θ*=%g: %v", n, c.theta, err)
+			} else if math.Abs(got-c.theta) > c.tol*c.theta {
+				t.Errorf("n=%d: calibrated θ = %v from E(θ*=%g), relative error %.3g > %g", n, got, c.theta, (got-c.theta)/c.theta, c.tol)
+			}
+		}
+	}
+}
+
 func TestCalibrateTheta(t *testing.T) {
 	for _, target := range []float64{1, 5, 12, 20} {
 		theta, err := CalibrateTheta(12, target)

@@ -155,3 +155,40 @@ func FuzzGeneralizedTopKPrefix(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDisplacementMoments checks the per-step functions behind LogZ,
+// ExpectedDistance and VarianceDistance against direct sums over the
+// weights: for any step j ∈ [1, 256] and finite θ ≥ 0 they must be
+// finite and match within 1e-9 relative, or 1e-12 absolute where the
+// value is below 1e-3 — on both sides of the series switch, where
+// e^{−θ} rounds to 1, and where it underflows.
+func FuzzDisplacementMoments(f *testing.F) {
+	for _, theta := range []float64{0, 1e-300, 1e-20, 1e-10, 1, 700} {
+		f.Add(50, theta)
+	}
+	f.Add(8, seriesBelow/8)                    // jθ at the switch: closed form
+	f.Add(8, math.Nextafter(seriesBelow/8, 0)) // just below: series
+	f.Fuzz(func(t *testing.T, j int, theta float64) {
+		if j < 1 || j > 256 {
+			t.Skip("step out of fuzz range")
+		}
+		if math.IsNaN(theta) || math.IsInf(theta, 0) || theta < 0 {
+			t.Skip("invalid dispersion by contract")
+		}
+		logZ, mean, variance := directMoments(j, theta)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"logZStep", logZStep(j, theta), logZ},
+			{"expectedDisplacement", expectedDisplacement(j, theta), mean},
+			{"varianceDisplacement", varianceDisplacement(j, theta), variance},
+		} {
+			diff := math.Abs(c.got - c.want)
+			if math.IsNaN(c.got) || math.IsInf(c.got, 0) ||
+				diff > 1e-9*math.Abs(c.want) && !(math.Abs(c.want) < 1e-3 && diff <= 1e-12) {
+				t.Fatalf("%s(j=%d, θ=%g) = %v, direct sum %v", c.name, j, theta, c.got, c.want)
+			}
+		}
+	})
+}

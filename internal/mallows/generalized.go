@@ -75,15 +75,6 @@ func (m *GeneralizedModel) LogZ() float64 {
 	return s
 }
 
-// logZStep is ln Σ_{v=0}^{j−1} e^{−θv}.
-func logZStep(j int, theta float64) float64 {
-	if theta == 0 {
-		return math.Log(float64(j))
-	}
-	// ln( (1 − e^{−jθ}) / (1 − e^{−θ}) )
-	return math.Log1p(-math.Exp(-float64(j)*theta)) - math.Log1p(-math.Exp(-theta))
-}
-
 // LogProb returns ln P[π]: −Σ_j θ_j·V_j(π) − ln Z. The displacement
 // vector V(π) is recovered from the Lehmer-style insertion code of π
 // relative to the center.
@@ -131,17 +122,4 @@ func (m *GeneralizedModel) ExpectedDistance() float64 {
 		e += expectedDisplacement(j, m.Thetas[j-1])
 	}
 	return e
-}
-
-// expectedDisplacement is E[V_j] for V_j ∈ {0,…,j−1}, P(v) ∝ e^{−θv}.
-func expectedDisplacement(j int, theta float64) float64 {
-	if j <= 1 {
-		return 0
-	}
-	if theta == 0 {
-		return float64(j-1) / 2
-	}
-	q := math.Exp(-theta)
-	qj := math.Exp(-theta * float64(j))
-	return q/(1-q) - float64(j)*qj/(1-qj)
 }

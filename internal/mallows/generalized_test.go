@@ -182,8 +182,8 @@ func TestTopHeavyPreservesHeadOrder(t *testing.T) {
 // from 1,230 on have e^{−θ_j} = 1, and their draws must still be
 // uniform. The mean Kendall tau distance of 200 draws must lie within
 // 5 standard errors of Σ_j E[V_j]. The moments are summed directly
-// over v = 0…j−1 from the weights e^{−θ_j·v}, because the closed forms
-// cancel at small θ_j.
+// over v = 0…j−1 from the weights e^{−θ_j·v} (directMoments),
+// independent of the closed forms.
 func TestGeneralizedSampleMeanPastUnderflow(t *testing.T) {
 	const n, samples = 1500, 200
 	m, err := NewGeneralized(perm.Identity(n), geometric(n, 1, 0.97))
@@ -192,16 +192,8 @@ func TestGeneralizedSampleMeanPastUnderflow(t *testing.T) {
 	}
 	var mean, variance float64
 	for j := 2; j <= n; j++ {
-		var z, s1, s2 float64
-		for v := 0; v < j; v++ {
-			w := math.Exp(-m.Thetas[j-1] * float64(v))
-			z += w
-			s1 += w * float64(v)
-			s2 += w * float64(v) * float64(v)
-		}
-		e := s1 / z
-		mean += e
-		variance += s2/z - e*e
+		_, e, v := directMoments(j, m.Thetas[j-1])
+		mean, variance = mean+e, variance+v
 	}
 	rng := rand.New(rand.NewSource(63))
 	var total float64

@@ -165,6 +165,61 @@ func TestVarianceDistanceAgainstExact(t *testing.T) {
 	}
 }
 
+// directMoments sums step j's displacement moments straight from the
+// weights e^{−θv}, v = 0…j−1: ln z, E[V_j] and Var(V_j). The v = 0 term
+// is split off so that z − 1 keeps its precision at small θ.
+func directMoments(j int, theta float64) (logZ, mean, variance float64) {
+	var zm1, s1 float64
+	for v := 1; v < j; v++ {
+		w := math.Exp(-theta * float64(v))
+		zm1 += w
+		s1 += w * float64(v)
+	}
+	z := 1 + zm1
+	mean = s1 / z
+	variance = mean * mean / z // the v = 0 term
+	for v := 1; v < j; v++ {
+		d := float64(v) - mean
+		variance += math.Exp(-theta*float64(v)) * d * d / z
+	}
+	return math.Log1p(zm1), mean, variance
+}
+
+// The closed-form moments must match direct sums over the displacement
+// weights at every dispersion: at small θ, where q/(1−q) − j·q^j/(1−q^j)
+// cancels catastrophically, where e^{−θ} rounds to 1, and in the e^{−θ}
+// tail. The generalized model's moments on the constant schedule share
+// the per-step functions and must agree too.
+func TestMomentsMatchDirectSums(t *testing.T) {
+	for _, n := range []int{2, 8, 50} {
+		for _, theta := range []float64{0, 1e-20, 1e-10, 1e-6, 1e-3, 0.5, 3, 50} {
+			var logZ, mean, variance float64
+			for j := 1; j <= n; j++ {
+				l, e, v := directMoments(j, theta)
+				logZ, mean, variance = logZ+l, mean+e, variance+v
+			}
+			gm, err := NewGeneralized(perm.Identity(n), geometric(n, theta, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"LogZ", LogZ(n, theta), logZ},
+				{"ExpectedDistance", ExpectedDistance(n, theta), mean},
+				{"VarianceDistance", VarianceDistance(n, theta), variance},
+				{"GeneralizedModel.LogZ", gm.LogZ(), logZ},
+				{"GeneralizedModel.ExpectedDistance", gm.ExpectedDistance(), mean},
+			} {
+				if !(math.Abs(c.got-c.want) <= 1e-9*math.Abs(c.want)) {
+					t.Errorf("%s(n=%d, θ=%g) = %v, direct sum %v", c.name, n, theta, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
 func TestSampleValidAndDistanceConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	m, _ := New(perm.Random(12, rng), 0.9)

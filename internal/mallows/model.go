@@ -45,17 +45,9 @@ func (m *Model) N() int { return len(m.Center) }
 // j-th insertion contributes an independent displacement V_j ∈ {0,…,j−1}
 // with weight e^{−θv}, whose normalizer is the geometric partial sum.
 func LogZ(n int, theta float64) float64 {
-	if theta == 0 {
-		var s float64
-		for j := 2; j <= n; j++ {
-			s += math.Log(float64(j))
-		}
-		return s
-	}
 	var s float64
-	for j := 1; j <= n; j++ {
-		// ln( (1 − e^{−jθ}) / (1 − e^{−θ}) )
-		s += math.Log1p(-math.Exp(-float64(j)*theta)) - math.Log1p(-math.Exp(-theta))
+	for j := 2; j <= n; j++ {
+		s += logZStep(j, theta)
 	}
 	return s
 }
@@ -79,50 +71,84 @@ func (m *Model) Prob(p perm.Perm) (float64, error) {
 }
 
 // ExpectedDistance returns E[d_KT(π, π₀)] for a Mallows model over n
-// items with dispersion θ:
-//
-//	E[D] = Σ_{j=1}^{n} E[V_j],   E[V_j] = q/(1−q) − j·q^j/(1−q^j),  q = e^{−θ}
-//
-// with the θ = 0 limit E[D] = n(n−1)/4 (half the maximum).
+// items with dispersion θ: the sum of the independent displacements'
+// means E[V_j] (expectedDisplacement), with the θ = 0 limit n(n−1)/4,
+// half the maximum.
 func ExpectedDistance(n int, theta float64) float64 {
-	if n < 2 {
-		return 0
-	}
-	if theta == 0 {
-		return float64(n) * float64(n-1) / 4
-	}
-	q := math.Exp(-theta)
-	common := q / (1 - q)
 	var e float64
-	for j := 1; j <= n; j++ {
-		qj := math.Exp(-theta * float64(j))
-		e += common - float64(j)*qj/(1-qj)
+	for j := 2; j <= n; j++ {
+		e += expectedDisplacement(j, theta)
 	}
 	return e
 }
 
-// VarianceDistance returns Var[d_KT(π, π₀)]; the insertion displacements
-// V_j are independent, so the variance is the sum of
-//
-//	Var(V_j) = q/(1−q)² − j²·q^j/(1−q^j)²
-//
-// with the θ = 0 limit Σ (j²−1)/12 = n(n−1)(2n+5)/72.
+// VarianceDistance returns Var[d_KT(π, π₀)]: the insertion displacements
+// V_j are independent, so it is the sum of their variances
+// (varianceDisplacement), with the θ = 0 limit n(n−1)(2n+5)/72.
 func VarianceDistance(n int, theta float64) float64 {
-	if n < 2 {
-		return 0
-	}
-	if theta == 0 {
-		nn := float64(n)
-		return nn * (nn - 1) * (2*nn + 5) / 72
-	}
-	q := math.Exp(-theta)
-	common := q / ((1 - q) * (1 - q))
 	var v float64
-	for j := 1; j <= n; j++ {
-		qj := math.Exp(-theta * float64(j))
-		v += common - float64(j)*float64(j)*qj/((1-qj)*(1-qj))
+	for j := 2; j <= n; j++ {
+		v += varianceDisplacement(j, theta)
 	}
 	return v
+}
+
+// seriesBelow is the jθ below which the per-step moments switch from
+// their closed forms, which cancel as jθ → 0, to Taylor series in θ:
+// the cumulant expansion ln j − κ₁θ + κ₂θ²/2 + κ₄θ⁴/24 of ln Z_j around
+// the uniform displacement on {0,…,j−1} (κ₁ = (j−1)/2, κ₂ = (j²−1)/12,
+// κ₃ = 0, κ₄ = −(j⁴−1)/120) and its θ-derivatives. At the switch the
+// closed forms lose about 1e-10 relative at most, and the series' omitted
+// terms are smaller still. The series also keep subnormal θ away from
+// math.Log, which on amd64 returns about −709.1 for every subnormal.
+const seriesBelow = 1e-2
+
+// logZStep is ln Σ_{v=0}^{j−1} e^{−θv}: its series below jθ =
+// seriesBelow, exact where e^{−θ} rounds to 1, and above it
+// log1mexp(jθ) − log1mexp(θ), which keeps the e^{−θ} tail at large θ.
+func logZStep(j int, theta float64) float64 {
+	jj := float64(j)
+	if jj*theta < seriesBelow {
+		th2 := theta * theta
+		return math.Log(jj) - (jj-1)*theta/2 + (jj*jj-1)*th2/24 - (jj*jj*jj*jj-1)*th2*th2/2880
+	}
+	return log1mexp(jj*theta) - log1mexp(theta)
+}
+
+// log1mexp is ln(1 − e^{−x}) for x > 0, computed as log(−expm1(−x)) up
+// to ln 2 and log1p(−exp(−x)) above (Mächler 2012), accurate at both
+// ends.
+func log1mexp(x float64) float64 {
+	if x <= math.Ln2 {
+		return math.Log(-math.Expm1(-x))
+	}
+	return math.Log1p(-math.Exp(-x))
+}
+
+// expectedDisplacement is E[V_j] for V_j ∈ {0,…,j−1}, P(v) ∝ e^{−θv}:
+//
+//	E[V_j] = 1/(e^θ − 1) − j/(e^{jθ} − 1)
+//	       ≈ (j−1)/2 − (j²−1)θ/12 + (j⁴−1)θ³/720   below jθ = seriesBelow
+func expectedDisplacement(j int, theta float64) float64 {
+	jj := float64(j)
+	if jj*theta < seriesBelow {
+		return (jj-1)/2 - (jj*jj-1)*theta/12 + (jj*jj*jj*jj-1)*theta*theta*theta/720
+	}
+	return 1/math.Expm1(theta) - jj/math.Expm1(jj*theta)
+}
+
+// varianceDisplacement is Var(V_j) for the displacement of
+// expectedDisplacement:
+//
+//	Var(V_j) = 1/(4 sinh²(θ/2)) − j²/(4 sinh²(jθ/2))
+//	         ≈ (j²−1)/12 − (j⁴−1)θ²/240   below jθ = seriesBelow
+func varianceDisplacement(j int, theta float64) float64 {
+	jj := float64(j)
+	if jj*theta < seriesBelow {
+		return (jj*jj-1)/12 - (jj*jj*jj*jj-1)*theta*theta/240
+	}
+	s, sj := math.Sinh(theta/2), math.Sinh(jj*theta/2)
+	return 1/(4*s*s) - jj*jj/(4*sj*sj)
 }
 
 // MaxDistance returns the largest Kendall tau distance on n items.

@@ -54,26 +54,6 @@ func TestFastSamplerMatchesSampleFast(t *testing.T) {
 	}
 }
 
-// Tables built for a larger n serve smaller models of equal θ, which is
-// what a per-(n, θ) cache relies on after shrinking candidate pools.
-func TestTablesOversized(t *testing.T) {
-	tab, err := NewTables(50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(perm.Identity(20), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rand.New(rand.NewSource(7))
-	b := rand.New(rand.NewSource(7))
-	want := m.Sample(a)
-	got := m.SampleInto(tab, nil, b)
-	if !got.Equal(want) {
-		t.Fatalf("oversized tables: got %v, want %v", got, want)
-	}
-}
-
 func TestTablesValidation(t *testing.T) {
 	if _, err := NewTables(-1, 1); err == nil {
 		t.Error("negative n accepted")

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"reflect"
@@ -143,7 +144,8 @@ func TestGeneratedPoolsAreRankable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Rank(cands, 1); err != nil {
+		seed := int64(1)
+		if _, err := r.Do(context.Background(), fairrank.Request{Candidates: cands, Seed: &seed}); err != nil {
 			t.Fatalf("%s: generated pool not rankable: %v", spec.Name, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package fairrank
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -11,7 +10,7 @@ import (
 )
 
 // Ranker is a reusable fair-ranking engine: construct it once from a
-// Config and call Do (or the legacy Rank) per request. It produces
+// Config and call Do per request. It produces
 // exactly the rankings the package-level Rank would (bit for bit, for
 // equal seeds) while amortizing the work Rank re-derives on every call:
 //
@@ -51,8 +50,8 @@ type Ranker struct {
 // counters, for metrics endpoints and capacity planning. Counters only
 // ever grow; two snapshots subtract into a rate.
 type RankerStats struct {
-	// Requests counts calls that reached ranking (Do, DoParallel, and
-	// the legacy wrappers), successful or not.
+	// Requests counts calls that reached ranking (Do and DoParallel),
+	// successful or not.
 	Requests int64
 	// Draws counts noise permutations drawn and scored across all
 	// requests (0 for deterministic algorithms).
@@ -111,8 +110,7 @@ func (r *Ranker) Stats() RankerStats {
 
 // NewRanker validates cfg and returns a reusable Ranker. Field semantics
 // and defaults are exactly Config's; cfg.Seed is only a fallback — each
-// request carries its own seed (Request.Seed, or the seed argument of
-// the legacy Rank).
+// request carries its own seed (Request.Seed).
 func NewRanker(cfg Config) (*Ranker, error) {
 	probe := cfg.withDefaults(1)
 	entry, err := lookupEntry(probe.Algorithm)
@@ -161,41 +159,6 @@ func NewRanker(cfg Config) (*Ranker, error) {
 		r.truncDraws[Noise(noise)] = new(atomic.Int64)
 	}
 	return r, nil
-}
-
-// Rank post-processes candidates into a fair ranking, best first. It is
-// equivalent to Rank(candidates, cfg) with cfg.Seed = seed — identical
-// output for identical input — but reuses the Ranker's caches. The input
-// slice is not modified.
-//
-// Rank is the legacy entry point, kept as a thin wrapper over Do; it
-// cannot express per-request overrides or cancellation. New code should
-// call Do.
-func (r *Ranker) Rank(candidates []Candidate, seed int64) ([]Candidate, error) {
-	res, err := r.Do(context.Background(), Request{Candidates: candidates, Seed: &seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Ranking, nil
-}
-
-// RankParallel is Rank with the best-of-m Mallows draws fanned out over
-// up to workers goroutines. The result is deterministic for equal seeds
-// and does not depend on workers — draw i uses its own RNG seeded by a
-// mix of (seed, i), and score ties break toward the lowest i — but the
-// draws consume different random streams than Rank's single sequential
-// stream, so for the same seed RankParallel and Rank return different
-// (identically distributed) rankings. Algorithms without a sampling loop
-// fall back to Rank.
-//
-// RankParallel is the legacy entry point, kept as a thin wrapper over
-// DoParallel. New code should call DoParallel.
-func (r *Ranker) RankParallel(candidates []Candidate, seed int64, workers int) ([]Candidate, error) {
-	res, err := r.DoParallel(context.Background(), Request{Candidates: candidates, Seed: &seed}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Ranking, nil
 }
 
 // pickCandidates materializes the ranked candidate slice from a ranking

@@ -21,7 +21,7 @@ func rankerEqualPools(t *testing.T) [][]Candidate {
 }
 
 // The Ranker's contract is bit-for-bit equivalence with the package
-// function: for every algorithm and seed, Ranker.Rank must return
+// function: for every algorithm and seed, Ranker.Do must return
 // exactly what Rank returns.
 func TestRankerMatchesRank(t *testing.T) {
 	configs := []Config{
@@ -53,13 +53,13 @@ func TestRankerMatchesRank(t *testing.T) {
 					// Twice per seed: the second call exercises the warm
 					// caches and pooled buffers.
 					for rep := 0; rep < 2; rep++ {
-						got, err := r.Rank(pool, seed)
+						got, err := r.Do(context.Background(), Request{Candidates: pool, Seed: sptr(seed)})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !sameRanking(got, want) {
+						if !sameRanking(got.Ranking, want) {
 							t.Fatalf("n=%d seed=%d rep=%d: Ranker %v, Rank %v",
-								len(pool), seed, rep, ids(got), ids(want))
+								len(pool), seed, rep, ids(got.Ranking), ids(want))
 						}
 					}
 				}
@@ -73,8 +73,8 @@ func TestRankerConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := germanPool(t, 60)
-	want, err := r.Rank(pool, 7)
+	req := Request{Candidates: germanPool(t, 60), Seed: sptr(7)}
+	want, err := r.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func TestRankerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := r.Rank(pool, 7)
+			got, err := r.Do(context.Background(), req)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if !sameRanking(got, want) {
-				errs <- fmt.Errorf("concurrent result diverged: %v vs %v", ids(got), ids(want))
+			if !sameRanking(got.Ranking, want.Ranking) {
+				errs <- fmt.Errorf("concurrent result diverged: %v vs %v", ids(got.Ranking), ids(want.Ranking))
 			}
 		}()
 	}
@@ -101,7 +101,7 @@ func TestRankerConcurrentUse(t *testing.T) {
 	}
 }
 
-// RankParallel must be deterministic in the seed and invariant in the
+// DoParallel must be deterministic in the seed and invariant in the
 // worker count — only the seed may change the result.
 func TestRankParallelDeterministic(t *testing.T) {
 	r, err := NewRanker(Config{Algorithm: AlgorithmMallowsBest, Theta: 1, Samples: 16})
@@ -109,30 +109,31 @@ func TestRankParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := germanPool(t, 50)
-	base, err := r.RankParallel(pool, 3, 1)
+	ctx := context.Background()
+	base, err := r.DoParallel(ctx, Request{Candidates: pool, Seed: sptr(3)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 7, 16, 64} {
-		got, err := r.RankParallel(pool, 3, workers)
+		got, err := r.DoParallel(ctx, Request{Candidates: pool, Seed: sptr(3)}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRanking(got, base) {
-			t.Fatalf("workers=%d changed the result: %v vs %v", workers, ids(got), ids(base))
+		if !sameRanking(got.Ranking, base.Ranking) {
+			t.Fatalf("workers=%d changed the result: %v vs %v", workers, ids(got.Ranking), ids(base.Ranking))
 		}
 	}
-	other, err := r.RankParallel(pool, 4, 4)
+	other, err := r.DoParallel(ctx, Request{Candidates: pool, Seed: sptr(4)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameRanking(other, base) {
+	if sameRanking(other.Ranking, base.Ranking) {
 		t.Fatal("different seeds produced identical rankings (suspicious for m=16, n=50)")
 	}
 }
 
 // Non-sampling algorithms fall back to the sequential path, so
-// RankParallel and Rank agree exactly there.
+// DoParallel and Do agree exactly there.
 func TestRankParallelFallback(t *testing.T) {
 	for _, cfg := range []Config{
 		{Algorithm: AlgorithmScoreSorted},
@@ -143,17 +144,17 @@ func TestRankParallelFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := germanPool(t, 20)
-		want, err := r.Rank(pool, 9)
+		req := Request{Candidates: germanPool(t, 20), Seed: sptr(9)}
+		want, err := r.Do(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.RankParallel(pool, 9, 8)
+		got, err := r.DoParallel(context.Background(), req, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRanking(got, want) {
-			t.Fatalf("%s: fallback diverged from Rank", cfg.Algorithm)
+		if !sameRanking(got.Ranking, want.Ranking) {
+			t.Fatalf("%s: fallback diverged from Do", cfg.Algorithm)
 		}
 	}
 }
@@ -205,11 +206,11 @@ func TestRankerSizeCacheCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Rank(pool, 5)
+	got, err := r.Do(context.Background(), Request{Candidates: pool, Seed: sptr(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRanking(got, want) {
+	if !sameRanking(got.Ranking, want) {
 		t.Fatal("over-cap ranking diverged from Rank")
 	}
 }
@@ -227,7 +228,7 @@ func TestRankerStats(t *testing.T) {
 		t.Fatalf("fresh Ranker has nonzero stats: %+v", st)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		if _, err := r.Rank(pool, seed); err != nil {
+		if _, err := r.Do(context.Background(), Request{Candidates: pool, Seed: sptr(seed)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +243,7 @@ func TestRankerStats(t *testing.T) {
 		t.Errorf("table hits/misses = %d/%d, want 2/1", st.TableHits, st.TableMisses)
 	}
 	// A second pool size pays exactly one more table build.
-	if _, err := r.Rank(germanPool(t, 35), 1); err != nil {
+	if _, err := r.Do(context.Background(), Request{Candidates: germanPool(t, 35), Seed: sptr(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.TableMisses != 2 {
@@ -253,7 +254,7 @@ func TestRankerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Rank(pool, 1); err != nil {
+	if _, err := det.Do(context.Background(), Request{Candidates: pool, Seed: sptr(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := det.Stats(); st.Requests != 1 || st.Draws != 0 {

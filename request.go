@@ -159,7 +159,7 @@ type ProbDiagnostics struct {
 // Ranker's Config, ranks the candidates, and returns the ranking with
 // its diagnostics. Sampling is sequential from a single RNG stream, so
 // for equal resolved parameters and seeds Do returns exactly what the
-// legacy Ranker.Rank and package-level Rank return.
+// package-level Rank returns.
 //
 // ctx cancellation and deadlines are honored between Mallows draws; a
 // cancelled context aborts the best-of-m loop promptly with ctx.Err().

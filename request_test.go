@@ -14,8 +14,8 @@ func iptr(v int) *int         { return &v }
 func sptr(v int64) *int64     { return &v }
 
 // The compatibility contract of the redesign: for every algorithm, the
-// legacy package-level Rank, the legacy Ranker.Rank, and the new
-// Ranker.Do return bit-identical rankings for equal seeds.
+// package-level Rank and Ranker.Do return bit-identical rankings for
+// equal seeds.
 func TestDoMatchesLegacyAPIs(t *testing.T) {
 	configs := []Config{
 		{Algorithm: AlgorithmMallows, Theta: 0.5},
@@ -44,16 +44,9 @@ func TestDoMatchesLegacyAPIs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				legacy, err := r.Rank(cands, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
 				res, err := r.Do(context.Background(), Request{Candidates: cands, Seed: sptr(seed)})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !sameRanking(legacy, want) {
-					t.Fatalf("seed %d: Ranker.Rank diverged from Rank", seed)
 				}
 				if !sameRanking(res.Ranking, want) {
 					t.Fatalf("seed %d: Do diverged from Rank: %v vs %v", seed, ids(res.Ranking), ids(want))
