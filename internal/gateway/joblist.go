@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/jobstore"
 	"repro/internal/service"
 )
 
@@ -56,9 +57,7 @@ func (g *Gateway) forwardJobList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, st := range q["state"] {
-		switch st {
-		case service.JobStatePending, service.JobStateRunning, service.JobStateDone, service.JobStateCancelled:
-		default:
+		if !jobstore.State(st).Valid() {
 			writeJSON(w, http.StatusBadRequest, map[string]string{
 				"error": fmt.Sprintf("unknown job state %q", st),
 			})

@@ -14,13 +14,13 @@ import (
 	"time"
 )
 
-func reopen(t *testing.T, d *Disk) *Disk {
+func reopen(t *testing.T, d *Store) *Store {
 	t.Helper()
 	dir := d.dir
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := OpenDisk(dir)
+	nd, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func writeFileT(t *testing.T, path string, data []byte) {
 // written before a clean close replays identically, and the sequence
 // counter resumes past the highest replayed ID.
 func TestDiskRestartRoundTrip(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDiskRestartRoundTrip(t *testing.T) {
 func TestDiskReplayEmptyWAL(t *testing.T) {
 	dir := t.TempDir()
 	writeFileT(t, filepath.Join(dir, "job-000007.wal"), nil)
-	d, err := OpenDisk(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDiskReplayTornFinalRecord(t *testing.T) {
 	writeFileT(t, path, wal)
 	goodLen := len(wal) - len(full)/2
 
-	d, err := OpenDisk(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDiskReplayCorruptMiddle(t *testing.T) {
 	wal = append(wal, walLine(t, &walRecord{Op: opState, State: StateDone, At: time.Now().UTC()})...)
 	writeFileT(t, filepath.Join(dir, id+".wal"), wal)
 
-	d, err := OpenDisk(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDiskReplayCorruptMiddle(t *testing.T) {
 // TestDiskReplaySnapshotPlusTail: a compacted job keeps mutating; the
 // replayed state is snapshot + WAL tail.
 func TestDiskReplaySnapshotPlusTail(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestDiskReplayDuplicateTransitions(t *testing.T) {
 	wal = append(wal, walLine(t, &walRecord{Op: opState, State: StateDone, At: later})...)    // duplicate terminal
 	writeFileT(t, filepath.Join(dir, id+".wal"), wal)
 
-	d, err := OpenDisk(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestDiskReplayDuplicateTransitions(t *testing.T) {
 // the tmp file was written but never renamed. The leftover .tmp is
 // removed at open and the WAL stays authoritative.
 func TestDiskCrashBeforeSnapshotRename(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestDiskCrashAfterSnapshotRename(t *testing.T) {
 	wal = append(wal, walLine(t, &walRecord{Op: opItem, Index: 1, Res: json.RawMessage(`{"b":1}`)})...)
 	writeFileT(t, filepath.Join(dir, id+".wal"), wal)
 
-	d, err := OpenDisk(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestDiskCorruptSnapshotFallsBackToWAL(t *testing.T) {
 		ID: id, State: StatePending, Created: time.Now().UTC(), Total: 1,
 	}}))
 
-	d, err := OpenDisk(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestDiskCorruptSnapshotFallsBackToWAL(t *testing.T) {
 // marker survives a restart — the at-least-once redelivery loop
 // depends on exactly this.
 func TestDiskWebhookMarkerAfterCompaction(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestDiskWebhookMarkerAfterCompaction(t *testing.T) {
 // TestDiskRemoveIsDurable: a removed job stays gone after restart, and
 // replay tolerates the directory shrinking under it.
 func TestDiskRemoveIsDurable(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestDiskRemoveIsDurable(t *testing.T) {
 }
 
 // FuzzReplay feeds arbitrary bytes to the replay path as a job's
-// snapshot and WAL. Whatever the bytes, OpenDisk must not panic, must
+// snapshot and WAL. Whatever the bytes, Open must not panic, must
 // not report an error (corruption is truncated, only real I/O fails
 // the open), and must normalize the directory so that a second open
 // replays to the identical record — the fuzzer's stand-in for "a crash
@@ -419,7 +419,7 @@ func FuzzReplay(f *testing.F) {
 		}
 		writeFileT(t, filepath.Join(dir, id+".wal"), walRaw)
 
-		d, err := OpenDisk(dir)
+		d, err := Open(dir)
 		if err != nil {
 			t.Fatalf("replay errored on corrupt input (must truncate instead): %v", err)
 		}
@@ -429,7 +429,7 @@ func FuzzReplay(f *testing.F) {
 			if first.Completed > first.Total || first.Failed > first.Completed || len(first.Items) != first.Total {
 				t.Fatalf("inconsistent replayed job: %+v", first)
 			}
-			if !first.State.valid() {
+			if !first.State.Valid() {
 				t.Fatalf("invalid replayed state %q", first.State)
 			}
 		}
@@ -438,7 +438,7 @@ func FuzzReplay(f *testing.F) {
 		}
 
 		// Second open: replay must be a fixpoint of its own output.
-		d2, err := OpenDisk(dir)
+		d2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("reopen after normalization: %v", err)
 		}

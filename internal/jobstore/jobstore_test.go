@@ -1,26 +1,30 @@
 package jobstore
 
 // Store-conformance tests: every behavioral contract in the Store
-// interface docs, run identically against Mem and Disk. Disk-only
-// mechanics (replay, compaction, crash windows) live in disk_test.go.
+// method docs, run identically against a memory store (New) and a
+// durable one (Open). Durable-only mechanics (replay, compaction, crash
+// windows) live in disk_test.go.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// eachStore runs fn against a fresh instance of every Store
-// implementation.
-func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
+// eachStore runs fn against a fresh memory store and a fresh durable
+// one.
+func eachStore(t *testing.T, fn func(t *testing.T, s *Store)) {
 	t.Run("mem", func(t *testing.T) {
-		s := NewMem()
+		s := New()
 		defer s.Close()
 		fn(t, s)
 	})
 	t.Run("disk", func(t *testing.T) {
-		s, err := OpenDisk(t.TempDir())
+		s, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +33,7 @@ func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
 	})
 }
 
-func mustCreate(t *testing.T, s Store, job *Job) *Job {
+func mustCreate(t *testing.T, s *Store, job *Job) *Job {
 	t.Helper()
 	if err := s.Create(job); err != nil {
 		t.Fatal(err)
@@ -38,7 +42,7 @@ func mustCreate(t *testing.T, s Store, job *Job) *Job {
 }
 
 func TestStoreLifecycle(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		j := mustCreate(t, s, &Job{Total: 2, Request: json.RawMessage(`{"n":1}`), WebhookURL: "http://x/hook"})
 		if j.ID != "job-000001" {
 			t.Fatalf("first ID %q", j.ID)
@@ -110,7 +114,7 @@ func TestStoreLifecycle(t *testing.T) {
 // drain path hands the job back to the store, and a resuming process
 // claims it again. Claim itself flips the record to running.
 func TestStoreClaimRelease(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		j := mustCreate(t, s, &Job{Total: 1})
 		if err := s.SetState(j.ID, StateRunning); err != nil {
 			t.Fatal(err)
@@ -137,7 +141,7 @@ func TestStoreClaimRelease(t *testing.T) {
 // TestStoreUnknownIDsAreNoOps: mutating a job that raced a Remove is a
 // no-op, never an error.
 func TestStoreUnknownIDsAreNoOps(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		if err := s.SetState("job-000099", StateDone); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +163,7 @@ func TestStoreUnknownIDsAreNoOps(t *testing.T) {
 // TestStoreItemBounds: out-of-range item indices are dropped and
 // overwriting a filled slot never double-counts.
 func TestStoreItemBounds(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		j := mustCreate(t, s, &Job{Total: 2})
 		for _, idx := range []int{-1, 2, 1 << 30} {
 			if err := s.PutItem(j.ID, idx, json.RawMessage(`1`), false); err != nil {
@@ -183,7 +187,7 @@ func TestStoreItemBounds(t *testing.T) {
 }
 
 func TestStoreListPaging(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		for i := 0; i < 5; i++ {
 			mustCreate(t, s, &Job{Total: 1})
 		}
@@ -220,7 +224,7 @@ func TestStoreListPaging(t *testing.T) {
 }
 
 func TestStoreSweepAndStats(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		a := mustCreate(t, s, &Job{Total: 1})
 		mustCreate(t, s, &Job{Total: 1})
 		c := mustCreate(t, s, &Job{Total: 1})
@@ -251,7 +255,7 @@ func TestStoreSweepAndStats(t *testing.T) {
 // order is the numeric sequence, not the string form, so paging keeps
 // working past job-999999 where zero-padding stops aligning the two.
 func TestListOrdersNumerically(t *testing.T) {
-	m := NewMem()
+	m := New()
 	defer m.Close()
 	m.seq = 999998
 	for i := 0; i < 3; i++ {
@@ -286,7 +290,7 @@ func TestIDFormatRoundTrip(t *testing.T) {
 // TestStoreSnapshotIsolation: jobs leaving the store are copies;
 // mutating them must not reach the record.
 func TestStoreSnapshotIsolation(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		j := mustCreate(t, s, &Job{Total: 1})
 		got, _ := s.Get(j.ID)
 		got.State = StateCancelled
@@ -299,7 +303,7 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 }
 
 func TestStoreConcurrentUse(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store) {
+	eachStore(t, func(t *testing.T, s *Store) {
 		const jobs = 8
 		ids := make([]string, jobs)
 		for i := range ids {
@@ -331,4 +335,130 @@ func TestStoreConcurrentUse(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStoreModesAgree applies one seeded random sequence of operations
+// to a memory store and a durable one in lockstep. After every step the
+// two must agree on every record, the full listing and the gauges, up
+// to timestamps: a memory-mode branch that changed the bookkeeping
+// would show here. The durable store compacts every few records, so
+// the sequence crosses mid-life and terminal compactions too. The
+// memory store runs in an empty working directory, which must stay
+// empty.
+func TestStoreModesAgree(t *testing.T) {
+	t.Chdir(t.TempDir())
+	mem := New()
+	defer mem.Close()
+	disk, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	disk.snapshotEvery = 4
+
+	// strip blanks the timestamps, which each store takes from its own
+	// clock, keeping only whether Finished is set.
+	strip := func(j *Job) *Job {
+		if j == nil {
+			return nil
+		}
+		c := *j
+		c.Created = time.Time{}
+		if !c.Finished.IsZero() {
+			c.Finished = time.Unix(1, 0)
+		}
+		return &c
+	}
+	stripPage := func(p ListPage) ListPage {
+		for i, j := range p.Jobs {
+			p.Jobs[i] = strip(j)
+		}
+		return p
+	}
+	agree := func(step int, op string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("step %d (%s): memory %+v, durable %+v", step, op, a, b)
+		}
+	}
+	noErr := func(step int, op string, errs ...error) {
+		t.Helper()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("step %d (%s): %v", step, op, err)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	states := []State{StatePending, StateRunning, StateDone, StateCancelled}
+	var ids []string // every ID ever created, removed ones included
+	pick := func() string {
+		if len(ids) == 0 || rng.Intn(10) == 0 {
+			return "job-999999" // never created
+		}
+		return ids[rng.Intn(len(ids))]
+	}
+	for step := 0; step < 800; step++ {
+		var op string
+		switch rng.Intn(8) {
+		case 0, 1:
+			op = "create"
+			total := rng.Intn(5)
+			a := &Job{Total: total, Request: json.RawMessage(`{"n":1}`), WebhookURL: "http://x/hook"}
+			b := &Job{Total: total, Request: json.RawMessage(`{"n":1}`), WebhookURL: "http://x/hook"}
+			noErr(step, op, mem.Create(a), disk.Create(b))
+			agree(step, op, a.ID, b.ID)
+			ids = append(ids, a.ID)
+		case 2:
+			id, st := pick(), states[rng.Intn(len(states))]
+			op = fmt.Sprintf("SetState(%s, %s)", id, st)
+			noErr(step, op, mem.SetState(id, st), disk.SetState(id, st))
+		case 3:
+			id, idx, failed := pick(), rng.Intn(7)-1, rng.Intn(3) == 0
+			op = fmt.Sprintf("PutItem(%s, %d)", id, idx)
+			res := json.RawMessage(fmt.Sprintf(`{"step":%d}`, step))
+			noErr(step, op, mem.PutItem(id, idx, res, failed), disk.PutItem(id, idx, res, failed))
+		case 4:
+			id := pick()
+			op = "MarkWebhookSent(" + id + ")"
+			noErr(step, op, mem.MarkWebhookSent(id), disk.MarkWebhookSent(id))
+		case 5:
+			id := pick()
+			op = "Claim(" + id + ")"
+			a, okA := mem.Claim(id)
+			b, okB := disk.Claim(id)
+			agree(step, op, okA, okB)
+			agree(step, op, strip(a), strip(b))
+		case 6:
+			id := pick()
+			op = "Remove(" + id + ")"
+			a, okA := mem.Remove(id)
+			b, okB := disk.Remove(id)
+			agree(step, op, okA, okB)
+			agree(step, op, strip(a), strip(b))
+		case 7:
+			op = "Sweep"
+			now := time.Now()
+			agree(step, op, mem.Sweep(now, 0), disk.Sweep(now, 0))
+		}
+		for _, id := range ids {
+			a, okA := mem.Get(id)
+			b, okB := disk.Get(id)
+			agree(step, op+"; Get("+id+")", okA, okB)
+			agree(step, op+"; Get("+id+")", strip(a), strip(b))
+		}
+		agree(step, op+"; List", stripPage(mem.List(ListQuery{})), stripPage(disk.List(ListQuery{})))
+		agree(step, op+"; Stats", mem.Stats(), disk.Stats())
+	}
+	if st := mem.Stats(); st.Submitted < 100 || st.Evicted == 0 {
+		t.Fatalf("the sequence exercised too little: %+v", st)
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("the memory store wrote %d files into the working directory", len(entries))
+	}
 }

@@ -112,13 +112,13 @@ func validateWebhookURL(raw string) error {
 
 // ResumeJobs claims every unfinished job the store holds and re-enqueues
 // it through the admission queue, returning how many it resumed. Call it
-// once, after New and before serving traffic, when the store is durable:
-// jobs interrupted by a crash or drained past the grace period pick up
-// where they stopped — completed items are kept, only the missing draws
-// re-run, and the per-item request seeds make the re-run bit-identical
-// to the run that was interrupted. It also re-arms the completion-event
-// deliveries of finished jobs whose webhook never got through
-// (at-least-once).
+// once, after New and before serving traffic; on a fresh memory store it
+// finds nothing to do. On a durable store, jobs interrupted by a crash
+// or drained past the grace period pick up where they stopped —
+// completed items are kept, only the missing draws re-run, and the
+// per-item request seeds make the re-run bit-identical to the run that
+// was interrupted. It also re-arms the completion-event deliveries of
+// finished jobs whose webhook never got through (at-least-once).
 func (s *Service) ResumeJobs() int {
 	resumed := 0
 	page := s.store.List(jobstore.ListQuery{})
@@ -237,12 +237,10 @@ func (s *Service) ListJobs(states []string, after string, limit int) (*JobListRe
 	q := jobstore.ListQuery{After: after, Limit: limit}
 	for _, raw := range states {
 		st := jobstore.State(raw)
-		switch st {
-		case jobstore.StatePending, jobstore.StateRunning, jobstore.StateDone, jobstore.StateCancelled:
-			q.States = append(q.States, st)
-		default:
+		if !st.Valid() {
 			return nil, invalidf("unknown job state %q", raw)
 		}
+		q.States = append(q.States, st)
 	}
 	if q.Limit <= 0 || q.Limit > maxListLimit {
 		q.Limit = maxListLimit

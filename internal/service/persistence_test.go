@@ -89,7 +89,7 @@ func TestJobCrashRecoveryBitIdentical(t *testing.T) {
 
 	// The post-crash WAL: created, running, items 0/2/4 persisted.
 	dir := t.TempDir()
-	store, err := jobstore.OpenDisk(dir)
+	store, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestJobDrainSuspendAndResume(t *testing.T) {
 	want := referenceItems(t, batch)
 
 	dir := t.TempDir()
-	store, err := jobstore.OpenDisk(dir)
+	store, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestJobDrainSuspendAndResume(t *testing.T) {
 
 	// The suspended record: pending, unclaimed, partial progress, and
 	// not a single stored cancellation artifact.
-	store2, err := jobstore.OpenDisk(dir)
+	store2, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestJobDrainSuspendAndResume(t *testing.T) {
 // instead of re-running the wrong work or vanishing.
 func TestJobResumeRejectsTamperedPayload(t *testing.T) {
 	dir := t.TempDir()
-	store, err := jobstore.OpenDisk(dir)
+	store, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestJobResumeRejectsTamperedPayload(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store, err = jobstore.OpenDisk(dir)
+	store, err = jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

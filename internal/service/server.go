@@ -65,7 +65,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.DrainTimeout = 30 * time.Second
 	}
 	if cfg.JobStore == nil && cfg.JobDir != "" {
-		store, err := jobstore.OpenDisk(cfg.JobDir)
+		store, err := jobstore.Open(cfg.JobDir)
 		if err != nil {
 			return nil, err
 		}
@@ -84,9 +84,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		},
 		errc: make(chan error, 1),
 	}
-	if cfg.JobStore != nil {
-		s.recovered = svc.ResumeJobs()
-	}
+	s.recovered = svc.ResumeJobs() // a no-op on a fresh memory store
 	return s, nil
 }
 

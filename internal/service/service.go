@@ -83,11 +83,11 @@ type Config struct {
 	// can actually observe it.
 	SweepEvery time.Duration
 	// JobStore persists async jobs. Nil means a fresh in-memory store
-	// (jobs die with the process); hand it a jobstore disk store —
-	// fairrankd's -job-dir flag — and jobs survive restarts, with
-	// ResumeJobs re-enqueuing whatever a crash interrupted. The Service
-	// takes ownership: Close closes the store.
-	JobStore jobstore.Store
+	// (jobstore.New: jobs die with the process); hand it a durable one —
+	// jobstore.Open, fairrankd's -job-dir flag — and jobs survive
+	// restarts, with ResumeJobs re-enqueuing whatever a crash
+	// interrupted. The Service takes ownership: Close closes the store.
+	JobStore *jobstore.Store
 	// WebhookTimeout bounds each completion-event delivery attempt.
 	// Default 5s.
 	WebhookTimeout time.Duration
@@ -147,9 +147,9 @@ func (c Config) withDefaults() Config {
 // Service ranks requests. Construct with New; safe for concurrent use.
 type Service struct {
 	cfg   Config
-	queue *queue         // admission/scheduling layer over the worker pool
-	store jobstore.Store // job records (Config.JobStore or a fresh Mem)
-	stats *metrics       // per-route transport counters, shared with the handler
+	queue *queue          // admission/scheduling layer over the worker pool
+	store *jobstore.Store // job records (Config.JobStore or a fresh memory store)
+	stats *metrics        // per-route transport counters, shared with the handler
 
 	draining atomic.Bool // readiness withdrawn; no new work admitted
 
@@ -191,7 +191,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	store := cfg.JobStore
 	if store == nil {
-		store = jobstore.NewMem()
+		store = jobstore.New()
 	}
 	ranker, err := fairrank.NewRanker(fairrank.Config{})
 	if err != nil {

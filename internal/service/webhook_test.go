@@ -132,7 +132,7 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 	defer recv.srv.Close()
 
 	dir := t.TempDir()
-	store, err := jobstore.OpenDisk(dir)
+	store, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 
 	// Restart over the same directory: ResumeJobs re-arms the unsent
 	// event, and the receiver now answers 200 on the third call.
-	store2, err := jobstore.OpenDisk(dir)
+	store2, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWebhookRedeliveryAfterRestart(t *testing.T) {
 	}
 
 	// The durable marker stops a further restart from delivering again.
-	store3, err := jobstore.OpenDisk(dir)
+	store3, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
