@@ -182,3 +182,57 @@ func TestEngineStatsMonotonicUnderEviction(t *testing.T) {
 		t.Fatalf("pool gets = %d, more than the %d checkouts made", prev.PoolGets, max)
 	}
 }
+
+// TestEnginePoolCountsEveryCheckout pins the pool counters on a fresh
+// Engine: one get per draw loop (its buffers and sampler scratch) and
+// one per request whose plan needs a float vector — Plackett–Luce
+// log-weights on every plan, miss thresholds on truncated Mallows
+// plans. On a fresh engine every sequential get allocates, so each is a
+// miss; parallel workers may recycle one another's. A worker recycled
+// from a Mallows request and checked out for Plackett–Luce draws has to
+// build its scratch, which counts as a miss too.
+func TestEnginePoolCountsEveryCheckout(t *testing.T) {
+	const n, samples = 50, 4
+	center := perm.Identity(n)
+	run := func(e *Engine, axis Noise, k, workers int) {
+		t.Helper()
+		p, err := e.Plan(axis, center, 1, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Release()
+		if workers > 1 {
+			_, _, err = e.Parallel(context.Background(), p, nil, SelectKT, samples, workers, 1)
+		} else {
+			_, _, err = e.Sequential(context.Background(), p, nil, SelectKT, samples, rand.New(rand.NewSource(1)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, axis := range []Noise{NoiseMallows, NoiseGMallows, NoisePlackettLuce} {
+		for _, k := range []int{n, 10} {
+			for _, workers := range []int{1, 2} {
+				var e Engine
+				run(&e, axis, k, workers)
+				vectors := int64(0)
+				if axis == NoisePlackettLuce || k < n {
+					vectors = 1
+				}
+				s := e.Stats()
+				if want := int64(workers) + vectors; s.PoolGets != want {
+					t.Errorf("%s, top %d, %d workers: pool gets = %d, want %d", axis, k, workers, s.PoolGets, want)
+				}
+				if (workers == 1 && s.PoolMisses != s.PoolGets) || s.PoolMisses < 1+vectors || s.PoolMisses > s.PoolGets {
+					t.Errorf("%s, top %d, %d workers: pool misses = %d of %d gets on a fresh engine", axis, k, workers, s.PoolMisses, s.PoolGets)
+				}
+			}
+		}
+	}
+	var e Engine
+	run(&e, NoiseMallows, n, 1)
+	run(&e, NoisePlackettLuce, n, 1)
+	if s := e.Stats(); s.PoolGets != 3 || s.PoolMisses != 3 {
+		t.Errorf("mallows then plackett-luce: pool gets/misses = %d/%d, want 3/3", s.PoolGets, s.PoolMisses)
+	}
+}

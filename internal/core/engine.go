@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/mallows"
 	"repro/internal/perm"
-	"repro/internal/pl"
 	"repro/internal/quality"
 )
 
@@ -20,9 +19,9 @@ import (
 //     draw;
 //   - the DCG discount table behind the NDCG selection criterion,
 //     cached with them;
-//   - permutation scratch buffers and per-request float vectors, pooled
-//     per (n, θ) so the best-of-m loop allocates nothing on the steady
-//     state;
+//   - each draw loop's permutation buffers and sampler scratch, and
+//     each request's float vector, pooled per (n, θ) so the best-of-m
+//     loop allocates nothing on the steady state;
 //   - RNGs, pooled and re-seeded per request instead of re-allocated.
 //
 // The zero Engine is ready to use and safe for concurrent use by
@@ -36,8 +35,8 @@ type Engine struct {
 
 	tableHits   atomic.Int64
 	tableMisses atomic.Int64
-	// evictedGets and evictedMisses carry the scratch-pool counts of
-	// evicted size-states; stateMu guards them together with the map.
+	// evictedGets and evictedMisses carry the pool counts of evicted
+	// size-states; stateMu guards them together with the map.
 	evictedGets   int64
 	evictedMisses int64
 }
@@ -48,8 +47,11 @@ type Stats struct {
 	// size-state cache; a miss paid the state build.
 	TableHits   int64
 	TableMisses int64
-	// PoolGets and PoolMisses count scratch-permutation checkouts and
-	// how many of those had to allocate.
+	// PoolGets and PoolMisses count checkouts of pooled draw state —
+	// one per draw loop (its permutation buffers and sampler scratch)
+	// and one per request that needs a float vector (Plackett–Luce
+	// log-weights, truncated Mallows miss thresholds) — and how many of
+	// those had to allocate.
 	PoolGets   int64
 	PoolMisses int64
 }
@@ -65,9 +67,9 @@ func (e *Engine) Stats() Stats {
 	defer e.stateMu.Unlock()
 	s.PoolGets, s.PoolMisses = e.evictedGets, e.evictedMisses
 	e.states.Range(func(_, v any) bool {
-		gets, misses := v.(*sizeState).scratch.Stats()
-		s.PoolGets += int64(gets)
-		s.PoolMisses += int64(misses)
+		gets, misses := v.(*sizeState).poolCounts()
+		s.PoolGets += gets
+		s.PoolMisses += misses
 		return true
 	})
 	return s
@@ -90,21 +92,19 @@ type sizeKey struct {
 }
 
 // sizeState is the draw-path state reusable across requests of one pool
-// size and dispersion: the shared permutation scratch pool, the DCG
-// discount table and, per noise axis, lazily built displacement tables
-// and sampler scratch. Each table builds on first use — PL-only traffic
-// never pays for Mallows tables and vice versa, KT-only traffic never
-// for discounts — and at most once per state.
+// size and dispersion: the pooled draw workers and per-request vectors,
+// the DCG discount table and, per noise axis, lazily built displacement
+// tables. Each table builds on first use — PL-only traffic never pays
+// for Mallows tables and vice versa, KT-only traffic never for
+// discounts — and at most once per state.
 type sizeState struct {
-	key     sizeKey
-	scratch *perm.Pool
-	// floats recycles *[]float64 scratch of capacity n+1 — Plackett–Luce
-	// log-weight vectors and Mallows miss-threshold tables, built once
-	// per request and shared read-only across its workers.
-	floats sync.Pool
-	// pls recycles *pl.Scratch (utilities, uniform blocks, top-k heap);
-	// one per worker on the Plackett–Luce draw path.
-	pls sync.Pool
+	key sizeKey
+	// workers recycles each draw loop's buffers and sampler scratch.
+	workers pool[drawWorker]
+	// vecs recycles float vectors of capacity n+1 — Plackett–Luce
+	// log-weights and Mallows miss thresholds, built once per request
+	// and shared read-only across its workers.
+	vecs pool[[]float64]
 
 	mallowsOnce sync.Once
 	mallowsTab  *mallows.GeneralizedTables
@@ -118,14 +118,30 @@ type sizeState struct {
 	disc     []float64
 }
 
-func newSizeState(key sizeKey) *sizeState {
-	st := &sizeState{key: key, scratch: perm.NewPool(key.n)}
-	st.floats.New = func() any {
-		buf := make([]float64, key.n+1)
-		return &buf
-	}
-	st.pls.New = func() any { return pl.NewScratch(key.n) }
-	return st
+// pool recycles one kind of draw-path state across the requests of a
+// size-state and counts its traffic: gets is every checkout, misses the
+// checkouts that had to allocate. A miss rate stuck near 1 means the
+// steady state is not steady; since the runtime may drop pooled values
+// at any GC, misses can grow even under a disciplined get/put pattern.
+type pool[T any] struct {
+	p            sync.Pool
+	gets, misses atomic.Int64
+}
+
+// get checks out a recycled value, or nil when there is none; the
+// caller then builds what is missing and counts the miss.
+func (p *pool[T]) get() *T {
+	p.gets.Add(1)
+	v, _ := p.p.Get().(*T)
+	return v
+}
+
+func (p *pool[T]) put(v *T) { p.p.Put(v) }
+
+// poolCounts sums the checkouts of the state's pools and the misses
+// among them.
+func (st *sizeState) poolCounts() (gets, misses int64) {
+	return st.workers.gets.Load() + st.vecs.gets.Load(), st.workers.misses.Load() + st.vecs.misses.Load()
 }
 
 // tables returns the Mallows axis's displacement tables, the constant
@@ -170,19 +186,19 @@ func (e *Engine) state(n int, theta float64) *sizeState {
 		return v.(*sizeState)
 	}
 	e.tableMisses.Add(1)
-	st := newSizeState(key)
+	st := &sizeState{key: key}
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	if v, ok := e.states.Load(key); ok {
 		// Another goroutine cached the key while we built; use theirs so
-		// concurrent requests share one scratch pool.
+		// concurrent requests share one set of pools.
 		return v.(*sizeState)
 	}
 	if e.numStates.Load() >= maxSizeStates {
 		e.states.Range(func(k, v any) bool {
-			gets, misses := v.(*sizeState).scratch.Stats()
-			e.evictedGets += int64(gets)
-			e.evictedMisses += int64(misses)
+			gets, misses := v.(*sizeState).poolCounts()
+			e.evictedGets += gets
+			e.evictedMisses += misses
 			e.states.Delete(k)
 			e.numStates.Add(-1)
 			return false // one eviction is enough
@@ -307,7 +323,7 @@ func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) fl
 		if reseed {
 			rng.Seed(MixSeed(seed, i))
 		}
-		w.cur = p.draw(p, w.ws, w.cur, rng)
+		w.cur = p.draw(p, w.plScratch, w.cur, rng)
 		var v float64
 		if score != nil {
 			v = score(w.cur)
@@ -340,8 +356,8 @@ func (e *Engine) Sequential(ctx context.Context, p Plan, scores quality.Scores, 
 		score = maker()
 	}
 	w := p.checkout()
-	defer func() { p.checkin(w) }()
-	v, err := bestOf(ctx, p, &w, score, rng, false, 0, 0, samples)
+	defer p.checkin(w)
+	v, err := bestOf(ctx, p, w, score, rng, false, 0, 0, samples)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -377,8 +393,8 @@ func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, cr
 			rng := e.rng()
 			defer e.PutRNG(rng)
 			dw := p.checkout()
-			defer func() { p.checkin(dw) }()
-			v, err := bestOf(ctx, p, &dw, maker(), rng, true, seed, lo, hi)
+			defer p.checkin(dw)
+			v, err := bestOf(ctx, p, dw, maker(), rng, true, seed, lo, hi)
 			if err != nil {
 				results[w] = chunk{err: err}
 				return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/mallows"
 	"repro/internal/perm"
@@ -42,7 +41,7 @@ const gmallowsDecay = 0.97
 // against. The kernel is the engine's draw path: it completes a plan
 // whose size-state, center, θ, prefix and truncation are set, fetching
 // the cached (n, θ) tables, checking out the pooled per-request vector,
-// naming the per-worker scratch pool and picking the draw function,
+// saying whether workers need sampler scratch and picking the draw function,
 // which materializes only the top-k prefix on a truncated plan. Every
 // kernel consumes the RNG stream exactly as its reference sampler does,
 // so for equal seeds its draws (their prefixes, when truncated) are
@@ -138,53 +137,66 @@ type Plan struct {
 	tab    *mallows.GeneralizedTables // insertion tables of both Mallows axes
 	vecBuf *[]float64                 // pooled vector behind vec
 	vec    []float64                  // PL log-weights or Mallows miss thresholds
-	// wsPool pools the per-worker sampler scratch; nil when the draws
-	// need none.
-	wsPool *sync.Pool
+	usesPL bool                       // each worker needs Plackett–Luce scratch
 }
 
-// drawFunc draws one sample of plan p into dst — a full-length buffer —
-// with the worker's scratch ws, consuming rng, and returns the written
-// ranking: the full permutation, or just the top-k prefix on a truncated
-// plan. The plan travels by value so that no request state escapes to
-// the heap through the indirect call.
-type drawFunc func(p Plan, ws any, dst perm.Perm, rng *rand.Rand) perm.Perm
+// drawFunc draws one sample of plan p into dst — a buffer of capacity
+// n — with the worker's Plackett–Luce scratch sc (nil on the Mallows
+// axes), consuming rng, and returns the written ranking: the full
+// permutation, or just the top-k prefix on a truncated plan. The plan
+// travels by value so that no request state escapes to the heap through
+// the indirect call.
+type drawFunc func(p Plan, sc *pl.Scratch, dst perm.Perm, rng *rand.Rand) perm.Perm
 
 // Truncated reports whether the plan's draws materialize only the top-k
 // prefix.
 func (p *Plan) Truncated() bool { return p.truncated }
 
-// drawWorker is what one draw loop checks out of its plan: the buffer
-// the next draw overwrites, the buffer holding the kept draw, and the
-// sampler scratch.
+// drawWorker is what one draw loop checks out of its plan's size-state:
+// the buffer the next draw overwrites, the buffer holding the kept draw
+// and, once the worker has drawn on the Plackett–Luce axis, its sampler
+// scratch.
 type drawWorker struct {
 	cur, best perm.Perm
-	ws        any
+	plScratch *pl.Scratch
 }
 
-// checkout hands one draw loop its buffers and sampler scratch; checkin
-// takes them back when the loop finishes.
-func (p *Plan) checkout() drawWorker {
-	w := drawWorker{cur: p.st.scratch.Get(), best: p.st.scratch.Get()}
-	if p.wsPool != nil {
-		w.ws = p.wsPool.Get()
+// checkout hands one draw loop a worker, building whatever the pooled
+// one lacks; a checkout that had to allocate counts one pool miss.
+// checkin takes the worker back when the loop finishes.
+func (p *Plan) checkout() *drawWorker {
+	n := len(p.center)
+	w, miss := p.st.workers.get(), false
+	if w == nil {
+		w, miss = &drawWorker{cur: make(perm.Perm, n), best: make(perm.Perm, n)}, true
+	}
+	if p.usesPL && w.plScratch == nil {
+		w.plScratch, miss = pl.NewScratch(n), true
+	}
+	if miss {
+		p.st.workers.misses.Add(1)
 	}
 	return w
 }
 
-func (p *Plan) checkin(w drawWorker) {
-	if p.wsPool != nil {
-		p.wsPool.Put(w.ws)
+func (p *Plan) checkin(w *drawWorker) { p.st.workers.put(w) }
+
+// vector checks out the plan's per-request vector, of capacity n+1.
+func (p *Plan) vector() []float64 {
+	p.vecBuf = p.st.vecs.get()
+	if p.vecBuf == nil {
+		buf := make([]float64, len(p.center)+1)
+		p.vecBuf = &buf
+		p.st.vecs.misses.Add(1)
 	}
-	p.st.scratch.Put(w.cur)
-	p.st.scratch.Put(w.best)
+	return *p.vecBuf
 }
 
 // Release returns the plan's pooled per-request vector; call it once
 // the request's draws are done.
 func (p *Plan) Release() {
 	if p.vecBuf != nil {
-		p.st.floats.Put(p.vecBuf)
+		p.st.vecs.put(p.vecBuf)
 	}
 }
 
@@ -197,40 +209,35 @@ func prepareGMallows(p Plan) (Plan, error) { return p.insertion(p.st.gtables()) 
 
 // insertion completes a plan drawing through tab: full repeated
 // insertion, or on a truncated plan the bounded-window sampler, whose
-// miss thresholds it precomputes once per request on pooled float
-// scratch.
+// miss thresholds it precomputes once per request on the pooled vector.
 func (p Plan) insertion(tab *mallows.GeneralizedTables, err error) (Plan, error) {
 	if err != nil {
 		return p, err
 	}
 	p.tab, p.draw = tab, drawInsertion
 	if p.truncated {
-		p.vecBuf = p.st.floats.Get().(*[]float64)
-		p.vec = tab.MissThresholds(p.topK, *p.vecBuf)
+		p.vec = tab.MissThresholds(p.topK, p.vector())
 	}
 	return p, nil
 }
 
-func drawInsertion(p Plan, _ any, dst perm.Perm, rng *rand.Rand) perm.Perm {
+func drawInsertion(p Plan, _ *pl.Scratch, dst perm.Perm, rng *rand.Rand) perm.Perm {
 	if p.truncated {
 		return p.tab.SampleTopKInto(p.center, p.topK, p.vec, dst, rng)
 	}
 	return p.tab.SampleInto(p.center, dst, rng)
 }
 
-// preparePL builds the Plackett–Luce log-weights once per request on
-// pooled float scratch and gives each worker pooled Gumbel scratch;
-// truncated plans select through the bounded k-slot heap instead of a
-// full sort.
+// preparePL builds the Plackett–Luce log-weights once per request on the
+// pooled vector and gives each worker Gumbel scratch; truncated plans
+// select through the bounded k-slot heap instead of a full sort.
 func preparePL(p Plan) (Plan, error) {
-	p.vecBuf = p.st.floats.Get().(*[]float64)
-	p.vec = plLogWeights(p.center, p.theta, *p.vecBuf)
-	p.wsPool, p.draw = &p.st.pls, drawPL
+	p.vec = plLogWeights(p.center, p.theta, p.vector())
+	p.usesPL, p.draw = true, drawPL
 	return p, nil
 }
 
-func drawPL(p Plan, ws any, dst perm.Perm, rng *rand.Rand) perm.Perm {
-	sc := ws.(*pl.Scratch)
+func drawPL(p Plan, sc *pl.Scratch, dst perm.Perm, rng *rand.Rand) perm.Perm {
 	if p.truncated {
 		return pl.SampleTopKInto(p.vec, p.topK, dst, sc, rng)
 	}

@@ -323,8 +323,9 @@ type WebhookMetrics struct {
 // DrawsTruncatedByNoise further splits DrawsTruncated by the noise
 // mechanism that drew them ("mallows", "gmallows", "plackett-luce");
 // the axes sum to DrawsTruncated and the map is omitted while no
-// truncated draw has happened. PoolGets/PoolMisses count pooled
-// draw-buffer checkouts and the subset that had to allocate.
+// truncated draw has happened. PoolGets/PoolMisses count checkouts of
+// pooled draw state (a draw worker per draw loop, a float vector per
+// request that needs one) and the subset that had to allocate.
 type EngineMetrics struct {
 	RankersCached         int              `json:"rankers_cached"`
 	Requests              int64            `json:"requests"`

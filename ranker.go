@@ -73,8 +73,10 @@ type RankerStats struct {
 	// entry, once per axis).
 	TableHits   int64
 	TableMisses int64
-	// PoolGets and PoolMisses count scratch-permutation checkouts of the
-	// per-(n, θ) pools and how many of those had to allocate. Like every
+	// PoolGets and PoolMisses count checkouts of the per-(n, θ) pools —
+	// one draw worker (permutation buffers and sampler scratch) per draw
+	// loop, one float vector per request whose noise axis needs one —
+	// and how many of those had to allocate. Like every
 	// counter here they never decrease: an evicted size-state's counts
 	// move into the Ranker's own. They are exact except for checkouts a
 	// request makes from a size-state evicted while the request was

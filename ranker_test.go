@@ -261,8 +261,9 @@ func TestRankerStats(t *testing.T) {
 		t.Errorf("deterministic stats %+v, want 1 request, 0 draws", st)
 	}
 	// The pool counters survive size-state eviction: 100 requests at
-	// 100 distinct θ overflow the cache, each sequential request checks
-	// out two buffers, and no snapshot is below the previous one.
+	// 100 distinct θ overflow the cache, each sequential full-ranking
+	// request checks out one draw worker, and no snapshot is below the
+	// previous one.
 	ev, err := NewRanker(Config{Algorithm: AlgorithmMallowsBest, Samples: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +281,8 @@ func TestRankerStats(t *testing.T) {
 		}
 		prev = st
 	}
-	if prev.PoolGets != 2*requests {
-		t.Errorf("pool gets = %d after %d requests, want %d", prev.PoolGets, requests, 2*requests)
+	if prev.PoolGets != requests {
+		t.Errorf("pool gets = %d after %d requests, want %d", prev.PoolGets, requests, requests)
 	}
 }
 
