@@ -41,11 +41,11 @@ const gmallowsDecay = 0.97
 // against. The kernel is the engine's draw path: it completes a plan
 // whose size-state, center, θ, prefix and truncation are set, fetching
 // the cached (n, θ) tables, checking out the pooled per-request vector,
-// saying whether workers need sampler scratch and picking the draw function,
-// which materializes only the top-k prefix on a truncated plan. Every
-// kernel consumes the RNG stream exactly as its reference sampler does,
-// so for equal seeds its draws (their prefixes, when truncated) are
-// bit-identical to the reference's.
+// saying whether draw workers need sampler scratch and picking the draw
+// function, which materializes only the top-k prefix on a truncated
+// plan. Every kernel consumes the RNG stream exactly as its reference
+// sampler does, so for equal seeds its draws (their prefixes, when
+// truncated) are bit-identical to the reference's.
 type Axis struct {
 	Description string
 	Reference   func(central []int, theta float64) (func(*rand.Rand) []int, error)
@@ -141,7 +141,7 @@ type Plan struct {
 }
 
 // drawFunc draws one sample of plan p into dst — a buffer of capacity
-// n — with the worker's Plackett–Luce scratch sc (nil on the Mallows
+// n — with the worker's Plackett–Luce scratch sc (unused on the Mallows
 // axes), consuming rng, and returns the written ranking: the full
 // permutation, or just the top-k prefix on a truncated plan. The plan
 // travels by value so that no request state escapes to the heap through

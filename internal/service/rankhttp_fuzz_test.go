@@ -30,7 +30,7 @@ func FuzzRankHTTP(f *testing.F) {
 	for _, body := range []string{
 		`{"requests":[{"candidates":` + pool + `,"algorithm":"mallows-best","noise":"plackett-luce","top_k":2,"seed":1},` +
 			`{"candidates":` + pool + `,"algorithm":"detconstsort"},` +
-			`{"candidates":` + pool + `,"algorithm":"mallows","noise":"gmallows","theta":0,"seed":3},` +
+			`{"candidates":` + pool + `,"algorithm":"mallows","noise":"gmallows","central":"score","theta":0,"seed":3},` +
 			`{"candidates":` + pool + `,"algorithm":"ilp","top_k":3}]}`,
 		`{"requests":[{"candidates":` + pool + `,"algorithm":"ipf","tolerance":0},` +
 			`{"candidates":` + pool + `,"algorithm":"grbinary","sigma":0.5,"seed":2},` +
