@@ -1,6 +1,6 @@
 package jobstore
 
-// Disk-only mechanics: WAL replay edge cases (empty files, torn tails,
+// Durable-mode mechanics: WAL replay edge cases (empty files, torn tails,
 // snapshot+tail, duplicate records), the crash windows of compaction,
 // and restart round-trips. The behavioral Store contract is covered by
 // the conformance suite in jobstore_test.go.

@@ -48,22 +48,19 @@ func FuzzRankHTTP(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte, batch bool) {
 		// reqs is what the handler reads from body, as encoding/json
-		// reads it; nil when encoding/json rejects the body.
-		path, reqs := "/v1/rank", []RankRequest(nil)
+		// reads it, when decoded says encoding/json accepts the body.
+		path, reqs, decoded := "/v1/rank", []RankRequest(nil), false
 		if batch {
-			path += "/batch"
 			var b BatchRequest
-			if json.NewDecoder(bytes.NewReader(body)).Decode(&b) == nil {
-				reqs = b.Requests
-			}
+			decoded = json.NewDecoder(bytes.NewReader(body)).Decode(&b) == nil
+			path, reqs = path+"/batch", b.Requests
 		} else {
 			var r RankRequest
-			if json.NewDecoder(bytes.NewReader(body)).Decode(&r) == nil {
-				reqs = []RankRequest{r}
-			}
+			decoded = json.NewDecoder(bytes.NewReader(body)).Decode(&r) == nil
+			reqs = []RankRequest{r}
 		}
 		for _, r := range reqs {
-			if r.Samples != nil && *r.Samples > fuzzMaxSamples {
+			if decoded && r.Samples != nil && *r.Samples > fuzzMaxSamples {
 				t.Skip()
 			}
 		}
@@ -75,6 +72,9 @@ func FuzzRankHTTP(f *testing.F) {
 		case http.StatusBadRequest:
 			checkErrorBody(t, out)
 		case http.StatusOK:
+			if !decoded {
+				t.Fatalf("200 for a body encoding/json rejects: %q", body)
+			}
 			if batch {
 				var resp BatchResponse
 				if err := json.Unmarshal(out, &resp); err != nil {
@@ -92,9 +92,6 @@ func FuzzRankHTTP(f *testing.F) {
 					}
 				}
 				return
-			}
-			if reqs == nil {
-				t.Fatalf("200 for a body encoding/json rejects: %q", body)
 			}
 			var resp RankResponse
 			if err := json.Unmarshal(out, &resp); err != nil {
