@@ -369,11 +369,12 @@ func BenchmarkMallowsSample(b *testing.B) {
 }
 
 // BenchmarkTopKTruncated is the case for the lazy top-k draw path at
-// serving scale (n = 1e5, k = 10): "full/insert" and "full/fenwick" are
-// the two full-length reference samplers, "truncated" the bounded-window
-// sampler that materializes only the delivered prefix, with its miss
-// thresholds precomputed before the timer as the engine does once per
-// request. All three reuse tables and scratch, so the numbers isolate
+// serving scale (n = 1e5, k = 10): "full/insert" is the bounded-window
+// insertion loop at k = n — the engine's full draw — and "full/fenwick"
+// the Fenwick-tree sampler, the two full-length draws; "truncated" is
+// the same window loop at k = 10, materializing only the delivered
+// prefix, with its miss thresholds precomputed before the timer as the
+// engine does once per request. All three reuse tables and scratch, so the numbers isolate
 // the draw itself; the CI bench-smoke step fails the build if the
 // truncated line disappears or stops beating the full path. The
 // truncated draw must also report 0 allocs/op — it is the engine's

@@ -137,27 +137,39 @@ func TestEngineSizeCacheCap(t *testing.T) {
 }
 
 // Pool counters never decrease, even while concurrent requests evict
-// the size-states they count.
+// the size-states they count. The requests differ in n and noise axis,
+// so pooled workers grown for one request serve smaller ones on other
+// goroutines; every draw must still be the one a fresh engine
+// (PostProcess) makes on the same seed.
 func TestEngineStatsMonotonicUnderEviction(t *testing.T) {
 	var e Engine
-	center := perm.Identity(8)
 	const workers, requests = 4, 100
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
+			center := perm.Identity(8 + 8*g)
 			for i := 0; i < requests; i++ {
-				p, err := e.Plan(NoiseMallows, center, float64(g*requests+i), len(center))
+				cfg := Config{Noise: allAxes[i%len(allAxes)], Theta: float64(g*requests+i) / 100, Samples: 2, Criterion: SelectKT}
+				p, err := e.Plan(cfg.Noise, center, cfg.Theta, len(center))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				_, _, err = e.Sequential(context.Background(), p, nil, SelectKT, 2, rng)
+				got, _, err := e.Sequential(context.Background(), p, nil, SelectKT, cfg.Samples, rand.New(rand.NewSource(int64(i))))
 				p.Release()
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				want, err := PostProcess(center, nil, cfg, rand.New(rand.NewSource(int64(i))))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !got.Equal(want) {
+					t.Errorf("n=%d %s θ=%g: pooled draw %v, fresh engine %v", len(center), cfg.Noise, cfg.Theta, got, want)
 					return
 				}
 			}
@@ -193,10 +205,9 @@ func TestEngineStatsMonotonicUnderEviction(t *testing.T) {
 // build its scratch, which counts as a miss too.
 func TestEnginePoolCountsEveryCheckout(t *testing.T) {
 	const n, samples = 50, 4
-	center := perm.Identity(n)
-	run := func(e *Engine, axis Noise, k, workers int) {
+	run := func(e *Engine, axis Noise, n int, theta float64, k, workers int) {
 		t.Helper()
-		p, err := e.Plan(axis, center, 1, k)
+		p, err := e.Plan(axis, perm.Identity(n), theta, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +225,7 @@ func TestEnginePoolCountsEveryCheckout(t *testing.T) {
 		for _, k := range []int{n, 10} {
 			for _, workers := range []int{1, 2} {
 				var e Engine
-				run(&e, axis, k, workers)
+				run(&e, axis, n, 1, k, workers)
 				vectors := int64(0)
 				if axis == NoisePlackettLuce || k < n {
 					vectors = 1
@@ -229,10 +240,45 @@ func TestEnginePoolCountsEveryCheckout(t *testing.T) {
 			}
 		}
 	}
-	var e Engine
-	run(&e, NoiseMallows, n, 1)
-	run(&e, NoisePlackettLuce, n, 1)
-	if s := e.Stats(); s.PoolGets != 3 || s.PoolMisses != 3 {
-		t.Errorf("mallows then plackett-luce: pool gets/misses = %d/%d, want 3/3", s.PoolGets, s.PoolMisses)
+	// Sequences of sequential requests on one engine. Its pools serve
+	// every (n, θ): a request that differs only in θ recycles the
+	// worker, a larger n builds a larger worker (and vector) and counts
+	// a miss, and a smaller n recycles the larger one. Recycling is best
+	// effort — the runtime may drop pooled values at a GC, and the race
+	// detector drops a quarter of them on purpose — so each sequence
+	// runs on up to 20 fresh engines and must read its misses on one of
+	// them; its gets must match on every attempt.
+	type request struct {
+		axis  Noise
+		n, k  int
+		theta float64
+	}
+	for _, c := range []struct {
+		name         string
+		reqs         []request
+		gets, misses int64
+	}{
+		{"mallows then plackett-luce", []request{{NoiseMallows, n, n, 1}, {NoisePlackettLuce, n, n, 1}}, 3, 3},
+		{"θ = 1 then 0.1", []request{{NoiseMallows, n, n, 1}, {NoiseMallows, n, n, 0.1}}, 2, 1},
+		{"n = 50, 100, 50", []request{{NoiseMallows, n, n, 1}, {NoiseMallows, 100, 100, 1}, {NoiseMallows, n, n, 1}}, 3, 2},
+		{"top 10 at n = 50, 100, 50", []request{{NoiseMallows, n, 10, 1}, {NoiseMallows, 100, 10, 1}, {NoiseMallows, n, 10, 1}}, 6, 4},
+	} {
+		for attempt := 1; ; attempt++ {
+			var e Engine
+			for _, r := range c.reqs {
+				run(&e, r.axis, r.n, r.theta, r.k, 1)
+			}
+			s := e.Stats()
+			if s.PoolGets != c.gets {
+				t.Fatalf("%s: pool gets = %d, want %d", c.name, s.PoolGets, c.gets)
+			}
+			if s.PoolMisses == c.misses {
+				break
+			}
+			if attempt == 20 {
+				t.Errorf("%s: pool gets/misses = %d/%d, want %d/%d", c.name, s.PoolGets, s.PoolMisses, c.gets, c.misses)
+				break
+			}
+		}
 	}
 }

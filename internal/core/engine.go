@@ -20,8 +20,9 @@ import (
 //   - the DCG discount table behind the NDCG selection criterion,
 //     cached with them;
 //   - each draw loop's permutation buffers and sampler scratch, and
-//     each request's float vector, pooled per (n, θ) so the best-of-m
-//     loop allocates nothing on the steady state;
+//     each request's float vector, pooled once for the whole Engine so
+//     the best-of-m loop allocates nothing on the steady state whatever
+//     the request's n and θ;
 //   - RNGs, pooled and re-seeded per request instead of re-allocated.
 //
 // The zero Engine is ready to use and safe for concurrent use by
@@ -33,15 +34,19 @@ type Engine struct {
 	numStates atomic.Int32
 	rngs      sync.Pool
 
+	// workers recycles each draw loop's buffers and sampler scratch.
+	workers pool[drawWorker]
+	// vecs recycles float vectors — Plackett–Luce log-weights and
+	// Mallows miss thresholds, built once per request and shared
+	// read-only across its workers.
+	vecs pool[[]float64]
+
 	tableHits   atomic.Int64
 	tableMisses atomic.Int64
-	// evictedGets and evictedMisses carry the pool counts of evicted
-	// size-states; stateMu guards them together with the map.
-	evictedGets   int64
-	evictedMisses int64
 }
 
-// Stats is a snapshot of an Engine's cache counters.
+// Stats is a snapshot of an Engine's cache counters; none of them ever
+// decreases.
 type Stats struct {
 	// TableHits and TableMisses count lookups of the per-(n, θ)
 	// size-state cache; a miss paid the state build.
@@ -56,23 +61,16 @@ type Stats struct {
 	PoolMisses int64
 }
 
-// Stats snapshots the Engine's counters. None of them ever decreases:
-// an evicted size-state's pool counts move into the engine's own, under
-// the lock Stats reads them with. The pool counts are exact except for
-// checkouts a request makes from a size-state evicted while the request
-// was drawing from it; those go uncounted.
+// Stats snapshots the Engine's counters. It reads the misses before the
+// gets, so a snapshot never shows more misses than gets.
 func (e *Engine) Stats() Stats {
-	s := Stats{TableHits: e.tableHits.Load(), TableMisses: e.tableMisses.Load()}
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	s.PoolGets, s.PoolMisses = e.evictedGets, e.evictedMisses
-	e.states.Range(func(_, v any) bool {
-		gets, misses := v.(*sizeState).poolCounts()
-		s.PoolGets += gets
-		s.PoolMisses += misses
-		return true
-	})
-	return s
+	misses := e.workers.misses.Load() + e.vecs.misses.Load()
+	return Stats{
+		TableHits:   e.tableHits.Load(),
+		TableMisses: e.tableMisses.Load(),
+		PoolGets:    e.workers.gets.Load() + e.vecs.gets.Load(),
+		PoolMisses:  misses,
+	}
 }
 
 // maxSizeStates caps the per-(n, θ) cache: a size-state costs O(n)
@@ -91,20 +89,13 @@ type sizeKey struct {
 	theta float64
 }
 
-// sizeState is the draw-path state reusable across requests of one pool
-// size and dispersion: the pooled draw workers and per-request vectors,
-// the DCG discount table and, per noise axis, lazily built displacement
-// tables. Each table builds on first use — PL-only traffic never pays
-// for Mallows tables and vice versa, KT-only traffic never for
-// discounts — and at most once per state.
+// sizeState is the immutable draw-path state of one pool size and
+// dispersion: the DCG discount table and, per noise axis, lazily built
+// displacement tables. Each table builds on first use — PL-only traffic
+// never pays for Mallows tables and vice versa, KT-only traffic never
+// for discounts — and at most once per state.
 type sizeState struct {
 	key sizeKey
-	// workers recycles each draw loop's buffers and sampler scratch.
-	workers pool[drawWorker]
-	// vecs recycles float vectors of capacity n+1 — Plackett–Luce
-	// log-weights and Mallows miss thresholds, built once per request
-	// and shared read-only across its workers.
-	vecs pool[[]float64]
 
 	mallowsOnce sync.Once
 	mallowsTab  *mallows.GeneralizedTables
@@ -118,11 +109,11 @@ type sizeState struct {
 	disc     []float64
 }
 
-// pool recycles one kind of draw-path state across the requests of a
-// size-state and counts its traffic: gets is every checkout, misses the
-// checkouts that had to allocate. A miss rate stuck near 1 means the
-// steady state is not steady; since the runtime may drop pooled values
-// at any GC, misses can grow even under a disciplined get/put pattern.
+// pool recycles one kind of draw-path state across an Engine's requests
+// and counts its traffic: gets is every checkout, misses the checkouts
+// that had to allocate. A miss rate stuck near 1 means the steady state
+// is not steady; since the runtime may drop pooled values at any GC,
+// misses can grow even under a disciplined get/put pattern.
 type pool[T any] struct {
 	p            sync.Pool
 	gets, misses atomic.Int64
@@ -137,12 +128,6 @@ func (p *pool[T]) get() *T {
 }
 
 func (p *pool[T]) put(v *T) { p.p.Put(v) }
-
-// poolCounts sums the checkouts of the state's pools and the misses
-// among them.
-func (st *sizeState) poolCounts() (gets, misses int64) {
-	return st.workers.gets.Load() + st.vecs.gets.Load(), st.workers.misses.Load() + st.vecs.misses.Load()
-}
 
 // tables returns the Mallows axis's displacement tables, the constant
 // schedule θ, building them on first use.
@@ -191,14 +176,11 @@ func (e *Engine) state(n int, theta float64) *sizeState {
 	defer e.stateMu.Unlock()
 	if v, ok := e.states.Load(key); ok {
 		// Another goroutine cached the key while we built; use theirs so
-		// concurrent requests share one set of pools.
+		// concurrent requests share one set of tables.
 		return v.(*sizeState)
 	}
 	if e.numStates.Load() >= maxSizeStates {
-		e.states.Range(func(k, v any) bool {
-			gets, misses := v.(*sizeState).poolCounts()
-			e.evictedGets += gets
-			e.evictedMisses += misses
+		e.states.Range(func(k, _ any) bool {
 			e.states.Delete(k)
 			e.numStates.Add(-1)
 			return false // one eviction is enough
@@ -242,6 +224,7 @@ func (e *Engine) Plan(axis Noise, center perm.Perm, theta float64, topK int) (Pl
 		theta:     theta,
 		topK:      topK,
 		truncated: topK < len(center),
+		eng:       e,
 		st:        e.state(len(center), theta),
 	})
 }

@@ -125,7 +125,7 @@ func plReference(central []int, theta float64) (func(*rand.Rand) []int, error) {
 
 // Plan is one request's prepared draws: the draw function and the state
 // every draw of the request shares, read-only across the parallel
-// loop's workers. Its draws go into the size-state's pooled buffers.
+// loop's workers. Its draws go into its Engine's pooled buffers.
 type Plan struct {
 	draw      drawFunc
 	center    perm.Perm
@@ -133,6 +133,7 @@ type Plan struct {
 	topK      int
 	truncated bool
 
+	eng    *Engine
 	st     *sizeState
 	tab    *mallows.GeneralizedTables // insertion tables of both Mallows axes
 	vecBuf *[]float64                 // pooled vector behind vec
@@ -152,42 +153,47 @@ type drawFunc func(p Plan, sc *pl.Scratch, dst perm.Perm, rng *rand.Rand) perm.P
 // prefix.
 func (p *Plan) Truncated() bool { return p.truncated }
 
-// drawWorker is what one draw loop checks out of its plan's size-state:
+// drawWorker is what one draw loop checks out of its plan's Engine:
 // the buffer the next draw overwrites, the buffer holding the kept draw
-// and, once the worker has drawn on the Plackett–Luce axis, its sampler
-// scratch.
+// (both of one capacity, at least the plan's n) and, once the worker
+// has drawn on the Plackett–Luce axis, its sampler scratch, sized for
+// that capacity.
 type drawWorker struct {
 	cur, best perm.Perm
 	plScratch *pl.Scratch
 }
 
-// checkout hands one draw loop a worker, building whatever the pooled
-// one lacks; a checkout that had to allocate counts one pool miss.
-// checkin takes the worker back when the loop finishes.
+// checkout hands one draw loop a worker, building a new one when the
+// pooled one is missing or smaller than n, and Plackett–Luce scratch
+// when the plan needs it and the worker has none; a checkout that had
+// to allocate counts one pool miss. checkin takes the worker back when
+// the loop finishes.
 func (p *Plan) checkout() *drawWorker {
 	n := len(p.center)
-	w, miss := p.st.workers.get(), false
-	if w == nil {
+	w, miss := p.eng.workers.get(), false
+	if w == nil || cap(w.cur) < n {
 		w, miss = &drawWorker{cur: make(perm.Perm, n), best: make(perm.Perm, n)}, true
 	}
 	if p.usesPL && w.plScratch == nil {
-		w.plScratch, miss = pl.NewScratch(n), true
+		w.plScratch, miss = pl.NewScratch(cap(w.cur)), true
 	}
 	if miss {
-		p.st.workers.misses.Add(1)
+		p.eng.workers.misses.Add(1)
 	}
 	return w
 }
 
-func (p *Plan) checkin(w *drawWorker) { p.st.workers.put(w) }
+func (p *Plan) checkin(w *drawWorker) { p.eng.workers.put(w) }
 
-// vector checks out the plan's per-request vector, of capacity n+1.
+// vector checks out the plan's per-request vector, of capacity at least
+// n+1, building a new one when the pooled one is missing or smaller.
 func (p *Plan) vector() []float64 {
-	p.vecBuf = p.st.vecs.get()
-	if p.vecBuf == nil {
-		buf := make([]float64, len(p.center)+1)
+	n := len(p.center)
+	p.vecBuf = p.eng.vecs.get()
+	if p.vecBuf == nil || cap(*p.vecBuf) < n+1 {
+		buf := make([]float64, n+1)
 		p.vecBuf = &buf
-		p.st.vecs.misses.Add(1)
+		p.eng.vecs.misses.Add(1)
 	}
 	return *p.vecBuf
 }
@@ -196,7 +202,7 @@ func (p *Plan) vector() []float64 {
 // the request's draws are done.
 func (p *Plan) Release() {
 	if p.vecBuf != nil {
-		p.st.vecs.put(p.vecBuf)
+		p.eng.vecs.put(p.vecBuf)
 	}
 }
 
@@ -207,9 +213,9 @@ func (p *Plan) Release() {
 func prepareMallows(p Plan) (Plan, error)  { return p.insertion(p.st.tables()) }
 func prepareGMallows(p Plan) (Plan, error) { return p.insertion(p.st.gtables()) }
 
-// insertion completes a plan drawing through tab: full repeated
-// insertion, or on a truncated plan the bounded-window sampler, whose
-// miss thresholds it precomputes once per request on the pooled vector.
+// insertion completes a plan drawing through tab with the bounded-window
+// sampler, whose window at k = n is the whole ranking; a truncated plan
+// precomputes its miss thresholds once per request on the pooled vector.
 func (p Plan) insertion(tab *mallows.GeneralizedTables, err error) (Plan, error) {
 	if err != nil {
 		return p, err
@@ -222,10 +228,7 @@ func (p Plan) insertion(tab *mallows.GeneralizedTables, err error) (Plan, error)
 }
 
 func drawInsertion(p Plan, _ *pl.Scratch, dst perm.Perm, rng *rand.Rand) perm.Perm {
-	if p.truncated {
-		return p.tab.SampleTopKInto(p.center, p.topK, p.vec, dst, rng)
-	}
-	return p.tab.SampleInto(p.center, dst, rng)
+	return p.tab.SampleTopKInto(p.center, p.topK, p.vec, dst, rng)
 }
 
 // preparePL builds the Plackett–Luce log-weights once per request on the

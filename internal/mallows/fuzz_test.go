@@ -59,9 +59,10 @@ func FuzzSampleDisplacement(f *testing.F) {
 	})
 }
 
-// FuzzSampleTopKPrefix fuzzes the truncated sampler against the full
-// insertion path: any (n, k, θ, seed) must yield a bit-identical
-// delivered prefix and leave the RNG stream in the same position.
+// FuzzSampleTopKPrefix fuzzes the truncated sampler against the
+// table-free Model.Sample: any (n, k, θ, seed) must yield a
+// bit-identical delivered prefix and leave the RNG stream in the same
+// position.
 func FuzzSampleTopKPrefix(f *testing.F) {
 	f.Add(10, 3, 1.0, int64(1))
 	f.Add(1, 1, 0.0, int64(2))
@@ -83,7 +84,7 @@ func FuzzSampleTopKPrefix(f *testing.F) {
 		tb := m.Tables()
 		rngFull := rand.New(rand.NewSource(seed))
 		rngTopK := rand.New(rand.NewSource(seed))
-		full := m.SampleInto(tb, make(perm.Perm, 0, n), rngFull)
+		full := m.Sample(rngFull)
 		got := m.SampleTopKInto(tb, k, make(perm.Perm, 0, min(k, n)), rngTopK)
 		want := min(k, n)
 		if len(got) != want {
@@ -101,10 +102,10 @@ func FuzzSampleTopKPrefix(f *testing.F) {
 }
 
 // FuzzGeneralizedTopKPrefix fuzzes the per-step-θ truncated sampler
-// against the table-backed full draw: any (n, k, θ₀, decay, seed) —
-// interpreted as the geometric schedule θ_j = θ₀·decay^j — must yield a
-// bit-identical delivered prefix and leave the RNG stream in the same
-// position, with precomputed and inline thresholds alike.
+// against the table-free GeneralizedModel.Sample: any (n, k, θ₀, decay,
+// seed) — interpreted as the geometric schedule θ_j = θ₀·decay^j — must
+// yield a bit-identical delivered prefix and leave the RNG stream in the
+// same position, with precomputed and inline thresholds alike.
 func FuzzGeneralizedTopKPrefix(f *testing.F) {
 	f.Add(10, 3, 1.0, 0.97, int64(1))
 	f.Add(1, 1, 0.0, 0.5, int64(2))
@@ -134,12 +135,12 @@ func FuzzGeneralizedTopKPrefix(f *testing.F) {
 		}
 		tb := m.Tables()
 		thresh := tb.MissThresholds(k, nil)
-		full := tb.SampleInto(center, make(perm.Perm, 0, n), rand.New(rand.NewSource(seed)))
+		full := m.Sample(rand.New(rand.NewSource(seed)))
 		want := min(k, n)
 		for _, th := range [][]float64{thresh, nil} {
 			rngFull := rand.New(rand.NewSource(seed))
 			rngTopK := rand.New(rand.NewSource(seed))
-			tb.SampleInto(center, make(perm.Perm, 0, n), rngFull)
+			m.Sample(rngFull)
 			got := tb.SampleTopKInto(center, k, th, make(perm.Perm, 0, min(k, n)), rngTopK)
 			if len(got) != want {
 				t.Fatalf("n=%d k=%d θ=%g decay=%g: prefix length %d, want %d", n, k, theta, decay, len(got), want)

@@ -189,26 +189,14 @@ func (t *GeneralizedTables) checkCenter(center perm.Perm) {
 
 // SampleInto draws one permutation by repeated insertion around center
 // through the tables, writing it into out (capacity ≥ n required to
-// avoid reallocation) and returning the sample. It is stream- and
-// bit-identical to GeneralizedModel.Sample (and, on NewTables tables,
-// to Model.Sample) for equal seeds; with precomputed tables and enough
-// capacity a draw performs no allocation. Panics if the center does not
-// match the table size.
+// avoid reallocation) and returning the sample: SampleTopKInto with the
+// whole ranking as its window. It is stream- and bit-identical to
+// GeneralizedModel.Sample (and, on NewTables tables, to Model.Sample)
+// for equal seeds; with precomputed tables and enough capacity a draw
+// performs no allocation. Panics if the center does not match the table
+// size.
 func (t *GeneralizedTables) SampleInto(center perm.Perm, out perm.Perm, rng *rand.Rand) perm.Perm {
-	t.checkCenter(center)
-	n := t.N()
-	if cap(out) < n {
-		out = make(perm.Perm, n)
-	}
-	out = out[:0]
-	for j := 1; j <= n; j++ {
-		v := t.Displacement(j, rng)
-		idx := j - 1 - v // v items already placed end up below the new one
-		out = append(out, 0)
-		copy(out[idx+1:], out[idx:])
-		out[idx] = center[j-1]
-	}
-	return out
+	return t.SampleTopKInto(center, t.N(), nil, out, rng)
 }
 
 // missThreshold is step j's guaranteed-miss threshold at window size
@@ -259,10 +247,12 @@ func (t *GeneralizedTables) MissThresholds(k int, dst []float64) []float64 {
 	return dst
 }
 
-// SampleTopKInto draws one permutation exactly like SampleInto but
-// materializes only the top-k prefix, writing it into out (capacity
-// ≥ min(k, n) required; k is clamped to [0, n]) and returning the
-// delivered prefix.
+// SampleTopKInto draws one permutation by repeated insertion around
+// center, like GeneralizedModel.Sample, but materializes only the top-k
+// prefix, writing it into out (capacity ≥ min(k, n) required; k is
+// clamped to [0, n]) and returning the delivered prefix. It is the one
+// insertion loop over the tables: at k = n the window is the whole
+// ranking, no step is skipped, and the draw is SampleInto's.
 //
 // The work per draw collapses because the repeated insertion process
 // only ever pushes items down: an item inserted at index ≥ k can never
@@ -281,12 +271,12 @@ func (t *GeneralizedTables) MissThresholds(k int, dst []float64) []float64 {
 // thresh is the MissThresholds(k, …) table; nil computes each threshold
 // inline (same draws, slower skip loop) — callers amortizing draws over
 // one request should precompute. The draw consumes the RNG stream
-// exactly like Sample/SampleInto — one displacement draw per insertion
-// step, same order, same arithmetic — so for equal seeds the delivered
-// prefix is bit-identical to the first k entries of the full-path
-// sample, and a sequence of draws from one shared stream stays aligned
-// draw for draw with the full path. Panics if the center does not match
-// the table size.
+// exactly like the table-free Sample — one displacement draw per
+// insertion step, same order, same arithmetic — so for equal seeds the
+// delivered prefix is bit-identical to the first k entries of the
+// full-length sample, and a sequence of draws from one shared stream
+// stays aligned draw for draw with the full path. Panics if the center
+// does not match the table size.
 func (t *GeneralizedTables) SampleTopKInto(center perm.Perm, k int, thresh []float64, out perm.Perm, rng *rand.Rand) perm.Perm {
 	t.checkCenter(center)
 	n := t.N()

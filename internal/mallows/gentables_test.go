@@ -1,6 +1,7 @@
 package mallows
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,35 +55,48 @@ func TestNewGeneralizedTablesValidation(t *testing.T) {
 
 // Table-backed SampleInto must be bit- and stream-identical to the
 // table-free GeneralizedModel.Sample across schedules, sizes, and seeds.
+// The grid ends with the engine's decay schedule θ·0.97^j at θ = 1 over
+// 1,500 steps, whose e^{−θ_j} rounds to 1 from step 1,230 on, so the
+// draw ends in a run of uniform steps.
 func TestGeneralizedSampleIntoBitIdentity(t *testing.T) {
 	gridRng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 2, 3, 7, 25, 64, 200} {
-		for si, thetas := range genThetaSchedules(n, gridRng) {
-			center := perm.Random(n, gridRng)
-			m, err := NewGeneralized(center, thetas)
-			if err != nil {
-				t.Fatalf("n=%d schedule=%d: %v", n, si, err)
+	check := func(schedule string, thetas []float64) {
+		t.Helper()
+		n := len(thetas)
+		center := perm.Random(n, gridRng)
+		m, err := NewGeneralized(center, thetas)
+		if err != nil {
+			t.Fatalf("n=%d schedule %s: %v", n, schedule, err)
+		}
+		tb := m.Tables()
+		for seed := int64(0); seed < 5; seed++ {
+			rngA := rand.New(rand.NewSource(seed))
+			rngB := rand.New(rand.NewSource(seed))
+			want := m.Sample(rngA)
+			got := tb.SampleInto(center, make(perm.Perm, 0, n), rngB)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d schedule %s seed=%d: length %d, want %d", n, schedule, seed, len(got), len(want))
 			}
-			tb := m.Tables()
-			for seed := int64(0); seed < 5; seed++ {
-				rngA := rand.New(rand.NewSource(seed))
-				rngB := rand.New(rand.NewSource(seed))
-				want := m.Sample(rngA)
-				got := tb.SampleInto(center, make(perm.Perm, 0, n), rngB)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d schedule=%d seed=%d: length %d, want %d", n, si, seed, len(got), len(want))
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d schedule %s seed=%d: pos %d = %d, want %d", n, schedule, seed, i, got[i], want[i])
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d schedule=%d seed=%d: pos %d = %d, want %d", n, si, seed, i, got[i], want[i])
-					}
-				}
-				if a, b := rngA.Int63(), rngB.Int63(); a != b {
-					t.Fatalf("n=%d schedule=%d seed=%d: RNG streams diverged (%d vs %d)", n, si, seed, a, b)
-				}
+			}
+			if a, b := rngA.Int63(), rngB.Int63(); a != b {
+				t.Fatalf("n=%d schedule %s seed=%d: RNG streams diverged (%d vs %d)", n, schedule, seed, a, b)
 			}
 		}
 	}
+	for _, n := range []int{0, 1, 2, 3, 7, 25, 64, 200} {
+		for si, thetas := range genThetaSchedules(n, gridRng) {
+			check(fmt.Sprint(si), thetas)
+		}
+	}
+	decay := make([]float64, 1500)
+	for j := range decay {
+		decay[j] = math.Pow(0.97, float64(j))
+	}
+	check("θ·0.97^j", decay)
 }
 
 // The delivered top-k prefix must be bit-identical to the first k
@@ -105,7 +119,7 @@ func TestGeneralizedSampleTopKPrefixBitIdentity(t *testing.T) {
 				}
 				thresh := tb.MissThresholds(k, nil)
 				for seed := int64(0); seed < 5; seed++ {
-					full := tb.SampleInto(center, make(perm.Perm, 0, n), rand.New(rand.NewSource(seed)))
+					full := m.Sample(rand.New(rand.NewSource(seed)))
 					want := k
 					if want > n {
 						want = n
@@ -124,7 +138,7 @@ func TestGeneralizedSampleTopKPrefixBitIdentity(t *testing.T) {
 							}
 						}
 						rngFull := rand.New(rand.NewSource(seed))
-						tb.SampleInto(center, make(perm.Perm, 0, n), rngFull)
+						m.Sample(rngFull)
 						if a, b := rngFull.Int63(), rngTopK.Int63(); a != b {
 							t.Fatalf("n=%d schedule=%d k=%d seed=%d (%s): RNG streams diverged (%d vs %d)",
 								n, si, k, seed, name, a, b)
@@ -154,10 +168,9 @@ func TestGeneralizedSampleTopKSequentialDraws(t *testing.T) {
 	thresh := tb.MissThresholds(k, nil)
 	rngFull := rand.New(rand.NewSource(23))
 	rngTopK := rand.New(rand.NewSource(23))
-	full := make(perm.Perm, 0, n)
 	out := make(perm.Perm, 0, k)
 	for d := 0; d < draws; d++ {
-		full = tb.SampleInto(center, full, rngFull)
+		full := m.Sample(rngFull)
 		out = tb.SampleTopKInto(center, k, thresh, out, rngTopK)
 		for i := range out {
 			if out[i] != full[i] {

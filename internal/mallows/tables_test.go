@@ -9,10 +9,11 @@ import (
 
 // The serving layer's correctness rests on table-backed draws consuming
 // the RNG stream exactly like the table-free samplers: equal seeds must
-// yield identical permutations.
+// yield identical permutations and leave the streams in one position.
+// θ = 1e-20, where e^{−θ} rounds to 1, draws through the uniform branch.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 40, 200} {
-		for _, theta := range []float64{0, 0.05, 0.5, 1, 3} {
+		for _, theta := range []float64{0, 1e-20, 0.05, 0.5, 1, 3} {
 			m, err := New(perm.Random(n, rand.New(rand.NewSource(int64(n)))), theta)
 			if err != nil {
 				t.Fatal(err)
@@ -27,6 +28,9 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 				if !got.Equal(want) {
 					t.Fatalf("n=%d θ=%g rep %d: SampleInto %v, Sample %v", n, theta, rep, got, want)
 				}
+			}
+			if x, y := a.Int63(), b.Int63(); x != y {
+				t.Fatalf("n=%d θ=%g: RNG streams diverged (%d vs %d)", n, theta, x, y)
 			}
 		}
 	}

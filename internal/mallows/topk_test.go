@@ -29,7 +29,7 @@ func TestSampleTopKPrefixBitIdentity(t *testing.T) {
 					continue
 				}
 				for seed := int64(0); seed < 5; seed++ {
-					full := m.SampleInto(tb, make(perm.Perm, 0, n), rand.New(rand.NewSource(seed)))
+					full := m.Sample(rand.New(rand.NewSource(seed)))
 					want := k
 					if want > n {
 						want = n
@@ -65,7 +65,7 @@ func TestSampleTopKStreamIdentity(t *testing.T) {
 				tb := m.Tables()
 				rngFull := rand.New(rand.NewSource(42))
 				rngTopK := rand.New(rand.NewSource(42))
-				m.SampleInto(tb, make(perm.Perm, 0, n), rngFull)
+				m.Sample(rngFull)
 				m.SampleTopKInto(tb, k, make(perm.Perm, 0, n), rngTopK)
 				if a, b := rngFull.Int63(), rngTopK.Int63(); a != b {
 					t.Fatalf("n=%d θ=%g k=%d: stream diverged after one draw (next full %d, next topk %d)", n, theta, k, a, b)
@@ -88,10 +88,9 @@ func TestSampleTopKSequentialDraws(t *testing.T) {
 		tb := m.Tables()
 		rngFull := rand.New(rand.NewSource(7))
 		rngTopK := rand.New(rand.NewSource(7))
-		full := make(perm.Perm, 0, n)
 		topk := make(perm.Perm, 0, k)
 		for d := 0; d < draws; d++ {
-			full = m.SampleInto(tb, full, rngFull)
+			full := m.Sample(rngFull)
 			topk = m.SampleTopKInto(tb, k, topk, rngTopK)
 			for i := range topk {
 				if topk[i] != full[i] {

@@ -105,8 +105,3 @@ func NDCG(p perm.Perm, s Scores, k int) (float64, error) {
 	}
 	return dcg / idcg, nil
 }
-
-// NDCGFull is NDCG over the entire ranking.
-func NDCGFull(p perm.Perm, s Scores) (float64, error) {
-	return NDCG(p, s, len(p))
-}

@@ -324,8 +324,9 @@ type WebhookMetrics struct {
 // mechanism that drew them ("mallows", "gmallows", "plackett-luce");
 // the axes sum to DrawsTruncated and the map is omitted while no
 // truncated draw has happened. PoolGets/PoolMisses count checkouts of
-// pooled draw state (a draw worker per draw loop, a float vector per
-// request that needs one) and the subset that had to allocate.
+// the engine's pooled draw state, shared by requests of every pool size
+// and θ (a draw worker per draw loop, a float vector per request that
+// needs one), and the subset that had to allocate; both are exact.
 type EngineMetrics struct {
 	RankersCached         int              `json:"rankers_cached"`
 	Requests              int64            `json:"requests"`

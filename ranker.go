@@ -18,8 +18,9 @@ import (
 //     e^{−θ} and q^j evaluations behind every displacement draw;
 //   - the DCG discount table behind the NDCG selection criterion, and
 //     the per-request IDCG, computed once instead of once per sample;
-//   - permutation scratch buffers, pooled per candidate-pool size so the
-//     best-of-m sampling loop allocates nothing on the steady state;
+//   - permutation scratch buffers, pooled across requests of every pool
+//     size so the best-of-m sampling loop allocates nothing on the
+//     steady state;
 //   - RNGs, pooled and re-seeded per request instead of re-allocated.
 //
 // A Ranker is safe for concurrent use by multiple goroutines; the caches
@@ -30,17 +31,17 @@ type Ranker struct {
 	// construction, so requests that keep the configured algorithm
 	// never touch the global registry (its lock included).
 	entry algorithmEntry
-	// eng holds the amortized draw state: the per-(n, θ) tables and
-	// scratch pools, the DCG discounts and the pooled RNGs.
+	// eng holds the amortized draw state: the per-(n, θ) tables and DCG
+	// discounts, the scratch pools and the pooled RNGs.
 	eng core.Engine
 
 	// Lightweight per-call counters behind Stats: serving layers read
 	// them for observability without a second pass over the work done.
-	statRequests       atomic.Int64
-	statDraws          atomic.Int64
-	statDrawsFull      atomic.Int64
-	statDrawsTruncated atomic.Int64
-	// truncDraws splits statDrawsTruncated by noise axis: one counter
+	// A draw adds to exactly one of statDrawsFull and truncDraws, and
+	// Stats derives the totals from them, so no snapshot can tear.
+	statRequests  atomic.Int64
+	statDrawsFull atomic.Int64
+	// truncDraws counts truncated draws per noise axis: one counter
 	// per noise axis, created in NewRanker. The map never changes
 	// after that, so it is read without a lock.
 	truncDraws map[Noise]*atomic.Int64
@@ -73,14 +74,12 @@ type RankerStats struct {
 	// entry, once per axis).
 	TableHits   int64
 	TableMisses int64
-	// PoolGets and PoolMisses count checkouts of the per-(n, θ) pools —
-	// one draw worker (permutation buffers and sampler scratch) per draw
-	// loop, one float vector per request whose noise axis needs one —
-	// and how many of those had to allocate. Like every
-	// counter here they never decrease: an evicted size-state's counts
-	// move into the Ranker's own. They are exact except for checkouts a
-	// request makes from a size-state evicted while the request was
-	// drawing from it; those go uncounted.
+	// PoolGets and PoolMisses count checkouts of the engine's pools,
+	// shared by requests of every (n, θ) — one draw worker (permutation
+	// buffers and sampler scratch) per draw loop, one float vector per
+	// request whose noise axis needs one — and how many of those had to
+	// allocate, counting a pooled worker or vector too small for the
+	// request's n as a miss. Every checkout is counted.
 	PoolGets   int64
 	PoolMisses int64
 }
@@ -90,14 +89,12 @@ type RankerStats struct {
 func (r *Ranker) Stats() RankerStats {
 	es := r.eng.Stats()
 	s := RankerStats{
-		Requests:       r.statRequests.Load(),
-		Draws:          r.statDraws.Load(),
-		DrawsFull:      r.statDrawsFull.Load(),
-		DrawsTruncated: r.statDrawsTruncated.Load(),
-		TableHits:      es.TableHits,
-		TableMisses:    es.TableMisses,
-		PoolGets:       es.PoolGets,
-		PoolMisses:     es.PoolMisses,
+		Requests:    r.statRequests.Load(),
+		DrawsFull:   r.statDrawsFull.Load(),
+		TableHits:   es.TableHits,
+		TableMisses: es.TableMisses,
+		PoolGets:    es.PoolGets,
+		PoolMisses:  es.PoolMisses,
 	}
 	for noise, c := range r.truncDraws {
 		if v := c.Load(); v != 0 {
@@ -105,8 +102,10 @@ func (r *Ranker) Stats() RankerStats {
 				s.DrawsTruncatedByNoise = make(map[string]int64)
 			}
 			s.DrawsTruncatedByNoise[string(noise)] = v
+			s.DrawsTruncated += v
 		}
 	}
+	s.Draws = s.DrawsFull + s.DrawsTruncated
 	return s
 }
 

@@ -286,6 +286,59 @@ func TestRankerStats(t *testing.T) {
 	}
 }
 
+// Stats derives Draws and DrawsTruncated from the per-path counters, so
+// no snapshot can tear: polled while full and top_k DoParallel requests
+// on every noise axis run concurrently, every snapshot's DrawsFull +
+// DrawsTruncated is Draws and its per-noise counts sum to
+// DrawsTruncated.
+func TestRankerStatsSumsNeverTear(t *testing.T) {
+	const clients, requests, samples = 4, 60, 4
+	r, err := NewRanker(Config{Algorithm: AlgorithmMallowsBest, Samples: samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := germanPool(t, 30)
+	noises := Noises()
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				req := Request{Candidates: pool, Noise: Noise(noises[i%len(noises)].Name), Seed: sptr(int64(i))}
+				if (g+i)%2 == 1 {
+					req.TopK = iptr(5)
+				}
+				if _, err := r.DoParallel(context.Background(), req, 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var st RankerStats
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		st = r.Stats()
+		var byNoise int64
+		for _, v := range st.DrawsTruncatedByNoise {
+			byNoise += v
+		}
+		if st.DrawsFull+st.DrawsTruncated != st.Draws || byNoise != st.DrawsTruncated {
+			t.Fatalf("torn snapshot: full %d + truncated %d vs draws %d, per-noise sum %d", st.DrawsFull, st.DrawsTruncated, st.Draws, byNoise)
+		}
+	}
+	if want := int64(clients * requests * samples); st.Draws != want || st.DrawsTruncated != want/2 {
+		t.Errorf("draws = %d (%d truncated), want %d (%d truncated)", st.Draws, st.DrawsTruncated, want, want/2)
+	}
+}
+
 func sameRanking(a, b []Candidate) bool {
 	if len(a) != len(b) {
 		return false

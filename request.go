@@ -9,7 +9,6 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/perm"
 	"repro/internal/quality"
-	"repro/internal/rankdist"
 	"repro/internal/rankers"
 )
 
@@ -292,9 +291,7 @@ func (r *Ranker) rankInstance(ctx context.Context, p prepared, workers int) (per
 			return nil, 0, false, 0, "", err
 		}
 		draws = samples
-		r.statDraws.Add(int64(draws))
 		if plan.Truncated() {
-			r.statDrawsTruncated.Add(int64(draws))
 			r.truncDraws[noise].Add(int64(draws))
 		} else {
 			r.statDrawsFull.Add(int64(draws))
@@ -423,8 +420,8 @@ func (r *Ranker) resolve(req Request) (Config, algorithmEntry, int, error) {
 // Every measurement is scoped to the delivered prefix out[:topK] — out
 // itself may be full-length or already just the prefix, depending on
 // which draw path served the request, and the diagnostics must not
-// depend on which it was. Untruncated requests (topK = pool size) keep
-// the exact full-ranking arithmetic of the pre-truncation engine.
+// depend on which it was. At topK = pool size the prefix formulas are
+// the full-ranking NDCG and Kendall tau distance, bit for bit.
 func diagnose(in rankers.Instance, cfg Config, out perm.Perm, topK int, score float64, scored bool, draws int, noise Noise) (Diagnostics, error) {
 	d := Diagnostics{
 		Algorithm:      cfg.Algorithm,
@@ -439,17 +436,9 @@ func diagnose(in rankers.Instance, cfg Config, out perm.Perm, topK int, score fl
 		DrawsEvaluated: draws,
 	}
 	pfx := out[:topK]
-	full := topK == len(in.Initial)
-	switch {
-	case scored && cfg.Criterion == CriterionNDCG:
+	if scored && cfg.Criterion == CriterionNDCG {
 		d.NDCG = score
-	case full:
-		v, err := quality.NDCGFull(pfx, in.Scores)
-		if err != nil {
-			return Diagnostics{}, err
-		}
-		d.NDCG = v
-	default:
+	} else {
 		// NDCG@topK with the pool-wide ideal as normalizer — the same
 		// quantity the prefix-scoped selection criterion optimizes.
 		dcg, err := quality.DCG(pfx, in.Scores, topK)
@@ -466,16 +455,9 @@ func diagnose(in rankers.Instance, cfg Config, out perm.Perm, topK int, score fl
 			d.NDCG = dcg / idcg
 		}
 	}
-	switch {
-	case scored && cfg.Criterion == CriterionKT:
+	if scored && cfg.Criterion == CriterionKT {
 		d.CentralKendallTau = int64(-score)
-	case full:
-		kt, err := rankdist.KendallTau(pfx, in.Initial)
-		if err != nil {
-			return Diagnostics{}, err
-		}
-		d.CentralKendallTau = kt
-	default:
+	} else {
 		// Kendall tau pairs within the prefix against the center: the
 		// inversions of the prefix's center-position sequence.
 		pos := in.Initial.Positions()
