@@ -16,8 +16,8 @@ import (
 // Samples = 1+extraDraws, so every per-request constant (instance
 // build, result assembly, diagnostics) cancels and only the per-draw
 // marginal remains. DoParallel runs each case too, from Samples = 2
-// (Samples = 1 falls back to the sequential loop) to 2+extraDraws over
-// two workers, pinning the fan-out loop's per-draw cost. If pooling
+// (at Samples = 1 the one draw runs inline, as Do's do) to 2+extraDraws
+// over two workers, pinning the fan-out loop's per-draw cost. If pooling
 // breaks, this fails loudly with the per-draw allocation count so the
 // offending path is obvious.
 func TestDoSteadyStateZeroAllocPerDraw(t *testing.T) {

@@ -178,10 +178,9 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 	in := germanInstance(b)
 	for _, m := range []int{1, 5, 15, 50} {
 		b.Run(benchName("m", m), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(2))
 			var total float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: 1, Samples: m, Criterion: core.SelectNDCG}, rng)
+				out, err := core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: 1, Samples: m, Criterion: core.SelectNDCG}, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -209,9 +208,8 @@ func BenchmarkAblationCriterion(b *testing.B) {
 	}
 	for _, c := range criteria {
 		b.Run(c.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < b.N; i++ {
-				_, err := core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: 1, Samples: 15, Criterion: c.crit}, rng)
+				_, err := core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: 1, Samples: 15, Criterion: c.crit}, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,10 +286,9 @@ func BenchmarkAblationNoiseSources(b *testing.B) {
 	}
 	for _, src := range sources {
 		b.Run(string(src.Noise), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(11))
 			var totalKT float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.PostProcess(in.Initial, in.Scores, src, rng)
+				p, err := core.PostProcess(in.Initial, in.Scores, src, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}

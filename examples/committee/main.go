@@ -95,7 +95,7 @@ func main() {
 		Theta:     theta,
 		Samples:   15,
 		Criterion: core.SelectKT,
-	}, rng)
+	}, rng.Int63())
 	if err != nil {
 		log.Fatal(err)
 	}

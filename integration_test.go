@@ -152,7 +152,7 @@ func TestAggregateThenPostProcessPipeline(t *testing.T) {
 		Theta:     theta,
 		Samples:   10,
 		Criterion: core.SelectKT,
-	}, rng)
+	}, rng.Int63())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPostProcessMatchesDo(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := core.PostProcess(in.Initial, in.Scores, cc, rand.New(rand.NewSource(seed)))
+					got, err := core.PostProcess(in.Initial, in.Scores, cc, seed)
 					if err != nil {
 						t.Fatal(err)
 					}

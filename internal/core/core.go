@@ -14,7 +14,8 @@
 // and Plackett–Luce mechanisms of its §VI direction), each axis with a
 // description, a reference sampler and an amortized kernel; the Engine
 // state the kernels draw from; the prefix-scoped selection criteria;
-// and the best-of loop, run on one stream or fanned out over workers. The serving
+// and the one best-of loop, whose draw i comes from a stream seeded with
+// MixSeed(seed, i), run inline or fanned out over workers. The serving
 // engine (package fairrank) draws through an Engine per Ranker, and the
 // paper experiments (internal/rankers) through PostProcess.
 package core
@@ -23,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/perm"
 	"repro/internal/quality"
@@ -63,13 +63,13 @@ type Config struct {
 // PostProcess runs Algorithm 1 around the given central ranking: draw
 // cfg.Samples rankings from cfg.Noise and return the one maximizing
 // cfg.Criterion, whose NDCG is computed against scores (which the other
-// criteria ignore). It runs the engine's sequential loop on fresh
+// criteria ignore). It runs the engine's best-of loop inline on fresh
 // Engine state, so for equal seeds it returns exactly what the serving
 // engine returns for the same central ranking, θ, samples and
 // criterion. It rejects a NaN, negative or infinite θ, samples < 1, an
 // invalid central ranking, and a noise axis or criterion it does not
 // know.
-func PostProcess(central perm.Perm, scores quality.Scores, cfg Config, rng *rand.Rand) (perm.Perm, error) {
+func PostProcess(central perm.Perm, scores quality.Scores, cfg Config, seed int64) (perm.Perm, error) {
 	if math.IsNaN(cfg.Theta) || cfg.Theta < 0 || math.IsInf(cfg.Theta, 1) {
 		return nil, fmt.Errorf("core: dispersion θ = %v, want finite and ≥ 0", cfg.Theta)
 	}
@@ -85,6 +85,6 @@ func PostProcess(central perm.Perm, scores quality.Scores, cfg Config, rng *rand
 		return nil, err
 	}
 	defer p.Release()
-	out, _, err := e.Sequential(context.Background(), p, scores, cfg.Criterion, cfg.Samples, rng)
+	out, _, err := e.Best(context.Background(), p, scores, cfg.Criterion, cfg.Samples, 1, seed)
 	return out, err
 }

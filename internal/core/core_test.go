@@ -13,7 +13,6 @@ import (
 )
 
 func TestPostProcessValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
 		name    string
 		central perm.Perm
@@ -28,7 +27,7 @@ func TestPostProcessValidation(t *testing.T) {
 		{"unknown criterion", perm.Identity(5), Config{Noise: NoiseMallows, Theta: 1, Samples: 2, Criterion: 99}},
 	}
 	for _, c := range cases {
-		if _, err := PostProcess(c.central, nil, c.cfg, rng); err == nil {
+		if _, err := PostProcess(c.central, nil, c.cfg, 1); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -43,7 +42,7 @@ func TestPostProcessReturnsValidPerm(t *testing.T) {
 	for _, noise := range allAxes {
 		for _, theta := range []float64{0, 0.5, 3} {
 			for _, crit := range []Criterion{SelectFirst, SelectNDCG, SelectKT} {
-				p, err := PostProcess(perm.Random(20, rng), scores, Config{Noise: noise, Theta: theta, Samples: 3, Criterion: crit}, rng)
+				p, err := PostProcess(perm.Random(20, rng), scores, Config{Noise: noise, Theta: theta, Samples: 3, Criterion: crit}, rng.Int63())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +57,7 @@ func TestPostProcessReturnsValidPerm(t *testing.T) {
 func TestPostProcessHighThetaStaysClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	central := perm.Random(15, rng)
-	p, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 20, Samples: 1}, rng)
+	p, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 20, Samples: 1}, rng.Int63())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +73,17 @@ func TestPostProcessHighThetaStaysClose(t *testing.T) {
 func TestPostProcessBestOfImprovesCriterion(t *testing.T) {
 	// With the KT criterion, best-of-m is stochastically closer to the
 	// central ranking than a single draw. Compare means over trials.
-	rngA := rand.New(rand.NewSource(4))
-	rngB := rand.New(rand.NewSource(4))
 	central := perm.Identity(12)
 	var one, best float64
 	const trials = 300
 	for i := 0; i < trials; i++ {
-		p1, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0.3, Samples: 1, Criterion: SelectKT}, rngA)
+		p1, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0.3, Samples: 1, Criterion: SelectKT}, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		d1, _ := rankdist.KendallTau(p1, central)
 		one += float64(d1)
-		p15, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0.3, Samples: 15, Criterion: SelectKT}, rngB)
+		p15, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0.3, Samples: 15, Criterion: SelectKT}, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +98,11 @@ func TestPostProcessBestOfImprovesCriterion(t *testing.T) {
 func TestPostProcessZeroThetaIsUniform(t *testing.T) {
 	// θ=0 must not privilege the central ranking: over many draws the
 	// mean distance should match the uniform expectation n(n−1)/4.
-	rng := rand.New(rand.NewSource(9))
 	central := perm.Identity(8)
 	var total float64
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		p, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0, Samples: 1}, rng)
+		p, err := PostProcess(central, nil, Config{Noise: NoiseMallows, Theta: 0, Samples: 1}, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +153,13 @@ func TestEngineStatsMonotonicUnderEviction(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, _, err := e.Sequential(context.Background(), p, nil, SelectKT, cfg.Samples, rand.New(rand.NewSource(int64(i))))
+				got, _, err := e.Best(context.Background(), p, nil, SelectKT, cfg.Samples, 1, int64(i))
 				p.Release()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				want, err := PostProcess(center, nil, cfg, rand.New(rand.NewSource(int64(i))))
+				want, err := PostProcess(center, nil, cfg, int64(i))
 				if err != nil {
 					t.Error(err)
 					return
@@ -212,12 +208,7 @@ func TestEnginePoolCountsEveryCheckout(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Release()
-		if workers > 1 {
-			_, _, err = e.Parallel(context.Background(), p, nil, SelectKT, samples, workers, 1)
-		} else {
-			_, _, err = e.Sequential(context.Background(), p, nil, SelectKT, samples, rand.New(rand.NewSource(1)))
-		}
-		if err != nil {
+		if _, _, err = e.Best(context.Background(), p, nil, SelectKT, samples, workers, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //     each request's float vector, pooled once for the whole Engine so
 //     the best-of-m loop allocates nothing on the steady state whatever
 //     the request's n and θ;
-//   - RNGs, pooled and re-seeded per request instead of re-allocated.
+//   - RNGs, pooled and re-seeded per draw instead of re-allocated.
 //
 // The zero Engine is ready to use and safe for concurrent use by
 // multiple goroutines; the caches are shared and lock-free on the hot
@@ -191,11 +191,13 @@ func (e *Engine) state(n int, theta float64) *sizeState {
 	return st
 }
 
-// RNG hands out a pooled RNG seeded with seed; equal seeds yield the
-// exact stream of rand.New(rand.NewSource(seed)). Return it with PutRNG.
+// RNG hands out a pooled RNG on the stream of draw 0 of request seed
+// seed, seeded with MixSeed(seed, 0) as Best seeds it, for callers that
+// take all of a request's randomness from one stream. Return it with
+// PutRNG.
 func (e *Engine) RNG(seed int64) *rand.Rand {
 	rng := e.rng()
-	rng.Seed(seed)
+	rng.Seed(MixSeed(seed, 0))
 	return rng
 }
 
@@ -292,20 +294,17 @@ func (p *Plan) criterion(crit Criterion, scores quality.Scores) (func() func(per
 
 // bestOf is Algorithm 1's draw–score–keep loop over draws [lo, hi) of
 // plan p, on worker w's buffers and sampler scratch, checking ctx before
-// every draw. It keeps the draw that score rates highest in w.best, the
-// earlier one on ties, and returns its score; a nil score keeps the
-// first draw with score 0. Draws come from rng's stream as it
-// stands, or, when reseed is set, draw i from rng reseeded with
-// MixSeed(seed, i).
-func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) float64, rng *rand.Rand, reseed bool, seed int64, lo, hi int) (float64, error) {
+// every draw. Draw i comes from rng reseeded with MixSeed(seed, i). It
+// keeps the draw that score rates highest in w.best, the earlier one on
+// ties, and returns its score; a nil score keeps the first draw with
+// score 0.
+func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) float64, rng *rand.Rand, seed int64, lo, hi int) (float64, error) {
 	var bestScore float64
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if reseed {
-			rng.Seed(MixSeed(seed, i))
-		}
+		rng.Seed(MixSeed(seed, i))
 		w.cur = p.draw(p, w.plScratch, w.cur, rng)
 		var v float64
 		if score != nil {
@@ -321,50 +320,36 @@ func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) fl
 	return bestScore, nil
 }
 
-// Sequential runs the best-of-m loop of Algorithm 1 for plan p on one
-// RNG stream: it draws samples rankings and keeps the one crit scores
-// highest (ties keep the earlier), scoring NDCG against scores.
-// SelectFirst draws once. It returns the kept ranking — the top-k
-// prefix on a truncated plan — and its score (0 under SelectFirst).
-func (e *Engine) Sequential(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples int, rng *rand.Rand) (perm.Perm, float64, error) {
-	var score func(perm.Perm) float64
+// Best runs the best-of-m loop of Algorithm 1 for plan p: it draws
+// samples rankings and keeps the one crit scores highest (ties keep the
+// earlier), scoring NDCG against scores. SelectFirst draws once. Draw i
+// comes from its own RNG stream seeded with MixSeed(seed, i), so the
+// result depends only on seed, never on workers: up to workers
+// goroutines each run the loop over a contiguous chunk of draws on
+// their own buffers and sampler scratch, and at one worker the single
+// chunk runs on the caller's goroutine. It returns the kept ranking —
+// the top-k prefix on a truncated plan — and its score (0 under
+// SelectFirst).
+func (e *Engine) Best(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples, workers int, seed int64) (perm.Perm, float64, error) {
+	maker := func() func(perm.Perm) float64 { return nil }
 	if crit == SelectFirst {
 		// Algorithm 1 with m = 1: keep the first (only) draw.
 		samples = 1
 	} else {
-		maker, err := p.criterion(crit, scores)
-		if err != nil {
+		var err error
+		if maker, err = p.criterion(crit, scores); err != nil {
 			return nil, 0, err
 		}
-		score = maker()
 	}
-	w := p.checkout()
-	defer p.checkin(w)
-	v, err := bestOf(ctx, p, w, score, rng, false, 0, 0, samples)
-	if err != nil {
-		return nil, 0, err
+	if workers = min(workers, samples); workers <= 1 {
+		return e.chunk(ctx, p, maker(), seed, 0, samples)
 	}
-	return w.best.Clone(), v, nil
-}
-
-// Parallel is Sequential with the draws fanned out over up to workers
-// goroutines, for crit SelectNDCG or SelectKT. Each worker runs the
-// loop over its own contiguous chunk of draws on its own buffers and
-// sampler scratch; draw i uses its own RNG stream seeded by
-// MixSeed(seed, i) and score ties break toward the lowest i, so the
-// result depends only on seed, never on the worker count.
-func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, crit Criterion, samples, workers int, seed int64) (perm.Perm, float64, error) {
-	maker, err := p.criterion(crit, scores)
-	if err != nil {
-		return nil, 0, err
-	}
-	workers = min(workers, samples)
-	type chunk struct {
+	type result struct {
 		score float64
 		p     perm.Perm
 		err   error
 	}
-	results := make([]chunk, workers)
+	results := make([]result, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		// Worker w owns draws [lo, hi).
@@ -373,16 +358,8 @@ func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, cr
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			rng := e.rng()
-			defer e.PutRNG(rng)
-			dw := p.checkout()
-			defer p.checkin(dw)
-			v, err := bestOf(ctx, p, dw, maker(), rng, true, seed, lo, hi)
-			if err != nil {
-				results[w] = chunk{err: err}
-				return
-			}
-			results[w] = chunk{score: v, p: dw.best.Clone()}
+			c := &results[w]
+			c.p, c.score, c.err = e.chunk(ctx, p, maker(), seed, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -400,8 +377,24 @@ func (e *Engine) Parallel(ctx context.Context, p Plan, scores quality.Scores, cr
 	return results[winner].p, results[winner].score, nil
 }
 
-// MixSeed derives the RNG seed of parallel draw i from the request seed
-// (a splitmix64 step), decorrelating the per-draw streams.
+// chunk runs bestOf over draws [lo, hi) on a pooled RNG and a checked-out
+// worker, returning a copy of the kept draw and its score.
+func (e *Engine) chunk(ctx context.Context, p Plan, score func(perm.Perm) float64, seed int64, lo, hi int) (perm.Perm, float64, error) {
+	rng := e.rng()
+	defer e.PutRNG(rng)
+	w := p.checkout()
+	defer p.checkin(w)
+	v, err := bestOf(ctx, p, w, score, rng, seed, lo, hi)
+	if err != nil {
+		return nil, 0, err
+	}
+	return w.best.Clone(), v, nil
+}
+
+// MixSeed derives the RNG seed of draw i from the request seed (a
+// splitmix64 step), decorrelating the per-draw streams: math/rand seeds
+// its state from an LCG of the seed, so one stream position read across
+// consecutive raw seeds is a lattice, not independent draws.
 func MixSeed(seed int64, i int) int64 {
 	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

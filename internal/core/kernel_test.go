@@ -88,7 +88,7 @@ func TestUnderflowingThetaIsUniformLimit(t *testing.T) {
 			t.Fatalf("%s: %v", axis, err)
 		}
 		defer p.Release()
-		got, _, err := e.Sequential(context.Background(), p, nil, SelectFirst, 1, rand.New(rand.NewSource(seed)))
+		got, _, err := e.Best(context.Background(), p, nil, SelectFirst, 1, 1, seed)
 		if err != nil {
 			t.Fatalf("%s: %v", axis, err)
 		}

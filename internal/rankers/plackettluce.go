@@ -29,5 +29,5 @@ func (p PlackettLuce) Rank(in Instance, rng *rand.Rand) (perm.Perm, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoisePlackettLuce, Theta: p.Strength, Samples: p.Samples, Criterion: p.Criterion}, rng)
+	return core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoisePlackettLuce, Theta: p.Strength, Samples: p.Samples, Criterion: p.Criterion}, rng.Int63())
 }

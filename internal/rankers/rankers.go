@@ -116,5 +116,5 @@ func (m Mallows) Rank(in Instance, rng *rand.Rand) (perm.Perm, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: m.Theta, Samples: m.Samples, Criterion: m.Criterion}, rng)
+	return core.PostProcess(in.Initial, in.Scores, core.Config{Noise: core.NoiseMallows, Theta: m.Theta, Samples: m.Samples, Criterion: m.Criterion}, rng.Int63())
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -101,21 +102,23 @@ func TestRankerConcurrentUse(t *testing.T) {
 	}
 }
 
-// DoParallel must be deterministic in the seed and invariant in the
-// worker count — only the seed may change the result.
+// One seed gives one ranking: DoParallel must be deterministic in the
+// seed and invariant in the worker count, and Do must equal it — the
+// whole Result, diagnostics included — for every registered algorithm
+// and noise axis, full and top-k. Only the seed may change the result.
 func TestRankParallelDeterministic(t *testing.T) {
 	r, err := NewRanker(Config{Algorithm: AlgorithmMallowsBest, Theta: 1, Samples: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := germanPool(t, 50)
+	pool50 := germanPool(t, 50)
 	ctx := context.Background()
-	base, err := r.DoParallel(ctx, Request{Candidates: pool, Seed: sptr(3)}, 1)
+	base, err := r.DoParallel(ctx, Request{Candidates: pool50, Seed: sptr(3)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 7, 16, 64} {
-		got, err := r.DoParallel(ctx, Request{Candidates: pool, Seed: sptr(3)}, workers)
+		got, err := r.DoParallel(ctx, Request{Candidates: pool50, Seed: sptr(3)}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,38 +126,42 @@ func TestRankParallelDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d changed the result: %v vs %v", workers, ids(got.Ranking), ids(base.Ranking))
 		}
 	}
-	other, err := r.DoParallel(ctx, Request{Candidates: pool, Seed: sptr(4)}, 4)
+	other, err := r.DoParallel(ctx, Request{Candidates: pool50, Seed: sptr(4)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sameRanking(other.Ranking, base.Ranking) {
 		t.Fatal("different seeds produced identical rankings (suspicious for m=16, n=50)")
 	}
-}
-
-// Non-sampling algorithms fall back to the sequential path, so
-// DoParallel and Do agree exactly there.
-func TestRankParallelFallback(t *testing.T) {
-	for _, cfg := range []Config{
-		{Algorithm: AlgorithmScoreSorted},
-		{Algorithm: AlgorithmILP},
-		{Algorithm: AlgorithmMallows, Theta: 1},
-	} {
-		r, err := NewRanker(cfg)
+	for _, info := range Algorithms() {
+		if strings.HasPrefix(info.Name, "test:") {
+			continue
+		}
+		noises := []Noise{""}
+		if info.Sampling && info.Noise == "" {
+			noises = []Noise{NoiseMallows, NoiseGMallows, NoisePlackettLuce}
+		}
+		r, err := NewRanker(Config{Algorithm: Algorithm(info.Name), Theta: 0.8, Samples: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := Request{Candidates: germanPool(t, 20), Seed: sptr(9)}
-		want, err := r.Do(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.DoParallel(context.Background(), req, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRanking(got.Ranking, want.Ranking) {
-			t.Fatalf("%s: fallback diverged from Do", cfg.Algorithm)
+		for _, noise := range noises {
+			for _, topK := range []*int{nil, iptr(5)} {
+				req := Request{Candidates: pool(20), Noise: noise, TopK: topK, Seed: sptr(9)}
+				want, err := r.Do(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 2, 3, 4, 8} {
+					got, err := r.DoParallel(ctx, req, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s×%s top-k %v, %d workers: DoParallel %+v, Do %+v", info.Name, noise, topK != nil, workers, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -156,34 +156,23 @@ type ProbDiagnostics struct {
 
 // Do serves one request: it resolves the request's overrides against the
 // Ranker's Config, ranks the candidates, and returns the ranking with
-// its diagnostics. Sampling is sequential from a single RNG stream, so
-// for equal resolved parameters and seeds Do returns exactly what the
-// package-level Rank returns.
+// its diagnostics. It is DoParallel on one worker, so for one seed Do,
+// DoParallel at any worker count and the package-level Rank return the
+// same ranking.
 //
 // ctx cancellation and deadlines are honored between Mallows draws; a
 // cancelled context aborts the best-of-m loop promptly with ctx.Err().
 // The deterministic algorithms check ctx only before dispatch.
 func (r *Ranker) Do(ctx context.Context, req Request) (*Result, error) {
-	return r.do(ctx, req, 0)
+	return r.DoParallel(ctx, req, 1)
 }
 
-// DoParallel is Do with the best-of-m Mallows draws fanned out over up
-// to workers goroutines. The result is deterministic for equal seeds and
-// independent of workers — draw i uses its own RNG seeded by a mix of
-// (seed, i) — but the draws consume different random streams than Do's
-// single sequential stream, so for one seed Do and DoParallel return
-// different (identically distributed) rankings. Requests without a
-// sampling loop fall back to the sequential path.
+// DoParallel is Do with the best-of-m draws fanned out over up to
+// workers goroutines; at one worker (or fewer) the draws run on the
+// caller's goroutine. Draw i of a request comes from an RNG stream
+// seeded with a mix of (seed, i), and a Strategy draws from the stream
+// of draw 0, so the result depends only on the seed, never on workers.
 func (r *Ranker) DoParallel(ctx context.Context, req Request, workers int) (*Result, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return r.do(ctx, req, workers)
-}
-
-// do is the single serving path behind Do (workers = 0, sequential
-// stream) and DoParallel (workers ≥ 1, per-draw derived streams).
-func (r *Ranker) do(ctx context.Context, req Request, workers int) (*Result, error) {
 	r.statRequests.Add(1)
 	p, err := r.prepare(ctx, req)
 	if err != nil {
@@ -203,9 +192,9 @@ type prepared struct {
 	topK       int
 }
 
-// prepare is the first half of every serving path (do and Sample): it
-// resolves req against the Ranker's Config, assembles the instance and
-// enforces the algorithm's group bounds.
+// prepare is the first half of every serving path (DoParallel and
+// Sample): it resolves req against the Ranker's Config, assembles the
+// instance and enforces the algorithm's group bounds.
 func (r *Ranker) prepare(ctx context.Context, req Request) (prepared, error) {
 	cfg, entry, topK, err := r.resolve(req)
 	if err != nil {
@@ -260,7 +249,7 @@ func (r *Ranker) rankInstance(ctx context.Context, p prepared, workers int) (per
 	if entry.info.Sampling {
 		// The engine-managed Algorithm-1 family: best-of-m draws from
 		// the resolved noise mechanism around the central ranking, with
-		// cancellation between draws and optional parallel fan-out.
+		// cancellation between draws and fan-out over workers.
 		samples, crit := 1, core.SelectFirst
 		if entry.info.BestOf {
 			samples, scored, crit = cfg.Samples, true, core.SelectNDCG
@@ -279,13 +268,7 @@ func (r *Ranker) rankInstance(ctx context.Context, p prepared, workers int) (per
 		if err != nil {
 			return nil, 0, false, 0, "", err
 		}
-		if workers > 0 && samples > 1 {
-			out, score, err = r.eng.Parallel(ctx, plan, in.Scores, crit, samples, workers, cfg.Seed)
-		} else {
-			rng := r.eng.RNG(cfg.Seed)
-			out, score, err = r.eng.Sequential(ctx, plan, in.Scores, crit, samples, rng)
-			r.eng.PutRNG(rng)
-		}
+		out, score, err = r.eng.Best(ctx, plan, in.Scores, crit, samples, workers, cfg.Seed)
 		plan.Release()
 		if err != nil {
 			return nil, 0, false, 0, "", err

@@ -180,7 +180,7 @@ func TestDoTopK(t *testing.T) {
 	// requests is prefix-scoped and served by the truncated draw path.
 	// The best-of loop over full-length reference draws must produce the
 	// identical result — ranking and diagnostics — for the same request.
-	want, err := referenceDo(r, Request{Candidates: cands, TopK: iptr(5), Seed: sptr(4)}, false)
+	want, err := referenceDo(r, Request{Candidates: cands, TopK: iptr(5), Seed: sptr(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (r *Ranker) Sample(ctx context.Context, req Request, draws int, observe fun
 			return err
 		}
 		p.cfg.Seed = SampleSeed(base, i)
-		res, err := r.rank(ctx, p, 0)
+		res, err := r.rank(ctx, p, 1)
 		if err != nil {
 			return fmt.Errorf("fairrank: sample draw %d (seed %d): %w", i, p.cfg.Seed, err)
 		}

@@ -20,10 +20,10 @@ import (
 // request served normally (the truncated kernel wherever k < n) must
 // return exactly — ranking and diagnostics — what referenceDo, an
 // independent best-of loop over full-length reference draws, returns
-// for the same seed: sequentially, under DoParallel's per-draw derived
-// streams, and across a Sample sweep. Run it under -race to also
-// exercise the pooled buffers and shared criterion state across the
-// parallel fan-out.
+// for the same seed: through Do, through DoParallel over three workers,
+// and across a Sample sweep. Run it under -race to also exercise the
+// pooled buffers and shared criterion state across the parallel
+// fan-out.
 func TestTopKMatchesFullPath(t *testing.T) {
 	type dims struct{ n, k int }
 	grid := []dims{{6, 1}, {12, 5}, {12, 12}, {12, 40}, {18, 7}}
@@ -64,27 +64,27 @@ func TestTopKMatchesFullPath(t *testing.T) {
 								TopK:       iptr(d.k),
 								Seed:       sptr(int64(d.n*100 + d.k)),
 							}
-							for _, parallel := range []bool{false, true} {
+							want, err := referenceDo(r, req)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, workers := range []int{0, 3} {
 								var got *Result
-								if parallel {
-									got, err = r.DoParallel(context.Background(), req, 3)
-								} else {
+								if workers == 0 {
 									got, err = r.Do(context.Background(), req)
+								} else {
+									got, err = r.DoParallel(context.Background(), req, workers)
 								}
-								if err != nil {
-									t.Fatal(err)
-								}
-								want, err := referenceDo(r, req, parallel)
 								if err != nil {
 									t.Fatal(err)
 								}
 								if !reflect.DeepEqual(got, want) {
-									t.Errorf("n=%d k=%d θ=%g %s parallel=%v: engine diverged from the reference\nengine %+v\nref    %+v", d.n, d.k, theta, crit, parallel, got, want)
+									t.Errorf("n=%d k=%d θ=%g %s workers=%d: engine diverged from the reference\nengine %+v\nref    %+v", d.n, d.k, theta, crit, workers, got, want)
 								}
 							}
-							// Multi-draw sweeps run draw i sequentially on
-							// seed SampleSeed(seed, i); the draw path must
-							// stay aligned across the whole sweep, not just
+							// Multi-draw sweeps run draw i on seed
+							// SampleSeed(seed, i); the draw path must stay
+							// aligned across the whole sweep, not just
 							// draw 0.
 							var sweep []*Result
 							if err := r.Sample(context.Background(), req, 4, func(_ int, res *Result) error {
@@ -96,7 +96,7 @@ func TestTopKMatchesFullPath(t *testing.T) {
 							for i, got := range sweep {
 								draw := req
 								draw.Seed = sptr(SampleSeed(*req.Seed, i))
-								want, err := referenceDo(r, draw, false)
+								want, err := referenceDo(r, draw)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -141,14 +141,13 @@ func TestTopKMatchesFullPath(t *testing.T) {
 // referenceDo serves req the plain way, independently of the engine's
 // draw path: Algorithm 1 as a best-of loop over full-length draws from
 // the resolved axis's reference sampler (core.Axes[axis].Reference).
-// Sequential draws share one stream seeded with the request seed;
-// parallel ones (DoParallel with more than one sample) draw i on a
-// stream seeded with core.MixSeed(seed, i). Each draw is scored on its
-// top-k prefix — NDCG@k against the pool-wide ideal, or minus the
-// Kendall tau pairs the prefix orders against the central — and the
-// first maximum is kept. Non-sampling algorithms run their Strategy on
-// a stream seeded with the request seed. diagnose audits the winner.
-func referenceDo(r *Ranker, req Request, parallel bool) (*Result, error) {
+// Draw i comes from a fresh stream seeded with core.MixSeed(seed, i).
+// Each draw is scored on its top-k prefix — NDCG@k against the
+// pool-wide ideal, or minus the Kendall tau pairs the prefix orders
+// against the central — and the first maximum is kept. Non-sampling
+// algorithms run their Strategy on the stream of draw 0. diagnose
+// audits the winner.
+func referenceDo(r *Ranker, req Request) (*Result, error) {
 	p, err := r.prepare(context.Background(), req)
 	if err != nil {
 		return nil, err
@@ -159,7 +158,7 @@ func referenceDo(r *Ranker, req Request, parallel bool) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := strat.Rank(&Instance{in: in}, rand.New(rand.NewSource(cfg.Seed)))
+		idx, err := strat.Rank(&Instance{in: in}, rand.New(rand.NewSource(core.MixSeed(cfg.Seed, 0))))
 		if err != nil {
 			return nil, err
 		}
@@ -204,14 +203,10 @@ func referenceDo(r *Ranker, req Request, parallel bool) (*Result, error) {
 		}
 		return dcg / idcg
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	var best perm.Perm
 	var bestScore float64
 	for i := 0; i < samples; i++ {
-		if parallel && samples > 1 {
-			rng = rand.New(rand.NewSource(core.MixSeed(cfg.Seed, i)))
-		}
-		d := perm.Perm(sample(rng)).Clone()
+		d := perm.Perm(sample(rand.New(rand.NewSource(core.MixSeed(cfg.Seed, i))))).Clone()
 		if v := score(d); best == nil || v > bestScore {
 			best, bestScore = d, v
 		}
