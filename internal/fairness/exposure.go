@@ -29,9 +29,8 @@ const (
 	// BaselinePrefix compares each group's exposure share against its
 	// share of the ranked items themselves, so the metric isolates
 	// position bias: how attention is distributed among the items that
-	// were actually ranked. This is the default for DisparateExposure
-	// and ExposureGap — historically they compared prefix exposure
-	// against full-pool shares, scoring a top-k ranking against a
+	// were actually ranked. The serving audit uses it: against
+	// full-pool shares a top-k ranking would be scored against a
 	// baseline it could not reach even with perfect within-prefix
 	// proportionality.
 	BaselinePrefix ExposureBaseline = iota
@@ -143,17 +142,6 @@ func DisparateExposureAgainst(p perm.Perm, gr *Groups, disc ExposureDiscount, ba
 	return worstExposureRatio(exposure, shares), nil
 }
 
-// DisparateExposure is DisparateExposureAgainst with the
-// prefix-consistent baseline: attention is judged against the group
-// composition of the ranked items. For full rankings this equals the
-// historical pool-share behavior exactly; for prefix rankings the old
-// full-pool normalization was a bug (the prefix was scored against
-// shares it could not attain) — pass BaselinePool explicitly to keep
-// the selection-inclusive reading.
-func DisparateExposure(p perm.Perm, gr *Groups, disc ExposureDiscount) (float64, error) {
-	return DisparateExposureAgainst(p, gr, disc, BaselinePrefix)
-}
-
 // ExposureGapAgainst returns the largest absolute difference between
 // any group's exposure share and its baseline share; 0 means perfectly
 // proportional attention under that baseline.
@@ -167,11 +155,4 @@ func ExposureGapAgainst(p perm.Perm, gr *Groups, disc ExposureDiscount, baseline
 		return 0, err
 	}
 	return largestExposureGap(exposure, shares), nil
-}
-
-// ExposureGap is ExposureGapAgainst with the prefix-consistent
-// baseline; see DisparateExposure for why the default moved off the
-// full-pool shares.
-func ExposureGap(p perm.Perm, gr *Groups, disc ExposureDiscount) (float64, error) {
-	return ExposureGapAgainst(p, gr, disc, BaselinePrefix)
 }

@@ -53,7 +53,7 @@ func TestDisparateExposureBounds(t *testing.T) {
 	// Segregated ranking: group at the bottom is under-exposed.
 	gr := MustGroups([]int{0, 0, 1, 1}, 2)
 	seg := perm.Identity(4)
-	ratio, err := DisparateExposure(seg, gr, nil)
+	ratio, err := DisparateExposureAgainst(seg, gr, nil, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDisparateExposureBounds(t *testing.T) {
 	// A perfectly balanced two-item ranking per group at alternating
 	// positions is closer to 1 than the segregated one.
 	alt := perm.MustNew(0, 2, 1, 3)
-	ratioAlt, err := DisparateExposure(alt, gr, nil)
+	ratioAlt, err := DisparateExposureAgainst(alt, gr, nil, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDisparateExposureBounds(t *testing.T) {
 
 func TestExposureGap(t *testing.T) {
 	gr := MustGroups([]int{0, 0, 1, 1}, 2)
-	gap, err := ExposureGap(perm.Identity(4), gr, nil)
+	gap, err := ExposureGapAgainst(perm.Identity(4), gr, nil, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExposureGap(t *testing.T) {
 	}
 	// Uniform discount makes exposure equal the population share: gap 0.
 	unit := func(int) float64 { return 1 }
-	gap, err = ExposureGap(perm.Identity(4), gr, unit)
+	gap, err = ExposureGapAgainst(perm.Identity(4), gr, unit, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExposureErrors(t *testing.T) {
 		t.Error("accepted NaN discount")
 	}
 	neg := func(int) float64 { return -1 }
-	if _, err := ExposureGap(perm.Identity(1), gr, neg); err == nil {
+	if _, err := ExposureGapAgainst(perm.Identity(1), gr, neg, BaselinePrefix); err == nil {
 		t.Error("accepted negative discount")
 	}
 }
@@ -118,7 +118,7 @@ func TestExposureEmptyRanking(t *testing.T) {
 	}
 	// Prefix baseline: an empty ranking has no composition to violate,
 	// so the metric is vacuously 1.
-	ratio, err := DisparateExposure(perm.Perm{}, gr, nil)
+	ratio, err := DisparateExposureAgainst(perm.Perm{}, gr, nil, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +177,14 @@ func TestExposurePrefixBaselineRegression(t *testing.T) {
 	prefix := perm.Perm{0, 3}
 	unit := func(int) float64 { return 1 }
 
-	gap, err := ExposureGap(prefix, gr, unit)
+	gap, err := ExposureGapAgainst(prefix, gr, unit, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gap != 0 {
 		t.Fatalf("prefix-consistent gap = %v, want 0 (attention matches the prefix composition)", gap)
 	}
-	ratio, err := DisparateExposure(prefix, gr, unit)
+	ratio, err := DisparateExposureAgainst(prefix, gr, unit, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestExposurePrefixBaselineRegression(t *testing.T) {
 	// composition, but the pool baseline sees group 1 under-represented:
 	// exposure 1/3 against pool share 1/2 → ratio 2/3, gap 1/6.
 	skew := perm.Perm{0, 1, 3}
-	ratio, err = DisparateExposure(skew, gr, unit)
+	ratio, err = DisparateExposureAgainst(skew, gr, unit, BaselinePrefix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,18 +139,6 @@ func TestBoundsCloneAndClamp(t *testing.T) {
 	}
 }
 
-func TestPrefixCounts(t *testing.T) {
-	gr := MustGroups([]int{0, 0, 1, 1}, 2)
-	p := perm.MustNew(2, 0, 3, 1) // groups 1,0,1,0
-	counts := PrefixCounts(p, gr)
-	want := [][]int{{0, 1}, {1, 1}, {1, 2}, {2, 2}}
-	for i := range want {
-		if counts[i][0] != want[i][0] || counts[i][1] != want[i][1] {
-			t.Fatalf("counts[%d] = %v, want %v", i, counts[i], want[i])
-		}
-	}
-}
-
 func TestInfeasibleIndexSegregatedRanking(t *testing.T) {
 	// Two groups of 5, strict proportional constraints (α=β=0.5).
 	// Fully segregated ranking AAAAABBBBB.
@@ -208,10 +196,6 @@ func TestAlternatingRankingIsFair(t *testing.T) {
 	if err != nil || pct != 100 {
 		t.Fatalf("PPfair = %v, %v", pct, err)
 	}
-	fair, err := IsKFair(p, gr, c, 1)
-	if err != nil || !fair {
-		t.Fatalf("IsKFair = %v, %v", fair, err)
-	}
 }
 
 func TestPPfairDefinitions(t *testing.T) {
@@ -233,9 +217,8 @@ func TestPPfairDefinitions(t *testing.T) {
 	if math.Abs(pct-50) > 1e-12 { // 100·(1−2/4): the two-sided index double counts prefix 2
 		t.Fatalf("PPfair = %v", pct)
 	}
-	pctU, _ := PPfairUnion(p, gr, c)
-	if math.Abs(pctU-75) > 1e-12 { // only prefix 2 violated
-		t.Fatalf("PPfairUnion = %v", pctU)
+	if v.UnionCount() != 1 { // only prefix 2 violated
+		t.Fatalf("UnionCount = %d, want 1", v.UnionCount())
 	}
 }
 
@@ -295,20 +278,6 @@ func TestIsWeaklyKFair(t *testing.T) {
 	}
 	if _, err := IsWeaklyKFair(p, gr, c, 5); err == nil {
 		t.Error("accepted k>len")
-	}
-}
-
-func TestIsKFairStrongVsWeak(t *testing.T) {
-	gr := MustGroups([]int{0, 0, 1, 1}, 2)
-	c, _ := NewConstraints([]float64{0.5, 0.5}, []float64{0.5, 0.5})
-	p := perm.MustNew(0, 1, 2, 3) // AABB: weakly 4-fair but prefix 2,3 violate
-	strong, err := IsKFair(p, gr, c, 2)
-	if err != nil || strong {
-		t.Fatalf("IsKFair(2) = %v, %v", strong, err)
-	}
-	strong, err = IsKFair(p, gr, c, 4)
-	if err != nil || !strong {
-		t.Fatalf("IsKFair(4) = %v, %v", strong, err)
 	}
 }
 

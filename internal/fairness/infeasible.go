@@ -6,18 +6,6 @@ import (
 	"repro/internal/perm"
 )
 
-// PrefixCounts returns counts[ell-1][g] = number of items of group g in
-// the first ell ranks of p, for ell = 1…len(p).
-func PrefixCounts(p perm.Perm, gr *Groups) [][]int {
-	counts := make([][]int, len(p))
-	running := make([]int, gr.NumGroups())
-	for r, item := range p {
-		running[gr.Of(item)]++
-		counts[r] = append([]int(nil), running...)
-	}
-	return counts
-}
-
 // Violations holds, per prefix length, whether any group breaches its
 // lower or upper bound there.
 type Violations struct {
@@ -117,8 +105,7 @@ func TwoSidedInfeasibleIndex(p perm.Perm, gr *Groups, c *Constraints) (int, erro
 
 // PPfair evaluates Definition 4, the percentage of P-fair positions:
 // 100·(1 − TwoSidedInfInd(π)/|π|). Because the two-sided index can reach
-// 2|π|, the literal definition can be negative; callers wanting a
-// [0,100] quantity should use PPfairUnion.
+// 2|π|, the literal definition can be negative.
 func PPfair(p perm.Perm, gr *Groups, c *Constraints) (float64, error) {
 	if len(p) == 0 {
 		return 100, nil
@@ -143,37 +130,6 @@ func PPfairAt(p perm.Perm, gr *Groups, c *Constraints, k int) (float64, error) {
 		return 0, err
 	}
 	return 100 * (1 - float64(v.TwoSidedAt(k))/float64(k)), nil
-}
-
-// PPfairUnion is the percentage of prefixes with no violation of either
-// side; always within [0,100].
-func PPfairUnion(p perm.Perm, gr *Groups, c *Constraints) (float64, error) {
-	if len(p) == 0 {
-		return 100, nil
-	}
-	v, err := EvaluateViolations(p, gr, c.Table(len(p)))
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (1 - float64(v.UnionCount())/float64(len(p))), nil
-}
-
-// IsKFair reports whether p is (α,β)-k fair (Definition 1): every prefix
-// of length at least k satisfies the bounds.
-func IsKFair(p perm.Perm, gr *Groups, c *Constraints, k int) (bool, error) {
-	if k < 1 || k > len(p) {
-		return false, fmt.Errorf("fairness: k = %d outside [1,%d]", k, len(p))
-	}
-	v, err := EvaluateViolations(p, gr, c.Table(len(p)))
-	if err != nil {
-		return false, err
-	}
-	for ell := k; ell <= len(p); ell++ {
-		if v.Lower[ell-1] || v.Upper[ell-1] {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // IsWeaklyKFair reports whether p is (α,β)-weak k-fair (Definition 2):

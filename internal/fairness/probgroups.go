@@ -87,14 +87,6 @@ func (pg *ProbGroups) NumGroups() int { return pg.g }
 // NumItems returns the size of the ground set.
 func (pg *ProbGroups) NumItems() int { return len(pg.dist) }
 
-// P returns item's membership probability for group g.
-func (pg *ProbGroups) P(item, g int) float64 { return pg.dist[item][g] }
-
-// Row returns a copy of item's distribution over the groups.
-func (pg *ProbGroups) Row(item int) []float64 {
-	return append([]float64(nil), pg.dist[item]...)
-}
-
 // ExpectedSizes returns the expected number of items per group:
 // Σ_items P(item ∈ g).
 func (pg *ProbGroups) ExpectedSizes() []float64 {
@@ -136,23 +128,6 @@ func ProportionalProb(pg *ProbGroups, tol float64) (*Constraints, error) {
 		beta[i] = math.Min(1, s+tol)
 	}
 	return NewConstraints(alpha, beta)
-}
-
-// ExpectedPrefixCounts returns counts[ell-1][g] = expected number of
-// group-g items among the first ell ranks of p, for ell = 1…len(p).
-func ExpectedPrefixCounts(p perm.Perm, pg *ProbGroups) ([][]float64, error) {
-	if pg.NumItems() < len(p) {
-		return nil, fmt.Errorf("fairness: memberships cover %d items, ranking has %d", pg.NumItems(), len(p))
-	}
-	counts := make([][]float64, len(p))
-	running := make([]float64, pg.g)
-	for r, item := range p {
-		for g, pr := range pg.dist[item] {
-			running[g] += pr
-		}
-		counts[r] = append([]float64(nil), running...)
-	}
-	return counts, nil
 }
 
 // EvaluateExpectedViolations scans every prefix of p against the bound

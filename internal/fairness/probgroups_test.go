@@ -166,25 +166,6 @@ func TestOneHotEquivalence(t *testing.T) {
 	}
 }
 
-func TestExpectedPrefixCounts(t *testing.T) {
-	pg := MustProbGroups([][]float64{{0.5, 0.5}, {1, 0}, {0, 1}}, 2)
-	counts, err := ExpectedPrefixCounts(perm.Identity(3), pg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{0.5, 0.5}, {1.5, 0.5}, {1.5, 1.5}}
-	for ell := range want {
-		for g := range want[ell] {
-			if counts[ell][g] != want[ell][g] {
-				t.Fatalf("counts[%d][%d] = %v, want %v", ell, g, counts[ell][g], want[ell][g])
-			}
-		}
-	}
-	if _, err := ExpectedPrefixCounts(perm.Identity(4), pg); err == nil {
-		t.Error("accepted ranking larger than memberships")
-	}
-}
-
 // TestExpectedViolationsFractional exercises the genuinely probabilistic
 // regime: expected counts between the bounds clear constraints a hard
 // assignment of the same items could violate.
@@ -225,5 +206,8 @@ func TestExpectedViolationsFractional(t *testing.T) {
 	}
 	if v.LowerCount() == 0 {
 		t.Fatal("tight lower bounds not violated by fractional expected counts")
+	}
+	if _, err := EvaluateExpectedViolations(perm.Identity(3), pg, tight.Table(3)); err == nil {
+		t.Error("accepted ranking larger than memberships")
 	}
 }
