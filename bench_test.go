@@ -554,7 +554,12 @@ func servingPool(n int) []fairrank.Candidate {
 // fresh buffers); "reused" serves the same requests from one Ranker's
 // warm caches; "reused-parallel" adds the fan-out of the best-of-m draws
 // across cores. All three produce identically distributed rankings, and
-// "reused" is bit-identical to "per-call" seed for seed.
+// "reused" is bit-identical to "per-call" seed for seed. The "n=100"
+// pair is fleet-batch's pool shape, where seeding each draw's RNG is a
+// large share of a request: Do, and DoParallel on one worker, which
+// the service runs per batch entry. Whole-request allocs/op vary there
+// with the pooled state the GC drops, so the pair stays out of
+// BENCH_baseline.json.
 func BenchmarkRankerReuse(b *testing.B) {
 	pool := servingPool(1000)
 	cfg := fairrank.Config{Algorithm: fairrank.AlgorithmMallowsBest, Theta: 1, Samples: 15}
@@ -594,6 +599,33 @@ func BenchmarkRankerReuse(b *testing.B) {
 			}
 		}
 	})
+	small := servingPool(100)
+	for _, workers := range []int{0, 1} {
+		name := "n=100/do"
+		if workers > 0 {
+			name = "n=100/do-parallel-1"
+		}
+		b.Run(name, func(b *testing.B) {
+			r, err := fairrank.NewRanker(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seed := int64(i)
+				req := fairrank.Request{Candidates: small, Seed: &seed}
+				if workers > 0 {
+					_, err = r.DoParallel(context.Background(), req, workers)
+				} else {
+					_, err = r.Do(context.Background(), req)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkPlackettLuceBest covers the hot path of the registry's
