@@ -293,16 +293,20 @@ func (p *Plan) criterion(crit Criterion, scores quality.Scores) (func() func(per
 }
 
 // bestOf is Algorithm 1's draw–score–keep loop over draws [lo, hi) of
-// plan p, on worker w's buffers and sampler scratch, checking ctx before
-// every draw. Draw i comes from rng reseeded with MixSeed(seed, i). It
-// keeps the draw that score rates highest in w.best, the earlier one on
-// ties, and returns its score; a nil score keeps the first draw with
-// score 0.
-func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) float64, rng *rand.Rand, seed int64, lo, hi int) (float64, error) {
+// plan p, on a pooled RNG and a checked-out worker's buffers and sampler
+// scratch, checking ctx before every draw. Draw i comes from the RNG
+// reseeded with MixSeed(seed, i). It returns a copy of the draw that
+// score rates highest, the earlier one on ties, and its score; a nil
+// score keeps the first draw with score 0.
+func (e *Engine) bestOf(ctx context.Context, p Plan, score func(perm.Perm) float64, seed int64, lo, hi int) (perm.Perm, float64, error) {
+	rng := e.rng()
+	defer e.PutRNG(rng)
+	w := p.checkout()
+	defer p.checkin(w)
 	var bestScore float64
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		rng.Seed(MixSeed(seed, i))
 		w.cur = p.draw(p, w.plScratch, w.cur, rng)
@@ -317,7 +321,7 @@ func bestOf(ctx context.Context, p Plan, w *drawWorker, score func(perm.Perm) fl
 			bestScore = v
 		}
 	}
-	return bestScore, nil
+	return w.best.Clone(), bestScore, nil
 }
 
 // Best runs the best-of-m loop of Algorithm 1 for plan p: it draws
@@ -342,7 +346,7 @@ func (e *Engine) Best(ctx context.Context, p Plan, scores quality.Scores, crit C
 		}
 	}
 	if workers = min(workers, samples); workers <= 1 {
-		return e.chunk(ctx, p, maker(), seed, 0, samples)
+		return e.bestOf(ctx, p, maker(), seed, 0, samples)
 	}
 	type result struct {
 		score float64
@@ -359,7 +363,7 @@ func (e *Engine) Best(ctx context.Context, p Plan, scores quality.Scores, crit C
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			c := &results[w]
-			c.p, c.score, c.err = e.chunk(ctx, p, maker(), seed, lo, hi)
+			c.p, c.score, c.err = e.bestOf(ctx, p, maker(), seed, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -375,20 +379,6 @@ func (e *Engine) Best(ctx context.Context, p Plan, scores quality.Scores, crit C
 		}
 	}
 	return results[winner].p, results[winner].score, nil
-}
-
-// chunk runs bestOf over draws [lo, hi) on a pooled RNG and a checked-out
-// worker, returning a copy of the kept draw and its score.
-func (e *Engine) chunk(ctx context.Context, p Plan, score func(perm.Perm) float64, seed int64, lo, hi int) (perm.Perm, float64, error) {
-	rng := e.rng()
-	defer e.PutRNG(rng)
-	w := p.checkout()
-	defer p.checkin(w)
-	v, err := bestOf(ctx, p, w, score, rng, seed, lo, hi)
-	if err != nil {
-		return nil, 0, err
-	}
-	return w.best.Clone(), v, nil
 }
 
 // MixSeed derives the RNG seed of draw i from the request seed (a
