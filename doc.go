@@ -54,9 +54,10 @@
 // tables per (pool size, θ) — so mixed per-request dispersions share
 // the cache — plus the DCG discount table, permutation scratch
 // buffers, and pooled RNGs. DoParallel additionally fans the best-of-m
-// draws across goroutines, deterministically in the seed. The HTTP
-// serving layer in internal/service and cmd/fairrankd builds on this
-// type.
+// draws across goroutines. Draw i of every request comes from an RNG
+// stream seeded with a mix of (seed, i), so one seed gives one ranking:
+// Do, DoParallel at any worker count and Rank agree. The HTTP serving
+// layer in internal/service and cmd/fairrankd builds on this type.
 //
 // Alongside the Mallows mechanism the package exposes the evaluated
 // baselines (DetConstSort, ApproxMultiValuedIPF, GrBinaryIPF, and the

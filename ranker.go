@@ -21,7 +21,7 @@ import (
 //   - permutation scratch buffers, pooled across requests of every pool
 //     size so the best-of-m sampling loop allocates nothing on the
 //     steady state;
-//   - RNGs, pooled and re-seeded per request instead of re-allocated.
+//   - RNGs, pooled and re-seeded per draw instead of re-allocated.
 //
 // A Ranker is safe for concurrent use by multiple goroutines; the caches
 // are shared and lock-free on the hot path.

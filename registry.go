@@ -72,7 +72,9 @@ func (it *Instance) PrefixBounds(k int) (floor, ceil []int) {
 //
 // Implementations must be deterministic given the instance and the RNG
 // stream, and safe for concurrent use (one Strategy value may serve many
-// requests at once; per-request state belongs in Rank's locals).
+// requests at once; per-request state belongs in Rank's locals). The
+// stream is draw 0's of the request seed, the one the sampling
+// algorithms' first draw uses.
 type Strategy interface {
 	Rank(in *Instance, rng *rand.Rand) ([]int, error)
 }
