@@ -191,10 +191,9 @@ func (e *Engine) state(n int, theta float64) *sizeState {
 	return st
 }
 
-// RNG hands out a pooled RNG on the stream of draw 0 of request seed
-// seed, seeded with MixSeed(seed, 0) as Best seeds it, for callers that
-// take all of a request's randomness from one stream. Return it with
-// PutRNG.
+// RNG hands out a pooled RNG seeded with MixSeed(seed, 0), the stream
+// of Best's draw 0, for a caller that takes all of a request's
+// randomness from one stream. Return it with PutRNG.
 func (e *Engine) RNG(seed int64) *rand.Rand {
 	rng := e.rng()
 	rng.Seed(MixSeed(seed, 0))
