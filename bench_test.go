@@ -553,12 +553,11 @@ func servingPool(n int) []fairrank.Candidate {
 // displacement math re-derived per draw, per-sample criterion setup,
 // fresh buffers); "reused" serves the same requests from one Ranker's
 // warm caches; "reused-parallel" adds the fan-out of the best-of-m draws
-// across cores. All three produce identically distributed rankings, and
-// "reused" is bit-identical to "per-call" seed for seed. The "n=100"
-// pair is fleet-batch's pool shape, where seeding each draw's RNG is a
-// large share of a request: Do, and DoParallel on one worker, which
-// the service runs per batch entry. Whole-request allocs/op vary there
-// with the pooled state the GC drops, so the pair stays out of
+// across cores. All three return the same ranking seed for seed. The
+// "n=100" pair is fleet-batch's pool shape, where seeding each draw's
+// RNG is a large share of a request: Do, and DoParallel on one worker,
+// which the service runs per batch entry. Whole-request allocs/op vary
+// there with the pooled state the GC drops, so the pair stays out of
 // BENCH_baseline.json.
 func BenchmarkRankerReuse(b *testing.B) {
 	pool := servingPool(1000)
