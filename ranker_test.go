@@ -166,6 +166,36 @@ func TestRankParallelDeterministic(t *testing.T) {
 	}
 }
 
+// Algorithms that make one draw, or none, have nothing to fan out: on
+// real German-credit scores, DoParallel at eight workers must return
+// exactly the Result that Do returns.
+func TestRankParallelFallback(t *testing.T) {
+	ctx := context.Background()
+	pool := germanPool(t, 20)
+	for _, cfg := range []Config{
+		{Algorithm: AlgorithmScoreSorted},
+		{Algorithm: AlgorithmILP},
+		{Algorithm: AlgorithmMallows, Theta: 1},
+	} {
+		r, err := NewRanker(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Candidates: pool, Seed: sptr(9)}
+		want, err := r.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.DoParallel(ctx, req, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: DoParallel %+v, Do %+v", cfg.Algorithm, got, want)
+		}
+	}
+}
+
 func TestNewRankerRejectsInvalid(t *testing.T) {
 	cases := []Config{
 		{Algorithm: "frobnicate"},
