@@ -14,6 +14,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -51,11 +52,11 @@ func main() {
 		"one of: "+algorithmNames())
 	noise := flag.String("noise", string(fairrank.NoiseMallows),
 		"randomization mechanism of the sampling algorithms, one of: "+noiseNames())
-	theta := flag.Float64("theta", 1, "noise dispersion θ (0 = uniform noise)")
-	samples := flag.Int("samples", 15, "best-of-m sample count")
+	theta := flag.Float64("theta", fairrank.DefaultTheta, "noise dispersion θ (0 = uniform noise)")
+	samples := flag.Int("samples", fairrank.DefaultSamples, "best-of-m sample count")
 	sigma := flag.Float64("sigma", 0, "constraint noise σ for the attribute-aware algorithms")
-	tol := flag.Float64("tol", 0.1, "proportional constraint tolerance (0 = exact proportionality)")
-	weakK := flag.Int("k", 0, "weakly fair prefix length (0 = min(10, n))")
+	tol := flag.Float64("tol", fairrank.DefaultTolerance, "proportional constraint tolerance (0 = exact proportionality)")
+	weakK := flag.Int("k", 0, fmt.Sprintf("weakly fair prefix length (0 = min(%d, n))", fairrank.DefaultWeakK))
 	central := flag.String("central", string(fairrank.CentralWeaklyFair),
 		"Mallows central ranking: weak, fair, or score")
 	criterion := flag.String("criterion", string(fairrank.CriterionNDCG),

@@ -135,9 +135,21 @@ const (
 	CriterionKT Criterion = "kt"
 )
 
-// DefaultSamples is the best-of-m draw count used when Config.Samples
-// is zero.
-const DefaultSamples = 15
+// The defaults a zero Config field resolves to. Config.withDefaults,
+// the serving catalog and the fairrank CLI's flags all read them.
+const (
+	// DefaultTheta is the noise dispersion of a zero Config.Theta.
+	DefaultTheta = 1.0
+	// DefaultSamples is the best-of-m draw count of a zero
+	// Config.Samples.
+	DefaultSamples = 15
+	// DefaultTolerance is the constraint slack of a zero
+	// Config.Tolerance.
+	DefaultTolerance = 0.1
+	// DefaultWeakK is the weakly fair prefix length of a zero
+	// Config.WeakK, capped at the pool size.
+	DefaultWeakK = 10
+)
 
 // Config parameterizes Rank and NewRanker. The zero value is usable: it
 // runs AlgorithmMallowsBest with the defaults below.
@@ -181,11 +193,12 @@ type Config struct {
 	// Request.Tolerance for explicit exact proportionality.
 	Tolerance float64
 	// WeakK is the prefix length of the weakly fair central ranking
-	// (default min(10, number of candidates)).
+	// (default min(DefaultWeakK, number of candidates)). It must be
+	// ≥ 1, and at most the pool size on the weakly fair central.
 	WeakK int
 	// Sigma adds Gaussian noise to the representation constraints of the
 	// attribute-aware algorithms, reproducing the paper's imperfect-
-	// knowledge setting. Default 0; must not be negative or NaN.
+	// knowledge setting. Default 0; must be finite and ≥ 0.
 	Sigma float64
 	// Seed seeds the randomness; runs with equal seeds are identical.
 	// Request.Seed overrides it per request.
@@ -206,21 +219,68 @@ func (c Config) withDefaults(n int) Config {
 		c.Criterion = CriterionNDCG
 	}
 	if c.Theta == 0 {
-		c.Theta = 1
+		c.Theta = DefaultTheta
 	}
 	if c.Samples == 0 {
 		c.Samples = DefaultSamples
 	}
 	if c.Tolerance == 0 {
-		c.Tolerance = 0.1
+		c.Tolerance = DefaultTolerance
 	}
 	if c.WeakK == 0 {
-		c.WeakK = 10
-		if n < 10 {
-			c.WeakK = n
-		}
+		c.WeakK = min(DefaultWeakK, n)
 	}
 	return c
+}
+
+// validate is the one check of a configuration with its defaults
+// applied: NewRanker runs it on the Config, and every request on the
+// Config with the request's overrides merged in, so each rule and its
+// message exist once. entry is a registry entry the caller already
+// holds; validate looks the algorithm up only when c names another one,
+// and returns c's entry.
+func (c Config) validate(entry algorithmEntry) (algorithmEntry, error) {
+	fail := func(format string, args ...any) (algorithmEntry, error) {
+		return algorithmEntry{}, fmt.Errorf(format, args...)
+	}
+	if entry.info.Name != string(c.Algorithm) {
+		var err error
+		if entry, err = lookupEntry(c.Algorithm); err != nil {
+			return algorithmEntry{}, err
+		}
+	}
+	if _, ok := LookupNoise(string(c.Noise)); !ok {
+		return fail("%w %q", ErrUnknownNoise, c.Noise)
+	}
+	switch c.Central {
+	case CentralWeaklyFair, CentralFairDCG, CentralScoreOrder:
+	default:
+		return fail("fairrank: unknown central ranking %q", c.Central)
+	}
+	switch c.Criterion {
+	case CriterionNDCG, CriterionKT:
+	default:
+		return fail("fairrank: unknown criterion %q", c.Criterion)
+	}
+	for _, f := range [...]struct {
+		name   string
+		value  float64
+		finite bool
+	}{{"theta", c.Theta, true}, {"tolerance", c.Tolerance, false}, {"sigma", c.Sigma, true}} {
+		if math.IsNaN(f.value) || f.value < 0 {
+			return fail("fairrank: %s = %v, want ≥ 0", f.name, f.value)
+		}
+		if f.finite && math.IsInf(f.value, 1) {
+			return fail("fairrank: %s = %v, want finite", f.name, f.value)
+		}
+	}
+	if c.Samples < 1 {
+		return fail("fairrank: samples = %d, want ≥ 1", c.Samples)
+	}
+	if c.WeakK < 1 {
+		return fail("fairrank: weak_k = %d, want ≥ 1", c.WeakK)
+	}
+	return entry, nil
 }
 
 // Rank post-processes candidates into a fair ranking with the configured
@@ -248,63 +308,79 @@ func Rank(candidates []Candidate, cfg Config) ([]Candidate, error) {
 	return res.Ranking, nil
 }
 
-// buildInstance validates the candidates and assembles the internal
-// ranking instance: groups from the distinct Group strings (sorted for
-// determinism), proportional constraints widened by cfg.Tolerance, and
-// the central ranking. cfg must already be resolved (defaults applied
-// and overrides merged — see Ranker.resolve); buildInstance applies no
-// defaulting of its own so that explicit zero overrides survive.
-func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error) {
-	if len(candidates) == 0 {
-		return rankers.Instance{}, fmt.Errorf("fairrank: no candidates")
+// groupLabels are the distinct group names of a pool, from its Group
+// labels and Membership keys: names lists them sorted and ids numbers
+// each by its index in names (see addLabel and numberLabels).
+type groupLabels struct {
+	ids   map[string]int
+	names []string
+}
+
+// checkCandidates enforces the candidate rules — nonempty, unique IDs,
+// non-NaN scores, nonempty Groups, Membership values in [0,1] under
+// nonempty group names, summing to 1 — and returns the pool's numbered
+// group labels.
+func checkCandidates(candidates []Candidate) (groupLabels, error) {
+	fail := func(format string, args ...any) (groupLabels, error) {
+		return groupLabels{}, fmt.Errorf(format, args...)
 	}
 	seen := make(map[string]bool, len(candidates))
-	groupIDs := map[string]int{}
-	var groupNames []string
+	g := groupLabels{ids: map[string]int{}}
 	for i, c := range candidates {
 		if c.ID == "" {
-			return rankers.Instance{}, fmt.Errorf("fairrank: candidate %d has empty ID", i)
+			return fail("fairrank: candidate %d has an empty id", i)
 		}
 		if seen[c.ID] {
-			return rankers.Instance{}, fmt.Errorf("fairrank: duplicate candidate ID %q", c.ID)
+			return fail("fairrank: duplicate candidate id %q", c.ID)
 		}
 		seen[c.ID] = true
 		if math.IsNaN(c.Score) {
 			// A NaN poisons every comparison downstream: it corrupts the
 			// IDCG and makes the score-ideal sort order unspecified.
-			return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q has NaN score", c.ID)
+			return fail("fairrank: candidate %q has NaN score", c.ID)
 		}
 		if c.Group == "" {
-			return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q has empty Group", c.ID)
+			return fail("fairrank: candidate %q has empty Group", c.ID)
 		}
-		groupNames = addLabel(groupIDs, groupNames, c.Group)
+		g.names = addLabel(g.ids, g.names, c.Group)
 		if c.Membership != nil {
 			var sum float64
 			for name, p := range c.Membership {
 				if name == "" {
-					return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q membership names an empty group", c.ID)
+					return fail("fairrank: candidate %q membership names an empty group", c.ID)
 				}
 				if math.IsNaN(p) || p < 0 || p > 1 {
-					return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q membership for group %q is %v, want in [0,1]", c.ID, name, p)
+					return fail("fairrank: candidate %q membership for group %q is %v, want in [0,1]", c.ID, name, p)
 				}
 				sum += p
-				groupNames = addLabel(groupIDs, groupNames, name)
+				g.names = addLabel(g.ids, g.names, name)
 			}
 			// Probabilities are taken as stated, never renormalized: a
 			// wrong sum is a caller bug, not a scaling choice.
 			if math.Abs(sum-1) > 1e-9 {
-				return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q membership sums to %v, want 1", c.ID, sum)
+				return fail("fairrank: candidate %q membership sums to %v, want 1", c.ID, sum)
 			}
 		}
 	}
-	numberLabels(groupIDs, groupNames)
-	assign := make([]int, len(candidates))
-	scores := make(quality.Scores, len(candidates))
+	numberLabels(g.ids, g.names)
+	return g, nil
+}
+
+// buildInstance assembles the internal ranking instance of a checked
+// request: groups numbered by labels, proportional constraints widened
+// by cfg.Tolerance, and the central ranking. cfg must already be
+// resolved (defaults applied and overrides merged — see Ranker.resolve)
+// and the candidates checked (see Ranker.check); buildInstance applies
+// no defaulting of its own so that explicit zero overrides survive.
+func buildInstance(candidates []Candidate, cfg Config, labels groupLabels) (rankers.Instance, error) {
+	n := len(candidates)
+	assign := make([]int, n)
+	scores := make(quality.Scores, n)
 	for i, c := range candidates {
-		assign[i] = groupIDs[c.Group]
+		assign[i] = labels.ids[c.Group]
 		scores[i] = c.Score
 	}
-	gr, err := fairness.NewGroups(assign, len(groupNames))
+	gr, err := fairness.NewGroups(assign, len(labels.names))
 	if err != nil {
 		return rankers.Instance{}, err
 	}
@@ -314,7 +390,7 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 	var prob *fairness.ProbGroups
 	for _, c := range candidates {
 		if c.Membership != nil {
-			prob, err = membershipRows(candidates, groupIDs, len(groupNames))
+			prob, err = membershipRows(candidates, labels.ids, len(labels.names))
 			if err != nil {
 				return rankers.Instance{}, fmt.Errorf("fairrank: building membership distribution: %w", err)
 			}
@@ -325,16 +401,16 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 	if err != nil {
 		return rankers.Instance{}, err
 	}
+	bounds := cons.Table(n)
 	var central perm.Perm
 	switch cfg.Central {
 	case CentralWeaklyFair:
 		central, err = fairness.WeaklyFairRanking(scores, gr, cons, cfg.WeakK)
 	case CentralFairDCG:
-		central, _, err = fairdp.Solve(scores, gr, cons.Table(len(candidates)), nil)
+		// Solve only reads the table, so the instance shares it.
+		central, _, err = fairdp.Solve(scores, gr, bounds, nil)
 	case CentralScoreOrder:
-		central = quality.Ideal(perm.Identity(len(candidates)), scores)
-	default:
-		return rankers.Instance{}, fmt.Errorf("fairrank: unknown central ranking %q", cfg.Central)
+		central = quality.Ideal(perm.Identity(n), scores)
 	}
 	if err != nil {
 		return rankers.Instance{}, fmt.Errorf("fairrank: building central ranking: %w", err)
@@ -343,7 +419,7 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 		Initial: central,
 		Scores:  scores,
 		Groups:  gr,
-		Bounds:  cons.Table(len(candidates)),
+		Bounds:  bounds,
 		Prob:    prob,
 	}, nil
 }

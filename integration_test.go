@@ -184,10 +184,11 @@ func TestPostProcessMatchesDo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				in, err := buildInstance(cands, r.cfg.withDefaults(len(cands)))
+				p, err := r.prepare(context.Background(), Request{Candidates: cands})
 				if err != nil {
 					t.Fatal(err)
 				}
+				in := p.in
 				cc := core.Config{Noise: core.Noise(noise), Theta: theta, Samples: cfg.Samples, Criterion: core.SelectNDCG}
 				if crit == CriterionKT {
 					cc.Criterion = core.SelectKT

@@ -100,24 +100,6 @@ func (p Perm) Positions() Perm {
 	return inv
 }
 
-// Inverse is an alias for Positions, provided because both names are
-// natural depending on whether p is read as a ranking or a bijection.
-func (p Perm) Inverse() Perm { return p.Positions() }
-
-// Compose returns the permutation r with r[i] = p[q[i]]: apply q first,
-// then p, under the "one-line list" reading (the item at rank i of the
-// composition is the item that p places at the rank q names).
-func (p Perm) Compose(q Perm) (Perm, error) {
-	if len(p) != len(q) {
-		return nil, fmt.Errorf("perm: compose size mismatch %d vs %d", len(p), len(q))
-	}
-	r := make(Perm, len(p))
-	for i := range q {
-		r[i] = p[q[i]]
-	}
-	return r, nil
-}
-
 // RelativeTo re-expresses p in the coordinate system of base: the result
 // s satisfies s[r] = rank within base of the item p puts at rank r.
 // If p == base the result is the identity; the Kendall tau distance
@@ -132,12 +114,6 @@ func (p Perm) RelativeTo(base Perm) (Perm, error) {
 		s[r] = basePos[item]
 	}
 	return s, nil
-}
-
-// Prefix returns the first k items of the ranking. It panics if k is out
-// of range, matching slice semantics.
-func (p Perm) Prefix(k int) []int {
-	return append([]int(nil), p[:k]...)
 }
 
 // Reverse returns the reversed ranking (bottom becomes top).

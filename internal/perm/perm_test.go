@@ -69,25 +69,7 @@ func TestPositionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestComposeWithInverseIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		d := 1 + rng.Intn(30)
-		p := Random(d, rng)
-		q, err := p.Compose(p.Inverse())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !q.Equal(Identity(d)) {
-			t.Fatalf("p∘p⁻¹ != id for %v (got %v)", p, q)
-		}
-	}
-}
-
 func TestComposeSizeMismatch(t *testing.T) {
-	if _, err := Identity(3).Compose(Identity(4)); err == nil {
-		t.Fatal("Compose accepted mismatched sizes")
-	}
 	if _, err := Identity(3).RelativeTo(Identity(4)); err == nil {
 		t.Fatal("RelativeTo accepted mismatched sizes")
 	}
@@ -309,14 +291,6 @@ func TestReverseAndCycles(t *testing.T) {
 
 func TestPrefixAndClone(t *testing.T) {
 	p := MustNew(3, 1, 0, 2)
-	pre := p.Prefix(2)
-	if len(pre) != 2 || pre[0] != 3 || pre[1] != 1 {
-		t.Fatalf("Prefix(2) = %v", pre)
-	}
-	pre[0] = 99 // must not alias
-	if p[0] != 3 {
-		t.Fatal("Prefix aliases the permutation")
-	}
 	q := p.Clone()
 	q[0] = 0
 	if p[0] != 3 {
@@ -347,22 +321,6 @@ func TestQuickInversionCountMatchesLehmerSum(t *testing.T) {
 			sum += int64(c)
 		}
 		return sum == p.InversionCount()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickComposeAssociative(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := 1 + rng.Intn(16)
-		a, b, c := Random(d, rng), Random(d, rng), Random(d, rng)
-		bc, _ := b.Compose(c)
-		ab, _ := a.Compose(b)
-		l, _ := a.Compose(bc)
-		r, _ := ab.Compose(c)
-		return l.Equal(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func ExampleService_rankBatch() {
 	fmt.Println("item 1 error:", resp.Items[1].Error)
 	// Output:
 	// item 0 top: x
-	// item 1 error: invalid request: empty candidate set
+	// item 1 error: invalid request: fairrank: empty candidate set
 }
 
 // The serving catalog is generated from the fairrank registry: a custom

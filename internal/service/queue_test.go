@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -137,20 +138,68 @@ func TestSaturation429(t *testing.T) {
 // admission, so an invalid request is a 400 whatever the load — the
 // status a client sees for a bad request must not depend on how busy
 // the server is, and bad requests must not burn admission tickets.
+// There is one case per request rule of the library's validator
+// (Ranker.Check), which the service asks before admission.
 func TestInvalidRejectedEvenWhenSaturated(t *testing.T) {
+	with := func(edit func(c []Candidate)) []Candidate {
+		c := pool(4)
+		edit(c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		req  RankRequest
+	}{
+		{"empty candidates", RankRequest{}},
+		{"empty id", RankRequest{Candidates: with(func(c []Candidate) { c[1].ID = "" })}},
+		{"duplicate id", RankRequest{Candidates: with(func(c []Candidate) { c[1].ID = c[0].ID })}},
+		{"NaN score", RankRequest{Candidates: with(func(c []Candidate) { c[1].Score = math.NaN() })}},
+		{"empty group", RankRequest{Candidates: with(func(c []Candidate) { c[1].Group = "" })}},
+		{"membership empty group name", RankRequest{Candidates: with(func(c []Candidate) { c[1].Membership = map[string]float64{"": 1} })}},
+		{"membership out of range", RankRequest{Candidates: with(func(c []Candidate) { c[1].Membership = map[string]float64{"a": 1.5} })}},
+		{"membership not normalized", RankRequest{Candidates: with(func(c []Candidate) { c[1].Membership = map[string]float64{"a": 0.5} })}},
+		{"unknown algorithm", RankRequest{Candidates: pool(4), Algorithm: "quicksort"}},
+		{"unknown noise", RankRequest{Candidates: pool(4), Noise: "fog"}},
+		{"unknown central", RankRequest{Candidates: pool(4), Central: "median"}},
+		{"unknown criterion", RankRequest{Candidates: pool(4), Criterion: "vibes"}},
+		{"negative theta", RankRequest{Candidates: pool(4), Theta: ptr(-1.0)}},
+		{"+Inf theta", RankRequest{Candidates: pool(4), Theta: ptr(math.Inf(1))}},
+		{"zero samples", RankRequest{Candidates: pool(4), Samples: ptr(0)}},
+		{"negative tolerance", RankRequest{Candidates: pool(4), Tolerance: ptr(-0.1)}},
+		{"negative sigma", RankRequest{Candidates: pool(4), Sigma: -1}},
+		{"+Inf sigma", RankRequest{Candidates: pool(4), Sigma: math.Inf(1)}},
+		{"negative weak_k", RankRequest{Candidates: pool(4), WeakK: -2}},
+		{"weak_k above the pool", RankRequest{Candidates: pool(4), WeakK: 5}},
+		{"zero top_k", RankRequest{Candidates: pool(4), TopK: ptr(0)}},
+		{"grbinary over one group", RankRequest{Candidates: with(func(c []Candidate) {
+			for i := range c {
+				c[i].Group = "a"
+			}
+		}), Algorithm: "grbinary"}},
+		{"grbinary over three groups", RankRequest{Candidates: with(func(c []Candidate) { c[1].Group = "c" }), Algorithm: "grbinary"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, QueueDepth: 1})
+			defer s.Close()
+			release := fillGate(s)
+			defer release()
+			if _, err := s.Rank(context.Background(), &tc.req); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("got %v, want ErrInvalid even with a full queue", err)
+			}
+			if rejected := s.queue.rejected.Load(); rejected != 0 {
+				t.Errorf("the invalid request consumed %d saturation rejections", rejected)
+			}
+		})
+	}
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer s.Close()
 	release := fillGate(s)
 	defer release()
-	_, err := s.Rank(context.Background(), &RankRequest{}) // empty candidates
-	if !errors.Is(err, ErrInvalid) {
-		t.Fatalf("got %v, want ErrInvalid even with a full queue", err)
-	}
 	if _, err := s.RankBatch(context.Background(), &BatchRequest{}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("empty batch: got %v, want ErrInvalid even with a full queue", err)
 	}
 	if rejected := s.queue.rejected.Load(); rejected != 0 {
-		t.Errorf("invalid requests consumed %d saturation rejections", rejected)
+		t.Errorf("the empty batch consumed %d saturation rejections", rejected)
 	}
 }
 

@@ -265,14 +265,15 @@ func (s *Service) Close() {
 // first, so an invalid request is a 400 whatever the load, and never
 // consumes an admission ticket.
 func (s *Service) Rank(ctx context.Context, req *RankRequest) (*RankResponse, error) {
-	if err := s.validate(req); err != nil {
+	draws, err := s.validate(req)
+	if err != nil {
 		return nil, err
 	}
 	if err := s.queue.Admit(); err != nil {
 		return nil, err
 	}
 	defer s.queue.Done()
-	return s.rank(ctx, req, s.cfg.Workers, true)
+	return s.rank(ctx, req, min(draws, s.cfg.Workers), true)
 }
 
 // RankBatch serves independent requests concurrently through the worker
@@ -361,7 +362,7 @@ func (s *Service) runBatch(ctx context.Context, reqs []RankRequest, idxs []int, 
 				// before the slot wait, so a bad entry fails without
 				// touching the pool.
 				var resp *RankResponse
-				err := s.validate(&reqs[i])
+				_, err := s.validate(&reqs[i])
 				if err == nil {
 					resp, err = s.rank(ctx, &reqs[i], 1, false)
 				}
@@ -386,52 +387,33 @@ func (s *Service) runBatch(ctx context.Context, reqs []RankRequest, idxs []int, 
 
 // rank is the engine-layer serving path shared by the sync single,
 // sync batch, and async job paths; callers have already validated the
-// request. bounded selects the admission queue's wait mode:
-// synchronous requests race the queue-wait budget, admitted batch
-// entries and job items wait patiently.
+// request. maxWorkers caps the slots it takes: never more than the
+// draws Ranker.Check counted, since only the best-of-m loop
+// parallelizes, at most one goroutine per draw. bounded selects the
+// admission queue's wait mode: synchronous requests race the
+// queue-wait budget, admitted batch entries and job items wait
+// patiently.
 func (s *Service) rank(ctx context.Context, req *RankRequest, maxWorkers int, bounded bool) (*RankResponse, error) {
 	// An already-cancelled request (a disconnected client, an expired
 	// deadline, an aborted batch) does no work at all.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Never hold slots the request cannot use: only the best-of-m loop
-	// parallelizes, and at most one goroutine per draw.
-	if p := parallelism(req); p < maxWorkers {
-		maxWorkers = p
-	}
 	if err := s.queue.WaitSlot(ctx, bounded); err != nil {
 		return nil, err
 	}
 	workers := 1 + s.queue.TryExtra(maxWorkers-1)
 	defer s.queue.ReleaseSlots(workers)
-	var weakK *int
-	if req.WeakK != 0 {
-		weakK = &req.WeakK
-	}
-	res, err := s.ranker.DoParallel(ctx, fairrank.Request{
-		Candidates: req.Candidates,
-		Algorithm:  fairrank.Algorithm(req.Algorithm),
-		Central:    fairrank.Central(req.Central),
-		WeakK:      weakK,
-		Sigma:      &req.Sigma,
-		Theta:      req.Theta,
-		Samples:    req.Samples,
-		Criterion:  fairrank.Criterion(req.Criterion),
-		Noise:      fairrank.Noise(req.Noise),
-		Tolerance:  req.Tolerance,
-		TopK:       req.TopK,
-		Seed:       &req.Seed,
-	}, workers)
+	res, err := s.ranker.DoParallel(ctx, libRequest(req), workers)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			// Cancellation is the caller's doing, not a bad request;
 			// keep it distinguishable from ErrInvalid.
 			return nil, ctxErr
 		}
-		// Remaining ranking failures are input-caused (e.g. a constraint
-		// algorithm over groups too small for the tolerance, an unknown
-		// algorithm or criterion name); report them as such.
+		// What Check let through fails on the input itself (e.g. a
+		// constraint algorithm over groups too small for the tolerance);
+		// report it as such.
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	d := res.Diagnostics
@@ -475,77 +457,43 @@ func checkFinite(d *fairrank.Diagnostics) error {
 	return nil
 }
 
-// validate rejects malformed requests before any ranking work starts.
-func (s *Service) validate(req *RankRequest) error {
-	if len(req.Candidates) == 0 {
-		return invalidf("empty candidate set")
-	}
+// validate refuses an invalid request before any ranking work starts:
+// the deployment's pool-size limit here, every request rule in the
+// library's one validator, Ranker.Check. It returns how many draws the
+// request can fan out.
+func (s *Service) validate(req *RankRequest) (int, error) {
 	if len(req.Candidates) > s.cfg.MaxCandidates {
-		return invalidf("%d candidates exceed the limit of %d", len(req.Candidates), s.cfg.MaxCandidates)
+		return 0, invalidf("%d candidates exceed the limit of %d", len(req.Candidates), s.cfg.MaxCandidates)
 	}
-	seen := make(map[string]bool, len(req.Candidates))
-	for i, c := range req.Candidates {
-		if c.ID == "" {
-			return invalidf("candidate %d has an empty id", i)
-		}
-		if seen[c.ID] {
-			return invalidf("duplicate candidate id %q", c.ID)
-		}
-		seen[c.ID] = true
-		if c.Membership != nil {
-			var sum float64
-			for name, p := range c.Membership {
-				if name == "" {
-					return invalidf("candidate %q membership names an empty group", c.ID)
-				}
-				if math.IsNaN(p) || p < 0 || p > 1 {
-					return invalidf("candidate %q membership for group %q = %v, want in [0,1]", c.ID, name, p)
-				}
-				sum += p
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				return invalidf("candidate %q membership sums to %v, want 1", c.ID, sum)
-			}
-		}
+	draws, err := s.ranker.Check(libRequest(req))
+	if err != nil {
+		return 0, invalidf("%v", err)
 	}
-	if req.Theta != nil && !(*req.Theta >= 0) {
-		return invalidf("theta = %v, want ≥ 0", *req.Theta)
-	}
-	if req.Samples != nil && *req.Samples < 1 {
-		return invalidf("samples = %d, want ≥ 1", *req.Samples)
-	}
-	if req.Tolerance != nil && !(*req.Tolerance >= 0) {
-		return invalidf("tolerance = %v, want ≥ 0", *req.Tolerance)
-	}
-	if req.TopK != nil && *req.TopK < 1 {
-		return invalidf("top_k = %d, want ≥ 1", *req.TopK)
-	}
-	if req.WeakK < 0 {
-		return invalidf("weak_k = %d, want ≥ 0", req.WeakK)
-	}
-	if !(req.Sigma >= 0) || math.IsInf(req.Sigma, 0) {
-		return invalidf("sigma = %v, want finite ≥ 0", req.Sigma)
-	}
-	return nil
+	return draws, nil
 }
 
-// parallelism returns how many workers the request can actually use:
-// the best-of-m draw count for the sampling algorithms whose loop fans
-// out (per the registry metadata), 1 for everything else — including
-// unknown algorithm names, which fail validation downstream.
-func parallelism(req *RankRequest) int {
-	name := req.Algorithm
-	if name == "" {
-		name = string(fairrank.DefaultAlgorithm)
+// libRequest is the library request a wire request asks for. Every
+// field travels as an override; weak_k only when set, since 0 is
+// "unset" on the wire.
+func libRequest(req *RankRequest) fairrank.Request {
+	var weakK *int
+	if req.WeakK != 0 {
+		weakK = &req.WeakK
 	}
-	info, ok := fairrank.LookupAlgorithm(name)
-	if !ok || !info.Sampling || !info.BestOf {
-		return 1
+	return fairrank.Request{
+		Candidates: req.Candidates,
+		Algorithm:  fairrank.Algorithm(req.Algorithm),
+		Central:    fairrank.Central(req.Central),
+		WeakK:      weakK,
+		Sigma:      &req.Sigma,
+		Theta:      req.Theta,
+		Samples:    req.Samples,
+		Criterion:  fairrank.Criterion(req.Criterion),
+		Noise:      fairrank.Noise(req.Noise),
+		Tolerance:  req.Tolerance,
+		TopK:       req.TopK,
+		Seed:       &req.Seed,
 	}
-	if req.Samples != nil {
-		return *req.Samples
-	}
-	return fairrank.DefaultSamples
 }
 
 // Catalog describes the rankable surface — every algorithm, noise
@@ -598,10 +546,10 @@ func Catalog() *CatalogResponse {
 			Central:   string(fairrank.CentralWeaklyFair),
 			Criterion: string(fairrank.CriterionNDCG),
 			Noise:     string(fairrank.NoiseMallows),
-			Theta:     1,
+			Theta:     fairrank.DefaultTheta,
 			Samples:   fairrank.DefaultSamples,
-			Tolerance: 0.1,
-			WeakK:     "min(10, n)",
+			Tolerance: fairrank.DefaultTolerance,
+			WeakK:     fmt.Sprintf("min(%d, n)", fairrank.DefaultWeakK),
 			Sigma:     0,
 			TopK:      "full ranking",
 		},

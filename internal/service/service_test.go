@@ -223,8 +223,11 @@ func TestRankCanceledContext(t *testing.T) {
 }
 
 // Requests must not hold worker slots they cannot use: only the
-// mallows-best sampling loop fans out, bounded by its draw count.
+// best-of-m sampling loops fan out, bounded by their draw count, which
+// validate takes from the library's Ranker.Check.
 func TestParallelismBound(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
 	cases := []struct {
 		req  RankRequest
 		want int
@@ -236,11 +239,11 @@ func TestParallelismBound(t *testing.T) {
 		{RankRequest{Algorithm: "ilp"}, 1},
 		{RankRequest{Algorithm: "mallows"}, 1},
 		{RankRequest{Algorithm: "pl-best", Samples: ptr(6)}, 6},
-		{RankRequest{Algorithm: "no-such-algorithm"}, 1},
 	}
 	for _, tc := range cases {
-		if got := parallelism(&tc.req); got != tc.want {
-			t.Errorf("parallelism(%+v) = %d, want %d", tc.req, got, tc.want)
+		tc.req.Candidates = pool(4)
+		if got, err := s.validate(&tc.req); err != nil || got != tc.want {
+			t.Errorf("validate(%+v) = %d, %v; want %d draws", tc.req, got, err, tc.want)
 		}
 	}
 }

@@ -17,6 +17,8 @@ type Candidate = fairrank.Candidate
 // RankRequest asks for one fair ranking. Omitted fields take the
 // library's Config defaults; pointer fields distinguish "omitted" from
 // an explicit zero, which validation rejects where a zero is invalid.
+// Each field travels as the fairrank.Request override of its name, and
+// the rules below are that field's, enforced by fairrank.Ranker.Check.
 type RankRequest struct {
 	// Candidates is the pool to rank; must be nonempty with unique,
 	// nonempty IDs.
@@ -35,8 +37,8 @@ type RankRequest struct {
 	// GET /v1/algorithms. Default "mallows". Algorithms that pin their
 	// own mechanism ignore it.
 	Noise string `json:"noise,omitempty"`
-	// Theta is the Mallows dispersion; must be ≥ 0 when given (0 draws
-	// uniformly random permutations). Default 1.
+	// Theta is the Mallows dispersion; must be finite and ≥ 0 when
+	// given (0 draws uniformly random permutations). Default 1.
 	Theta *float64 `json:"theta,omitempty"`
 	// Samples is the best-of-m draw count; must be ≥ 1 when given.
 	// Default 15.
@@ -49,10 +51,12 @@ type RankRequest struct {
 	// given (clamped to the pool size). Omitted returns the full
 	// ranking.
 	TopK *int `json:"top_k,omitempty"`
-	// WeakK is the weakly fair prefix length. Default min(10, pool size).
+	// WeakK is the weakly fair prefix length; must be ≥ 1 when given,
+	// and at most the pool size on the "weak" central. Default
+	// min(10, pool size).
 	WeakK int `json:"weak_k,omitempty"`
 	// Sigma is the constraint-noise level of the attribute-aware
-	// algorithms. Default 0.
+	// algorithms; must be finite and ≥ 0. Default 0.
 	Sigma float64 `json:"sigma,omitempty"`
 	// Seed makes the response deterministic: equal requests with equal
 	// seeds return equal rankings.

@@ -49,25 +49,25 @@ func TestWireValidationErrorsExact(t *testing.T) {
 		want string // exact "error" payload
 	}{
 		{"empty candidates", `{"candidates": []}`,
-			"invalid request: empty candidate set"},
+			"invalid request: fairrank: empty candidate set"},
 		{"oversized pool", `{"candidates": [` + bigPool(17) + `]}`,
 			"invalid request: 17 candidates exceed the limit of 16"},
 		{"empty id", `{"candidates": [{"id":"","score":1,"group":"x"}]}`,
-			"invalid request: candidate 0 has an empty id"},
+			"invalid request: fairrank: candidate 0 has an empty id"},
 		{"duplicate id", `{"candidates": [{"id":"a","score":1,"group":"x"},{"id":"a","score":2,"group":"y"}]}`,
-			`invalid request: duplicate candidate id "a"`},
+			`invalid request: fairrank: duplicate candidate id "a"`},
 		{"negative theta", `{"candidates": ` + candidatesJSON + `, "theta": -1.5}`,
-			"invalid request: theta = -1.5, want ≥ 0"},
+			"invalid request: fairrank: theta = -1.5, want ≥ 0"},
 		{"zero samples", `{"candidates": ` + candidatesJSON + `, "samples": 0}`,
-			"invalid request: samples = 0, want ≥ 1"},
+			"invalid request: fairrank: samples = 0, want ≥ 1"},
 		{"negative tolerance", `{"candidates": ` + candidatesJSON + `, "tolerance": -0.1}`,
-			"invalid request: tolerance = -0.1, want ≥ 0"},
+			"invalid request: fairrank: tolerance = -0.1, want ≥ 0"},
 		{"zero top_k", `{"candidates": ` + candidatesJSON + `, "top_k": 0}`,
-			"invalid request: top_k = 0, want ≥ 1"},
+			"invalid request: fairrank: top_k = 0, want ≥ 1"},
 		{"negative weak_k", `{"candidates": ` + candidatesJSON + `, "weak_k": -2}`,
-			"invalid request: weak_k = -2, want ≥ 0"},
+			"invalid request: fairrank: weak_k = -2, want ≥ 1"},
 		{"negative sigma", `{"candidates": ` + candidatesJSON + `, "sigma": -1}`,
-			"invalid request: sigma = -1, want finite ≥ 0"},
+			"invalid request: fairrank: sigma = -1, want ≥ 0"},
 		{"empty group", `{"candidates": [{"id":"a","score":1,"group":""},{"id":"b","score":2,"group":"y"}]}`,
 			`invalid request: fairrank: candidate "a" has empty Group`},
 		{"unknown algorithm", `{"candidates": ` + candidatesJSON + `, "algorithm": "quicksort"}`,
@@ -79,13 +79,13 @@ func TestWireValidationErrorsExact(t *testing.T) {
 		{"unknown noise", `{"candidates": ` + candidatesJSON + `, "noise": "fog"}`,
 			`invalid request: fairrank: unknown noise "fog"`},
 		{"membership empty group", `{"candidates": [{"id":"a","score":2,"group":"x","membership":{"":1}},{"id":"b","score":1,"group":"y"}]}`,
-			`invalid request: candidate "a" membership names an empty group`},
+			`invalid request: fairrank: candidate "a" membership names an empty group`},
 		{"membership negative", `{"candidates": [{"id":"a","score":2,"group":"x","membership":{"x":-0.5}},{"id":"b","score":1,"group":"y"}]}`,
-			`invalid request: candidate "a" membership for group "x" = -0.5, want in [0,1]`},
+			`invalid request: fairrank: candidate "a" membership for group "x" is -0.5, want in [0,1]`},
 		{"membership above one", `{"candidates": [{"id":"a","score":2,"group":"x","membership":{"x":1.25}},{"id":"b","score":1,"group":"y"}]}`,
-			`invalid request: candidate "a" membership for group "x" = 1.25, want in [0,1]`},
+			`invalid request: fairrank: candidate "a" membership for group "x" is 1.25, want in [0,1]`},
 		{"membership not normalized", `{"candidates": [{"id":"a","score":2,"group":"x","membership":{"x":0.25,"y":0.25}},{"id":"b","score":1,"group":"y"}]}`,
-			`invalid request: candidate "a" membership sums to 0.5, want 1`},
+			`invalid request: fairrank: candidate "a" membership sums to 0.5, want 1`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,7 +130,7 @@ func TestWireNaNMembershipRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("NaN membership accepted")
 	}
-	const want = `invalid request: candidate "a" membership for group "x" = NaN, want in [0,1]`
+	const want = `invalid request: fairrank: candidate "a" membership for group "x" is NaN, want in [0,1]`
 	if err.Error() != want {
 		t.Errorf("error = %q, want exactly %q", err, want)
 	}

@@ -1,8 +1,6 @@
 package fairrank
 
 import (
-	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -113,17 +111,12 @@ func (r *Ranker) Stats() RankerStats {
 // and defaults are exactly Config's; cfg.Seed is only a fallback — each
 // request carries its own seed (Request.Seed).
 func NewRanker(cfg Config) (*Ranker, error) {
+	// Every field is validated whatever the algorithm: a request may name
+	// another algorithm that reads it.
 	probe := cfg.withDefaults(1)
-	entry, err := lookupEntry(probe.Algorithm)
+	entry, err := probe.validate(algorithmEntry{})
 	if err != nil {
 		return nil, err
-	}
-	// Criterion, like Noise and Central, is validated whatever the
-	// algorithm: a request may name another algorithm that reads it.
-	switch probe.Criterion {
-	case CriterionNDCG, CriterionKT:
-	default:
-		return nil, fmt.Errorf("fairrank: unknown criterion %q", probe.Criterion)
 	}
 	if entry.factory != nil {
 		// Let the factory validate the configuration now rather than on
@@ -131,29 +124,6 @@ func NewRanker(cfg Config) (*Ranker, error) {
 		if _, err := entry.factory(probe); err != nil {
 			return nil, err
 		}
-	}
-	if _, ok := LookupNoise(string(probe.Noise)); !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownNoise, probe.Noise)
-	}
-	switch probe.Central {
-	case CentralWeaklyFair, CentralFairDCG, CentralScoreOrder:
-	default:
-		return nil, fmt.Errorf("fairrank: unknown central ranking %q", probe.Central)
-	}
-	if math.IsNaN(probe.Theta) || probe.Theta < 0 {
-		return nil, fmt.Errorf("fairrank: dispersion θ = %v, want ≥ 0", probe.Theta)
-	}
-	if math.IsInf(probe.Theta, 1) {
-		return nil, fmt.Errorf("fairrank: dispersion θ = %v, want finite", probe.Theta)
-	}
-	if probe.Samples < 1 {
-		return nil, fmt.Errorf("fairrank: samples = %d, want ≥ 1", probe.Samples)
-	}
-	if math.IsNaN(cfg.Tolerance) || cfg.Tolerance < 0 {
-		return nil, fmt.Errorf("fairrank: tolerance = %v, want ≥ 0", cfg.Tolerance)
-	}
-	if math.IsNaN(cfg.Sigma) || cfg.Sigma < 0 {
-		return nil, fmt.Errorf("fairrank: constraint noise σ = %v, want ≥ 0", cfg.Sigma)
 	}
 	r := &Ranker{cfg: cfg, entry: entry, truncDraws: make(map[Noise]*atomic.Int64, len(core.Axes))}
 	for noise := range core.Axes {

@@ -3,7 +3,6 @@ package fairrank
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/fairness"
@@ -35,10 +34,11 @@ type Request struct {
 	// Central overrides Config.Central when nonempty.
 	Central Central
 	// WeakK overrides Config.WeakK, the prefix length of the weakly
-	// fair central, which requires 1 ≤ WeakK ≤ pool size.
+	// fair central: ≥ 1 on every central, and at most the pool size on
+	// the weakly fair one.
 	WeakK *int
 	// Sigma overrides Config.Sigma (constraint noise of the
-	// attribute-aware algorithms); must be ≥ 0.
+	// attribute-aware algorithms); must be finite and ≥ 0.
 	Sigma *float64
 	// Theta overrides Config.Theta (Mallows dispersion); must be finite
 	// and ≥ 0.
@@ -192,25 +192,74 @@ type prepared struct {
 	topK       int
 }
 
+// Check validates req exactly as Do does, without ranking it: when Do
+// would refuse req as invalid, Check returns the same error. On success
+// it returns how many draws DoParallel can fan out for req: Samples for
+// a best-of sampling algorithm, 1 otherwise. A serving layer calls it
+// before admission, so an invalid request is refused whatever the load,
+// and sizes the request's worker grant from the count. Check may return
+// nil for a request Do still fails: the central ranking, the
+// constraints or the algorithm itself can prove infeasible.
+func (r *Ranker) Check(req Request) (workers int, err error) {
+	p, _, err := r.check(req)
+	if err != nil {
+		return 0, err
+	}
+	return p.draws(), nil
+}
+
+// draws is how many draws the request's algorithm makes, and so how
+// many DoParallel can fan out: Samples for a best-of sampling entry, 1
+// otherwise.
+func (p prepared) draws() int {
+	if p.entry.info.Sampling && p.entry.info.BestOf {
+		return p.cfg.Samples
+	}
+	return 1
+}
+
 // prepare is the first half of every serving path (DoParallel and
-// Sample): it resolves req against the Ranker's Config, assembles the
-// instance and enforces the algorithm's group bounds.
+// Sample): it checks req and assembles its instance.
 func (r *Ranker) prepare(ctx context.Context, req Request) (prepared, error) {
-	cfg, entry, topK, err := r.resolve(req)
+	p, labels, err := r.check(req)
 	if err != nil {
 		return prepared{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return prepared{}, err
 	}
-	in, err := buildInstance(req.Candidates, cfg)
+	if p.in, err = buildInstance(req.Candidates, p.cfg, labels); err != nil {
+		return prepared{}, err
+	}
+	return p, nil
+}
+
+// check is every rule a request must satisfy, in one place: a nonempty
+// pool, the resolved configuration (see resolve), weak_k within the
+// pool on the weakly fair central, the candidates (see
+// checkCandidates) and the algorithm's group-count bounds. It returns
+// the request prepared up to its instance, and the pool's group labels
+// for buildInstance.
+func (r *Ranker) check(req Request) (prepared, groupLabels, error) {
+	n := len(req.Candidates)
+	if n == 0 {
+		return prepared{}, groupLabels{}, fmt.Errorf("fairrank: empty candidate set")
+	}
+	cfg, entry, topK, err := r.resolve(req)
 	if err != nil {
-		return prepared{}, err
+		return prepared{}, groupLabels{}, err
 	}
-	if err := entry.info.checkGroups(in.Groups.NumGroups()); err != nil {
-		return prepared{}, err
+	if cfg.Central == CentralWeaklyFair && cfg.WeakK > n {
+		return prepared{}, groupLabels{}, fmt.Errorf("fairrank: weak_k = %d, want ≤ %d, the pool size", cfg.WeakK, n)
 	}
-	return prepared{candidates: req.Candidates, cfg: cfg, entry: entry, in: in, topK: topK}, nil
+	labels, err := checkCandidates(req.Candidates)
+	if err != nil {
+		return prepared{}, groupLabels{}, err
+	}
+	if err := entry.info.checkGroups(len(labels.names)); err != nil {
+		return prepared{}, groupLabels{}, err
+	}
+	return prepared{candidates: req.Candidates, cfg: cfg, entry: entry, topK: topK}, labels, nil
 }
 
 // rank is the second half of every serving path: it ranks a prepared
@@ -250,9 +299,9 @@ func (r *Ranker) rankInstance(ctx context.Context, p prepared, workers int) (per
 		// The engine-managed Algorithm-1 family: best-of-m draws from
 		// the resolved noise mechanism around the central ranking, with
 		// cancellation between draws and fan-out over workers.
-		samples, crit := 1, core.SelectFirst
+		samples, crit := p.draws(), core.SelectFirst
 		if entry.info.BestOf {
-			samples, scored, crit = cfg.Samples, true, core.SelectNDCG
+			scored, crit = true, core.SelectNDCG
 			if cfg.Criterion == CriterionKT {
 				crit = core.SelectKT
 			}
@@ -305,90 +354,56 @@ func (r *Ranker) rankInstance(ctx context.Context, p prepared, workers int) (per
 }
 
 // resolve merges the Ranker's Config (with its defaults applied for the
-// request's pool size) and the request's overrides, validating each
-// override, and returns the registry entry of the resolved algorithm.
-// The resolution order is: Request field if set, else Config field if
-// nonzero, else the built-in default.
+// request's pool size) and the request's overrides, validates the
+// merged configuration once (see Config.validate), and returns the
+// registry entry of the resolved algorithm and the delivered prefix
+// length. The resolution order is: Request field if set, else Config
+// field if nonzero, else the built-in default.
 func (r *Ranker) resolve(req Request) (Config, algorithmEntry, int, error) {
 	n := len(req.Candidates)
 	cfg := r.cfg.withDefaults(n)
-	entry := r.entry
-	fail := func(err error) (Config, algorithmEntry, int, error) {
-		return Config{}, algorithmEntry{}, 0, err
-	}
-	if req.Algorithm != "" && req.Algorithm != cfg.Algorithm {
-		// Only a request naming another algorithm touches the registry
-		// (and its lock); the Ranker's own entry was captured at
-		// construction.
-		var err error
-		if entry, err = lookupEntry(req.Algorithm); err != nil {
-			return fail(err)
-		}
+	if req.Algorithm != "" {
 		cfg.Algorithm = req.Algorithm
 	}
 	if req.Central != "" {
-		switch req.Central {
-		case CentralWeaklyFair, CentralFairDCG, CentralScoreOrder:
-		default:
-			return fail(fmt.Errorf("fairrank: unknown central ranking %q", req.Central))
-		}
 		cfg.Central = req.Central
 	}
 	if req.WeakK != nil {
 		cfg.WeakK = *req.WeakK
 	}
 	if req.Sigma != nil {
-		if math.IsNaN(*req.Sigma) || *req.Sigma < 0 {
-			return fail(fmt.Errorf("fairrank: constraint noise σ = %v, want ≥ 0", *req.Sigma))
-		}
 		cfg.Sigma = *req.Sigma
 	}
 	if req.Theta != nil {
-		if math.IsNaN(*req.Theta) || *req.Theta < 0 {
-			return fail(fmt.Errorf("fairrank: request dispersion θ = %v, want ≥ 0", *req.Theta))
-		}
-		if math.IsInf(*req.Theta, 1) {
-			return fail(fmt.Errorf("fairrank: request dispersion θ = %v, want finite", *req.Theta))
-		}
 		cfg.Theta = *req.Theta
 	}
 	if req.Samples != nil {
-		if *req.Samples < 1 {
-			return fail(fmt.Errorf("fairrank: request samples = %d, want ≥ 1", *req.Samples))
-		}
 		cfg.Samples = *req.Samples
 	}
 	if req.Criterion != "" {
-		switch req.Criterion {
-		case CriterionNDCG, CriterionKT:
-		default:
-			return fail(fmt.Errorf("fairrank: unknown criterion %q", req.Criterion))
-		}
 		cfg.Criterion = req.Criterion
 	}
 	if req.Noise != "" {
-		if _, ok := LookupNoise(string(req.Noise)); !ok {
-			return fail(fmt.Errorf("%w %q", ErrUnknownNoise, req.Noise))
-		}
 		cfg.Noise = req.Noise
 	}
 	if req.Tolerance != nil {
-		if math.IsNaN(*req.Tolerance) || *req.Tolerance < 0 {
-			return fail(fmt.Errorf("fairrank: request tolerance %v, want ≥ 0", *req.Tolerance))
-		}
 		cfg.Tolerance = *req.Tolerance
 	}
 	if req.Seed != nil {
 		cfg.Seed = *req.Seed
 	}
+	// Only a request naming another algorithm touches the registry (and
+	// its lock); the Ranker's own entry was captured at construction.
+	entry, err := cfg.validate(r.entry)
+	if err != nil {
+		return Config{}, algorithmEntry{}, 0, err
+	}
 	topK := n
 	if req.TopK != nil {
 		if *req.TopK < 1 {
-			return fail(fmt.Errorf("fairrank: request top-k = %d, want ≥ 1", *req.TopK))
+			return Config{}, algorithmEntry{}, 0, fmt.Errorf("fairrank: top_k = %d, want ≥ 1", *req.TopK)
 		}
-		if *req.TopK < topK {
-			topK = *req.TopK
-		}
+		topK = min(*req.TopK, n)
 	}
 	return cfg, entry, topK, nil
 }
